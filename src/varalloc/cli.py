@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--mc-samples", type=int, default=100_000)
     sw.add_argument("--out", default=None)
-    sw.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
@@ -271,8 +270,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.format != "csv":
-        raise ValueError("sweep output is CSV only")
     cfg = EstimatorConfig(seed=args.seed, mc_samples=args.mc_samples)
     if args.kind == "concavity":
         table = analysis.concavity_curve(args.n, None, cfg)

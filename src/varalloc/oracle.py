@@ -75,9 +75,9 @@ _KNOTS = np.array(
 
 _MC_CHUNK = 1 << 18
 
-# Candidate rows processed per slab inside expected_max_batch; keeps node
-# temporaries cache-sized instead of growing with the batch.
-_BATCH_CHUNK = 2048
+# Quadrature nodes per slab inside expected_max_batch: every node-sized
+# float64 temporary stays at 8 MiB, whatever the batch size and row width.
+_SLAB_NODES = 1 << 20
 
 
 class EstimationError(Exception):
@@ -277,7 +277,9 @@ def expected_max_batch(means, stddevs, *, points: int = 10, subdiv: int = 1) -> 
 
     ``stddevs`` has shape (C, n); ``means`` is broadcast against it (shape
     (n,) or (C, n)).  Returns a length-C array.  Panels are rebuilt per row,
-    so rows may mix degenerate and non-degenerate coordinates freely.
+    so rows may mix degenerate and non-degenerate coordinates freely.  Rows
+    are evaluated in slabs of at most ``_SLAB_NODES`` quadrature nodes, which
+    bounds memory; a row's value does not depend on the slab it lands in.
 
     ``points`` is the Gauss-Legendre order per panel and ``subdiv`` splits
     every panel evenly; the default (10, 1) already resolves all CDF
@@ -286,10 +288,12 @@ def expected_max_batch(means, stddevs, *, points: int = 10, subdiv: int = 1) -> 
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
-    ncand = stddevs.shape[0]
+    ncand, n = stddevs.shape
+    # A row has 15n + 2 panels of points * subdiv nodes each.
+    slab = max(1, _SLAB_NODES // ((len(_KNOTS) * n + 2) * points * subdiv))
     out = np.empty(ncand)
-    for start in range(0, ncand, _BATCH_CHUNK):
-        sl = slice(start, min(start + _BATCH_CHUNK, ncand))
+    for start in range(0, ncand, slab):
+        sl = slice(start, min(start + slab, ncand))
         out[sl] = _expected_max_slab(means[sl], stddevs[sl], points, subdiv)
     return out
 

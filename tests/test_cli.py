@@ -162,3 +162,11 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["n"] == 3 and doc["means"] == [0.5, 0.5, 0.5]
+
+
+def test_sweep_has_no_format_option(capsys):
+    # Sweeps write CSV only; --format is not an option at all.
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "concavity", "--n", "4", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err

@@ -1,0 +1,123 @@
+"""Golden outputs: fixed-seed CLI invocations must keep their exact bytes.
+
+Each case runs ``varalloc.cli.run`` on inputs written from a fixed seed and
+compares the SHA-256 of every output file with ``golden/sha256.json``.
+Speedups and refactors must leave these hashes unchanged; a change that is
+meant to alter an output re-records them with ``python tests/test_golden.py``
+and says why.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from varalloc.cli import run
+
+FIXTURE = Path(__file__).parent / "golden" / "sha256.json"
+
+
+def _write_instance(path: Path, means) -> str:
+    doc = {"n": len(means), "means": [float(x) for x in means], "sets": [list(range(len(means)))]}
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _ptas_ind_n4(work: Path) -> list[str]:
+    inst = _write_instance(work / "in.json", np.random.default_rng([1, 1]).uniform(0, 1, 4))
+    assert run(["solve", "ptas-ind", "--in", inst, "--eps", "0.4", "--seed", "1",
+                "--out", str(work / "report.json")]) == 0
+    return ["report.json"]
+
+
+def _ptas_ind_n3(work: Path) -> list[str]:
+    inst = _write_instance(work / "in.json", np.random.default_rng([2, 1]).uniform(0, 1, 3))
+    assert run(["solve", "ptas-ind", "--in", inst, "--eps", "0.35", "--seed", "2",
+                "--out", str(work / "report.json")]) == 0
+    return ["report.json"]
+
+
+def _ptas_corr_n3(work: Path) -> list[str]:
+    rng = np.random.default_rng([1, 1])
+    rng.uniform(0, 1, 4)  # the n=4 means above come first from this stream
+    inst = _write_instance(work / "in.json", rng.uniform(0, 1, 3))
+    assert run(["solve", "ptas-corr", "--in", inst, "--eps", "0.6", "--grid-step", "0.2",
+                "--seed", "1", "--mc-samples", "200000",
+                "--out", str(work / "report.json")]) == 0
+    return ["report.json"]
+
+
+def _ptas_corr_pair(work: Path) -> list[str]:
+    inst = _write_instance(work / "in.json", [0.0, 0.0])
+    assert run(["solve", "ptas-corr", "--in", inst, "--eps", "0.7", "--grid-step", "0.25",
+                "--mc-samples", "200000", "--out", str(work / "report.json")]) == 0
+    return ["report.json"]
+
+
+def _log_approx(work: Path) -> list[str]:
+    inst = str(work / "er.json")
+    assert run(["generate", "erdos-renyi", "--n", "6", "--m", "10", "--p", "0.4",
+                "--seed", "11", "--out", inst]) == 0
+    assert run(["solve", "log-approx", "--in", inst, "--seed", "3",
+                "--mc-samples", "100000", "--out", str(work / "report.json")]) == 0
+    return ["er.json", "report.json"]
+
+
+def _uniform(work: Path) -> list[str]:
+    inst = str(work / "cycle.json")
+    assert run(["generate", "cycle", "--n", "5", "--mu", "0.25", "--out", inst]) == 0
+    assert run(["solve", "uniform", "--in", inst, "--out", str(work / "report.json")]) == 0
+    return ["cycle.json", "report.json"]
+
+
+def _evaluate(work: Path) -> list[str]:
+    inst = _write_instance(work / "in.json", [0.0, 0.0])
+    rep = str(work / "report.json")
+    assert run(["solve", "ptas-corr", "--in", inst, "--eps", "0.7", "--grid-step", "0.5",
+                "--mc-samples", "100000", "--out", rep]) == 0
+    assert run(["evaluate", "--in", rep, "--seed", "9", "--out", str(work / "eval.json")]) == 0
+    return ["eval.json"]
+
+
+def _verify(work: Path) -> list[str]:
+    assert run(["verify", "--claim", "submodular_g", "--out", str(work / "verify.json")]) == 0
+    return ["verify.json"]
+
+
+CASES = {
+    "ptas_ind_n4": _ptas_ind_n4,
+    "ptas_ind_n3": _ptas_ind_n3,
+    "ptas_corr_n3": _ptas_corr_n3,
+    "ptas_corr_pair": _ptas_corr_pair,
+    "log_approx": _log_approx,
+    "uniform": _uniform,
+    "evaluate": _evaluate,
+    "verify_submodular_g": _verify,
+}
+
+
+def _digests(name: str, work: Path) -> dict[str, str]:
+    files = CASES[name](work)
+    return {f: hashlib.sha256((work / f).read_bytes()).hexdigest() for f in files}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_sha256(name, tmp_path):
+    want = json.loads(FIXTURE.read_text(encoding="utf-8"))[name]
+    assert _digests(name, tmp_path) == want
+
+
+if __name__ == "__main__":
+    # Re-record the fixture from the current program.
+    import tempfile
+
+    record = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            record[case] = _digests(case, Path(tmp))
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {FIXTURE}\n")

@@ -134,6 +134,28 @@ class TestQuadrature:
             est = expected_max_independent(GaussianVector(means, row), cfg)
             assert val == pytest.approx(est.value, abs=1e-9)
 
+    def test_slab_memory_bounded_and_rows_independent_of_slab(self):
+        # 2048 rows at n=8 hold 2.5M nodes.  Slabs keep each node temporary
+        # at _SLAB_NODES float64s, and the batch holds fewer than eight such
+        # temporaries at once; a 2048-row slab would need about 120 MiB.
+        import tracemalloc
+
+        from varalloc.oracle import _SLAB_NODES
+
+        rng = np.random.default_rng(11)
+        means = rng.uniform(0, 1, (2048, 8))
+        sigs = rng.uniform(0, 0.5, (2048, 8))
+        sigs[rng.random((2048, 8)) < 0.25] = 0.0
+        tracemalloc.start()
+        try:
+            batch = expected_max_batch(means, sigs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _SLAB_NODES * 8
+        rows = np.array([expected_max_batch(m, s)[0] for m, s in zip(means, sigs)])
+        assert np.array_equal(batch, rows)
+
     def test_scale_monotonicity(self):
         # Zero-mean: scaling all deviations by c scales the value by exactly c.
         cfg = EstimatorConfig(method="quadrature")

@@ -1,15 +1,20 @@
 """Solver behavior: grid searches, the multi-set greedy, and baselines."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from varalloc.instances import AllocationVector, Instance, cycle_instance
-from varalloc.oracle import EstimatorConfig, expected_max_batch, graph_objective
+from varalloc.oracle import CovarianceSpec, EstimatorConfig, expected_max_batch, graph_objective
 from varalloc.solvers import (
     BudgetError,
+    _enumerate_grid,
+    _enumerate_maximal,
+    _grid_limit,
+    _psd_candidates,
     brute_force_grid,
     greedy_fixed_variance,
     log_approx_graph,
@@ -89,6 +94,48 @@ class TestPtasIndependent:
         assert report_fields(a) == report_fields(b)
 
 
+class TestMaximalGrid:
+    @pytest.mark.parametrize("n,eps", [(1, 0.5), (2, 0.5), (3, 0.35), (4, 0.4)])
+    def test_ordered_subset_that_dominates_the_grid(self, n, eps):
+        limit = _grid_limit(eps**3)
+        grid = _enumerate_grid(n, limit)
+        frontier = _enumerate_maximal(n, limit)
+        rows = [tuple(r) for r in frontier.tolist()]
+        assert rows == sorted(rows)
+        assert set(rows) <= {tuple(r) for r in grid.tolist()}
+        # No coordinate of a frontier row can take one more step.
+        used = np.square(frontier).sum(axis=1)
+        assert (used + 2 * frontier.min(axis=1) + 1 > limit).all()
+        dominated = np.zeros(len(grid), dtype=bool)
+        for row in frontier:
+            dominated |= (grid <= row).all(axis=1)
+        assert dominated.all()
+
+    def test_row_count(self):
+        assert _enumerate_maximal(4, _grid_limit(0.4**3)).shape == (784, 4)
+        assert _enumerate_grid(4, _grid_limit(0.4**3)).shape == (22672, 4)
+
+    def test_same_allocation_as_full_grid(self):
+        rng = np.random.default_rng(2024)
+        for n in (2, 3, 4):
+            inst = single_set_instance(rng.uniform(0, 1, n))
+            for eps in (0.4, 0.5):
+                rep = ptas_independent(inst, eps, CFG)
+                brute = brute_force_grid(inst, eps**3, CFG)
+                assert rep.allocation == brute.allocation
+
+    def test_tie_goes_to_first_maximal_point(self):
+        # Every grid point scores 10 up to rounding: the full grid's first
+        # argmax is the origin, the frontier's is the maximal point (3, 7).
+        inst = single_set_instance([0.0, 10.0])
+        rep = ptas_independent(inst, 0.5, CFG)
+        brute = brute_force_grid(inst, 0.5**3, CFG)
+        assert [s / 0.125 for s in rep.allocation.stddevs] == [3.0, 7.0]
+        assert brute.allocation.stddevs == (0.0, 0.0)
+        assert rep.objective.value == pytest.approx(10.0, abs=1e-15)
+        assert brute.objective.value == pytest.approx(10.0, abs=1e-15)
+
+
 class TestBruteForce:
     def test_cycle_optimum_at_uniform(self):
         rep = brute_force_grid(cycle_instance(4, 0), 0.25, CFG)
@@ -155,6 +202,34 @@ class TestPtasCorrelated:
             ptas_correlated(single_set_instance([0.0] * 8), 0.3, 0.25, CFG)  # cap
         with pytest.raises(BudgetError):
             ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.01, CFG, node_budget=10)
+
+    @pytest.mark.parametrize("diag,step", [((2, 3, 0), 0.2), ((3, 2, 3), 0.125), ((4, 4), 0.125)])
+    def test_stacked_eigen_filter_matches_per_matrix_loop(self, diag, step):
+        s = len(diag)
+        pairs = list(itertools.combinations(range(s), 2))
+        caps = [math.isqrt(diag[i] * diag[j]) for i, j in pairs]
+        want_subs, want_factors = [], []
+        for off in itertools.product(*(range(-c, c + 1) for c in caps)):
+            sub = np.diag(np.asarray(diag, dtype=float) * step)
+            for (i, j), o in zip(pairs, off):
+                sub[i, j] = sub[j, i] = o * step
+            w, vecs = np.linalg.eigh(sub)
+            if w[0] < CovarianceSpec.PSD_TOL:
+                continue
+            want_subs.append(sub)
+            want_factors.append(vecs * np.sqrt(np.clip(w, 0.0, None)))
+        chunks = list(_psd_candidates(diag, caps, pairs, step))
+        subs = np.concatenate([c[0] for c in chunks])
+        factors = np.concatenate([c[1] for c in chunks])
+        assert np.array_equal(subs, np.array(want_subs))
+        assert np.array_equal(factors, np.array(want_factors))
+
+    def test_column_max_chain_equals_row_max(self):
+        x = np.random.default_rng(3).standard_normal((4096, 3))
+        top = np.maximum(x[:, 0], -math.inf)
+        for col in (1, 2):
+            np.maximum(top, x[:, col], out=top)
+        assert np.array_equal(top, x.max(axis=1))
 
     def test_determinism(self):
         a = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
