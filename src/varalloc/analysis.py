@@ -42,6 +42,7 @@ __all__ = [
     "verify_max_inequalities",
     "concavity_curve",
     "concentration_profile",
+    "write_sweep_csv",
     "emit_sweep_csv",
     "ALL_CHECKS",
 ]
@@ -530,12 +531,17 @@ def concentration_profile(
     return SweepTable(tuple(rows))
 
 
+def write_sweep_csv(table: SweepTable, fh) -> None:
+    """Write the table to a text stream as CSV rows with shortest floats."""
+    fh.write("parameter,statistic,value,ci_half_width\n")
+    for row in table.rows:
+        fh.write(f"{row.parameter!r},{row.statistic},{row.value!r},{row.ci_half_width!r}\n")
+
+
 def emit_sweep_csv(table: SweepTable, path) -> None:
-    """Write the table as UTF-8 CSV with LF endings and shortest floats."""
+    """Write the table to ``path`` as UTF-8 CSV with LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("parameter,statistic,value,ci_half_width\n")
-        for row in table.rows:
-            fh.write(f"{row.parameter!r},{row.statistic},{row.value!r},{row.ci_half_width!r}\n")
+        write_sweep_csv(table, fh)
 
 
 # Registry used by the command-line verify runner.

@@ -277,11 +277,7 @@ def _cmd_sweep(args) -> int:
         seeds = [args.seed + i for i in range(_SWEEP_SEED_COUNT)]
         table = analysis.concentration_profile(args.n, args.m, _SWEEP_P_GRID, seeds, cfg)
     if args.out is None:
-        sys.stdout.write("parameter,statistic,value,ci_half_width\n")
-        for row in table.rows:
-            sys.stdout.write(
-                f"{row.parameter!r},{row.statistic},{row.value!r},{row.ci_half_width!r}\n"
-            )
+        analysis.write_sweep_csv(table, sys.stdout)
     else:
         analysis.emit_sweep_csv(table, args.out)
     return 0

@@ -9,7 +9,9 @@ truth for tests.
 Monte Carlo comparisons inside argmax loops reuse one standard-normal
 sample matrix per solve (common random numbers), which keeps comparison
 variance far below the gaps being resolved; objective values placed in a
-report are always re-estimated independently of the selection pass.
+report are always re-estimated independently of the selection pass.  Both
+greedy solvers run one such engine, which after each pick re-scores only
+the sets that contain the picked variable.
 """
 
 from __future__ import annotations
@@ -159,70 +161,88 @@ def _crn_matrix(seed: int, samples: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((samples, n))
 
 
-class _CrnGreedyState:
-    """Incremental objective under a shared sample matrix.
+def _crn_greedy(seed: int, samples: int, means: np.ndarray, sdev: float, sets, picks: int,
+                stop_without_gain: bool = False) -> tuple[list[int], float]:
+    """Greedy assignment of deviation ``sdev`` under common random numbers.
 
-    Tracks, per set, the per-sample maximum over the Gaussian terms assigned
-    so far; unassigned members contribute their means as constants.  A
-    candidate assignment then only touches the sets containing the
-    candidate variable, which keeps each greedy step linear in the total
-    set membership instead of quadratic.
+    Up to ``picks`` times, assigns the unassigned variable that most increases
+    ``sum_j mean_s max_{i in S_j} X_i``, where an assigned variable adds its
+    term ``T_i = means[i] + sdev * z[:, i]`` (``z`` drawn from ``seed``) and an
+    unassigned one its mean; ties go to the lowest index.  Returns the chosen
+    indices in order and the sampled objective; ``stop_without_gain`` ends
+    the loop at a best gain <= 0.
+
+    Candidate i's value on set j, ``mean_s max(G, d, T_i)`` (G: the per-sample
+    max of the set's assigned terms; d: its largest other unassigned mean),
+    changes only when a member of j is assigned, so it is cached per (set,
+    candidate), memoized per (assigned members, d, i), and re-scored only
+    for the sets containing the last pick.  That is exact, not lazy,
+    evaluation: the objective is not submodular.  Max is exact in any order
+    and ``np.add.reduce(x) / S`` is ``x.mean()`` bit for bit, so choices and
+    totals equal a from-scratch evaluation's.
     """
+    t = _crn_matrix(seed, samples, len(means))
+    t *= sdev  # in place: the bits of means + sdev * z, without a second matrix
+    t += means
+    rows = list(np.ascontiguousarray(t.T))
+    del t
+    mu = [float(x) for x in means]
+    free = [list(s) for s in sets]  # unassigned members of each set
+    held: list[tuple[int, ...]] = [()] * len(free)  # assigned members, in pick order
+    by_var = [[j for j, s in enumerate(free) if i in s] for i in range(len(mu))]
+    gmax: list[np.ndarray | None] = [None] * len(free)  # from first to last assignment
+    memo: dict[tuple, dict[int, float]] = {}  # (held, d) -> {i: value, -1: set value}
+    cand: list[dict[int, float]] = [{} for _ in free]
+    buf, base_bufs = np.empty(samples), (np.empty(samples), np.empty(samples))
 
-    def __init__(self, z: np.ndarray, means: np.ndarray, sets_idx):
-        self.z = z
-        self.means = means
-        self.sets = [np.asarray(s, dtype=int) for s in sets_idx]
-        n = means.shape[0]
-        self.by_var: list[list[int]] = [[] for _ in range(n)]
-        for j, members in enumerate(self.sets):
-            for i in members:
-                self.by_var[int(i)].append(j)
-        self.sigma = np.zeros(n)
-        self.assigned = np.zeros(n, dtype=bool)
-        self.gauss_max: list[np.ndarray | None] = [None] * len(self.sets)
-        self.set_mean = [self._degenerate_max(j) for j in range(len(self.sets))]
-        self.total = math.fsum(self.set_mean)
+    def score(j: int) -> float:
+        """Set j's value; caches each free member's value if it were assigned."""
+        members, g = free[j], gmax[j]
+        bases: dict[float, np.ndarray] = {}  # max(G, d) per floor d, built on first use
 
-    def _degenerate_max(self, j: int, exclude: int = -1) -> float:
-        best = -math.inf
-        for i in self.sets[j]:
-            if not self.assigned[i] and i != exclude:
-                best = max(best, self.means[i])
-        return best
+        def value(d: float, i: int) -> float:
+            known = memo.setdefault((held[j], d), {})
+            if i not in known:
+                if g is not None and d not in bases:
+                    bases[d] = np.maximum(g, d, out=base_bufs[len(bases)])
+                b = bases.get(d, d)
+                x = b if i < 0 else np.maximum(b, rows[i], out=buf)
+                known[i] = float(np.add.reduce(x)) / samples
+            return known[i]
 
-    def _set_values(self, j: int, extra: np.ndarray | None, exclude: int = -1):
-        vals = self.gauss_max[j]
-        if extra is not None:
-            vals = extra if vals is None else np.maximum(vals, extra)
-        deg = self._degenerate_max(j, exclude)
-        if vals is None:
-            return None, deg
-        if deg > -math.inf:
-            vals = np.maximum(vals, deg)
-        return vals, deg
+        ranked = sorted((mu[i] for i in members), reverse=True) + [-math.inf] * 2
+        # A holder of the top mean sees the next one, equal to it unless unique.
+        cand[j] = {i: value(ranked[1 if mu[i] == ranked[0] else 0], i) for i in members}
+        return ranked[0] if g is None else value(ranked[0], -1)
 
-    def candidate_total(self, i: int, sdev: float) -> float:
-        """Objective if variable i were assigned deviation sdev."""
-        term = self.means[i] + sdev * self.z[:, i]
-        total = self.total
-        for j in self.by_var[i]:
-            vals, deg = self._set_values(j, term, exclude=i)
-            new_mean = deg if vals is None else float(vals.mean())
-            total += new_mean - self.set_mean[j]
-        return total
-
-    def assign(self, i: int, sdev: float) -> None:
-        term = self.means[i] + sdev * self.z[:, i]
-        self.sigma[i] = sdev
-        self.assigned[i] = True
-        for j in self.by_var[i]:
-            g = self.gauss_max[j]
-            self.gauss_max[j] = term if g is None else np.maximum(g, term)
-            vals, deg = self._set_values(j, None)
-            new_mean = deg if vals is None else float(vals.mean())
-            self.total += new_mean - self.set_mean[j]
-            self.set_mean[j] = new_mean
+    set_mean = [score(j) for j in range(len(free))]
+    total = math.fsum(set_mean)
+    chosen: list[int] = []
+    for _ in range(picks):
+        best_i, best_obj = -1, -math.inf
+        for i in range(len(mu)):
+            if i in chosen:
+                continue
+            obj = total
+            for j in by_var[i]:
+                obj += cand[j][i] - set_mean[j]
+            if obj > best_obj:
+                best_obj = obj
+                best_i = i
+        if best_i < 0 or (stop_without_gain and best_obj - total <= 0.0):
+            break
+        chosen.append(best_i)
+        for j in by_var[best_i]:
+            g = gmax[j]
+            gmax[j] = rows[best_i].copy() if g is None else np.maximum(g, rows[best_i], out=g)
+            free[j].remove(best_i)
+            held[j] += (best_i,)
+            new_mean = score(j)
+            total += new_mean - set_mean[j]
+            set_mean[j] = new_mean
+            if not free[j]:
+                gmax[j] = None
+    return chosen, total
 
 
 def uniform_allocation(inst: Instance) -> AllocationVector:
@@ -480,8 +500,10 @@ def log_approx_graph(
     dropped from the working objective.  For each k up to log2(n), up to
     min(4^k, n) variables greedily receive variance 4^-k (each step picks
     the zero-variance variable whose assignment maximizes the objective,
-    ties to the lowest index); the best round wins.  The reported objective
-    re-includes the singleton sets.
+    ties to the lowest index); the best round wins.  Each round runs the CRN
+    greedy engine on the same sample matrix, redrawn from the solve's seed,
+    and re-scores only the sets the last pick touched.  The reported
+    objective re-includes the singleton sets.
     """
     t0 = time.perf_counter()
     n = inst.n
@@ -489,26 +511,16 @@ def log_approx_graph(
     best_sigma = np.zeros(n)
     if work_sets:
         means = inst.means_array()
-        z = _crn_matrix(derive_seed(cfg.seed, "crn"), argmax_samples, n)
+        seed = derive_seed(cfg.seed, "crn")
         best_val = -math.inf
         for k in range(int(math.floor(math.log2(n))) + 1):
-            state = _CrnGreedyState(z, means, work_sets)
             sdev = 2.0 ** (-k)
-            for _ in range(min(4**k, n)):
-                best_i = -1
-                best_obj = -math.inf
-                for i in range(n):
-                    if state.assigned[i]:
-                        continue
-                    obj = state.candidate_total(i, sdev)
-                    if obj > best_obj:
-                        best_obj = obj
-                        best_i = i
-                state.assign(best_i, sdev)
-                assert float(np.square(state.sigma).sum()) <= 1.0 + BUDGET_TOL
-            if state.total > best_val:
-                best_val = state.total
-                best_sigma = state.sigma.copy()
+            chosen, total = _crn_greedy(seed, argmax_samples, means, sdev, work_sets, min(4**k, n))
+            if total > best_val:
+                best_val = total
+                best_sigma = np.zeros(n)
+                best_sigma[chosen] = sdev
+        assert float(np.square(best_sigma).sum()) <= 1.0 + BUDGET_TOL
 
     alloc = AllocationVector(best_sigma)
     objective = graph_objective(inst, alloc, cfg)
@@ -535,8 +547,9 @@ def greedy_fixed_variance(
     """Greedy subset selection at a fixed variance level.
 
     Repeatedly adds the index with the largest marginal objective gain
-    (evaluated under common random numbers, ties to the lowest index) until
-    the cardinality is reached or the best gain is non-positive.
+    (evaluated under common random numbers by the engine ``log_approx_graph``
+    uses, ties to the lowest index) until the cardinality is reached or the
+    best gain is non-positive.
     """
     if not variance_level > 0:
         raise ValueError("variance_level must be positive")
@@ -545,26 +558,10 @@ def greedy_fixed_variance(
     if cardinality * variance_level > 1.0 + BUDGET_TOL:
         raise ValueError("cardinality * variance_level exceeds the unit budget")
 
-    n = inst.n
-    means = inst.means_array()
-    z = _crn_matrix(derive_seed(cfg.seed, "crn"), argmax_samples, n)
-    state = _CrnGreedyState(z, means, inst.sets)
     sdev = math.sqrt(variance_level)
-    chosen: list[int] = []
-    while len(chosen) < cardinality:
-        best_i = -1
-        best_obj = -math.inf
-        for i in range(n):
-            if state.assigned[i]:
-                continue
-            obj = state.candidate_total(i, sdev)
-            if obj > best_obj:
-                best_obj = obj
-                best_i = i
-        if best_i < 0 or best_obj - state.total <= 0.0:
-            break
-        chosen.append(best_i)
-        state.assign(best_i, sdev)
-
-    estimate = graph_objective(inst, AllocationVector(state.sigma), cfg)
+    chosen, _ = _crn_greedy(derive_seed(cfg.seed, "crn"), argmax_samples, inst.means_array(),
+                            sdev, inst.sets, cardinality, stop_without_gain=True)
+    sigma = np.zeros(inst.n)
+    sigma[chosen] = sdev
+    estimate = graph_objective(inst, AllocationVector(sigma), cfg)
     return set(chosen), estimate

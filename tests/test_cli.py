@@ -152,6 +152,19 @@ def test_sweep_concavity_csv(tmp_path):
     assert {"independent", "concavity_margin"} <= stats
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("concavity", ["--n", "3"]),
+    ("concentration", ["--n", "4", "--m", "6"]),
+])
+def test_sweep_stdout_equals_out_file(tmp_path, capsys, kind, extra):
+    argv = ["sweep", kind, *extra, "--seed", "2", "--mc-samples", "20000"]
+    out = tmp_path / "sweep.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_console_entry_point(tmp_path):
     # The installed script path: generate to stdout.
     proc = subprocess.run(

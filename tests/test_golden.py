@@ -82,6 +82,27 @@ def _evaluate(work: Path) -> list[str]:
     return ["eval.json"]
 
 
+def _brute_force(work: Path) -> list[str]:
+    inst = str(work / "cycle.json")
+    assert run(["generate", "cycle", "--n", "3", "--mu", "0.25", "--out", inst]) == 0
+    assert run(["solve", "brute-force", "--in", inst, "--grid-step", "0.125",
+                "--out", str(work / "report.json")]) == 0
+    return ["cycle.json", "report.json"]
+
+
+def _sweep_concavity(work: Path) -> list[str]:
+    assert run(["sweep", "concavity", "--n", "4", "--seed", "3", "--mc-samples", "100000",
+                "--out", str(work / "sweep.csv")]) == 0
+    return ["sweep.csv"]
+
+
+def _sweep_concentration(work: Path) -> list[str]:
+    # 40 log_approx_graph solves over the densities 1/8 ... 1.
+    assert run(["sweep", "concentration", "--n", "6", "--m", "10", "--seed", "3",
+                "--mc-samples", "100000", "--out", str(work / "sweep.csv")]) == 0
+    return ["sweep.csv"]
+
+
 def _verify(work: Path) -> list[str]:
     assert run(["verify", "--claim", "submodular_g", "--out", str(work / "verify.json")]) == 0
     return ["verify.json"]
@@ -96,6 +117,9 @@ CASES = {
     "uniform": _uniform,
     "evaluate": _evaluate,
     "verify_submodular_g": _verify,
+    "brute_force": _brute_force,
+    "sweep_concavity": _sweep_concavity,
+    "sweep_concentration": _sweep_concentration,
 }
 
 

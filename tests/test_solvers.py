@@ -3,14 +3,23 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from varalloc.instances import AllocationVector, Instance, cycle_instance
-from varalloc.oracle import CovarianceSpec, EstimatorConfig, expected_max_batch, graph_objective
+from varalloc.instances import AllocationVector, Instance, cycle_instance, erdos_renyi_instance
+from varalloc.oracle import (
+    CovarianceSpec,
+    EstimatorConfig,
+    derive_seed,
+    expected_max_batch,
+    graph_objective,
+)
 from varalloc.solvers import (
     BudgetError,
+    _crn_greedy,
+    _crn_matrix,
     _enumerate_grid,
     _enumerate_maximal,
     _grid_limit,
@@ -314,3 +323,142 @@ class TestGreedyFixedVariance:
                     total += float(expected_max_batch(means[idx], sigma[None, idx])[0])
                 best = max(best, total)
             assert est.value >= factor * best - est.half_width - 1e-6
+
+
+def reference_crn_greedy(means, sets, z, sdev, picks, stop_without_gain=False):
+    """Plain CRN greedy: every set's sample mean is recomputed from scratch.
+
+    A set with no assigned member is worth its largest mean; otherwise each
+    sample takes the max over assigned terms ``means[i] + sdev * z[:, i]``
+    and unassigned means.  Candidate totals add per-set differences to the
+    running total in ascending set order; ties go to the lowest index.
+    """
+    means = np.asarray(means, dtype=float)
+    n = len(means)
+    terms = [means[i] + sdev * z[:, i] for i in range(n)]
+    taken = [False] * n
+
+    def set_value(members):
+        if not any(taken[i] for i in members):
+            return max(means[i] for i in members)
+        cols = [terms[i] if taken[i] else np.full(z.shape[0], means[i]) for i in members]
+        return float(np.max(cols, axis=0).mean())
+
+    cur = [set_value(s) for s in sets]
+    total = math.fsum(cur)
+    chosen = []
+    for _ in range(picks):
+        best_i, best_obj = -1, -math.inf
+        for i in range(n):
+            if taken[i]:
+                continue
+            taken[i] = True
+            obj = total
+            for j, members in enumerate(sets):
+                if i in members:
+                    obj += set_value(members) - cur[j]
+            taken[i] = False
+            if obj > best_obj:
+                best_i, best_obj = i, obj
+        if best_i < 0 or (stop_without_gain and best_obj - total <= 0.0):
+            break
+        chosen.append(best_i)
+        taken[best_i] = True
+        for j, members in enumerate(sets):
+            if best_i in members:
+                new = set_value(members)
+                total += new - cur[j]
+                cur[j] = new
+    return chosen, total
+
+
+REF_SAMPLES = 2048
+
+
+def _reference_instances():
+    # Erdos-Renyi memberships plus a singleton set; means zero, U(0, 1), or
+    # tied integers, whose sets often have a unique top mean next to ties.
+    for rep in range(3):
+        base = erdos_renyi_instance(10, 16, 0.35, 40 + rep)
+        rng = np.random.default_rng([40, rep])
+        for means in (np.zeros(10), rng.uniform(0, 1, 10), rng.integers(0, 3, 10)):
+            sets = list(base.sets) + [(int(rng.integers(10)),)]
+            yield Instance(10, [float(x) for x in means], sets), 40 + rep
+
+
+class TestCrnGreedyEngine:
+    def test_matches_reference_on_every_level(self):
+        for inst, seed in _reference_instances():
+            means = inst.means_array()
+            z = _crn_matrix(seed, REF_SAMPLES, inst.n)
+            for k in range(4):
+                sdev = 2.0 ** (-k)
+                picks = min(4**k, inst.n)
+                got = _crn_greedy(seed, REF_SAMPLES, means, sdev, inst.sets, picks)
+                assert got == reference_crn_greedy(means, inst.sets, z, sdev, picks)
+
+    def test_log_approx_picks_the_reference_level(self):
+        for inst, seed in _reference_instances():
+            cfg = EstimatorConfig(seed=seed)
+            z = _crn_matrix(derive_seed(seed, "crn"), REF_SAMPLES, inst.n)
+            work = [s for s in inst.sets if len(s) >= 2]
+            best_val, best_sigma = -math.inf, None
+            for k in range(4):
+                chosen, total = reference_crn_greedy(
+                    inst.means, work, z, 2.0 ** (-k), min(4**k, inst.n))
+                if total > best_val:
+                    best_val, best_sigma = total, np.zeros(inst.n)
+                    best_sigma[chosen] = 2.0 ** (-k)
+            rep = log_approx_graph(inst, cfg, argmax_samples=REF_SAMPLES)
+            assert rep.allocation.stddevs == tuple(best_sigma)
+
+    def test_unique_top_mean_holder(self):
+        # Variable 0 holds the unique top mean of both sets; its own floor is
+        # the second mean (1.0 or 0.0), the others' floor is 3.0.
+        inst = Instance(4, (3.0, 1.0, 0.5, 0.0), [(0, 1, 2), (0, 3)])
+        means = inst.means_array()
+        z = _crn_matrix(5, REF_SAMPLES, 4)
+        for sdev in (4.0, 2.0, 1.0):
+            got = _crn_greedy(5, REF_SAMPLES, means, sdev, inst.sets, 3)
+            assert got == reference_crn_greedy(means, inst.sets, z, sdev, 3)
+
+    def test_fixed_variance_stops_without_gain(self):
+        # Variables 1 and 2 sit below a mean of 9 at sdev 0.5: their gain is
+        # exactly zero, so at most variable 0 is chosen of the four allowed.
+        inst = Instance(3, (9.0, 0.0, 0.0), [(0, 1, 2)])
+        sel, _ = greedy_fixed_variance(inst, 0.25, 4, CFG, argmax_samples=REF_SAMPLES)
+        z = _crn_matrix(derive_seed(CFG.seed, "crn"), REF_SAMPLES, 3)
+        chosen, _ = reference_crn_greedy(inst.means, inst.sets, z, 0.5, 4,
+                                         stop_without_gain=True)
+        assert sel == set(chosen) and len(sel) <= 1
+
+    def test_fixed_variance_runs_out_of_candidates(self):
+        inst = Instance(2, (0.0, 0.0), [(0, 1)])
+        sel, _ = greedy_fixed_variance(inst, 0.25, 4, CFG, argmax_samples=REF_SAMPLES)
+        z = _crn_matrix(derive_seed(CFG.seed, "crn"), REF_SAMPLES, 2)
+        chosen, _ = reference_crn_greedy(inst.means, inst.sets, z, 0.5, 4,
+                                         stop_without_gain=True)
+        assert sel == set(chosen) == {0, 1}
+
+    def test_fixed_variance_matches_reference(self):
+        for inst, seed in _reference_instances():
+            cfg = EstimatorConfig(seed=seed)
+            z = _crn_matrix(derive_seed(seed, "crn"), REF_SAMPLES, inst.n)
+            for level, card in ((0.25, 4), (0.1, 10)):
+                sel, _ = greedy_fixed_variance(inst, level, card, cfg,
+                                               argmax_samples=REF_SAMPLES)
+                chosen, _ = reference_crn_greedy(inst.means, inst.sets, z, math.sqrt(level),
+                                                 card, stop_without_gain=True)
+                assert sel == set(chosen)
+
+    def test_log_approx_memory_is_bounded(self):
+        # The CRN terms (n rows), one running maximum per set (m) and a few
+        # buffers of 32,768 samples each: nothing may scale with n * m.
+        inst = erdos_renyi_instance(24, 72, 0.5, 7)
+        tracemalloc.start()
+        try:
+            log_approx_graph(inst, EstimatorConfig(seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (inst.n + inst.m + 8) * 32_768 * 8
