@@ -26,6 +26,7 @@ from .oracle import (
     expected_max_batch,
     expected_max_correlated,
     psd_factor,
+    row_max,
 )
 from .solvers import log_approx_graph
 
@@ -153,19 +154,22 @@ def verify_eps_contribution(
     for eps in eps_grid:
         scale = eps * math.sqrt(math.log(1.0 / eps))
         m_adv = int(1.0 / (eps * eps))
-        profiles = [np.full(m_adv, eps * eps)]
-        for _ in range(trials):
+        # Variance profiles, each followed by a zero column: the point mass
+        # at 0 that makes every row E max(0, Y_1..Y_n).
+        profiles = np.zeros((trials, n_per_trial + 1))
+        for t in range(trials):
             v = rng.uniform(0.0, eps * eps, n_per_trial)
             total = v.sum()
             if total > 1.0:
                 v *= 1.0 / total
-            profiles.append(v)
+            profiles[t, :n_per_trial] = v
+        measured_all = [_emax_floor0(np.sqrt(np.full(m_adv, eps * eps)))]
+        measured_all += expected_max_batch(0.0, np.sqrt(profiles)).tolist()
         best = 0.0
-        for prof in profiles:
-            measured = _emax_floor0(np.sqrt(prof))
+        for t, measured in enumerate(measured_all):
             best = max(best, measured / scale)
-            details.append({"eps": eps, "n": len(prof), "measured": measured,
-                            "fitted_constant": measured / scale})
+            details.append({"eps": eps, "n": m_adv if t == 0 else n_per_trial,
+                            "measured": measured, "fitted_constant": measured / scale})
         fitted.append(best)
     ratio = max(fitted) / min(fitted)
     return VerificationReport(
@@ -186,22 +190,26 @@ def verify_lipschitz(trials: int = 2000, n: int = 4, seed: int = 0) -> Verificat
     empirical ratio instead of hiding it.
     """
     rng = np.random.default_rng(seed)
+    means, s1, s2 = (np.empty((trials, n)) for _ in range(3))
+    for t in range(trials):
+        means[t] = rng.normal(0.0, 1.0, n)
+        s1[t] = rng.uniform(0.0, 1.0, n)
+        s2[t] = rng.uniform(0.0, 1.0, n)
+    both = expected_max_batch(np.vstack([means, means]), np.vstack([s1, s2])).tolist()
+    e1, e2 = both[:trials], both[trials:]
     violations = 0
     worst = 0.0
     details = []
-    for _ in range(trials):
-        means = rng.normal(0.0, 1.0, n)
-        s1 = rng.uniform(0.0, 1.0, n)
-        s2 = rng.uniform(0.0, 1.0, n)
-        diff = abs(_emax(means, s1) - _emax(means, s2))
-        l1 = float(np.abs(s1 - s2).sum())
+    for t in range(trials):
+        diff = abs(e1[t] - e2[t])
+        l1 = float(np.abs(s1[t] - s2[t]).sum())
         if diff > LIPSCHITZ_CONSTANT * l1 + _QUAD_SLACK:
             violations += 1
         ratio = diff / l1 if l1 > 0 else 0.0
         if ratio > worst:
             worst = ratio
-            details.append({"means": means.tolist(), "s1": s1.tolist(),
-                            "s2": s2.tolist(), "ratio": ratio})
+            details.append({"means": means[t].tolist(), "s1": s1[t].tolist(),
+                            "s2": s2[t].tolist(), "ratio": ratio})
     return VerificationReport("lipschitz", trials, violations, worst,
                               tuple(details), seed)
 
@@ -216,15 +224,23 @@ def verify_max_floor_bound(
     if lo < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
+    # Row t holds its n_t coordinates followed by zeros; column n_t is then
+    # the point mass at 0 of the floored maximum.
+    ns = np.empty(trials, dtype=int)
+    means, sig = np.zeros((trials, hi + 1)), np.zeros((trials, hi + 1))
+    for t in range(trials):
+        n = ns[t] = int(rng.integers(lo, hi + 1))
+        means[t, :n] = rng.uniform(0.0, 1.0, n)
+        sig[t, :n] = rng.uniform(0.0, 1.0, n)
+    lhs_all, floor_all = np.empty(trials), np.empty(trials)
+    for n in np.unique(ns):
+        rows = ns == n
+        lhs_all[rows] = expected_max_batch(means[rows, :n], sig[rows, :n])
+        floor_all[rows] = expected_max_batch(means[rows, :n + 1], sig[rows, :n + 1])
     violations = 0
     worst = math.inf
     details = []
-    for _ in range(trials):
-        n = int(rng.integers(lo, hi + 1))
-        means = rng.uniform(0.0, 1.0, n)
-        sig = rng.uniform(0.0, 1.0, n)
-        lhs = _emax(means, sig)
-        with_floor = _emax(np.concatenate([means, [0.0]]), np.concatenate([sig, [0.0]]))
+    for n, lhs, with_floor in zip(ns.tolist(), lhs_all.tolist(), floor_all.tolist()):
         factor = 1.0 - 2.0 ** (1 - n)
         margin = lhs - factor * with_floor
         if margin < -_QUAD_SLACK:
@@ -243,21 +259,22 @@ def verify_var2approx(trials: int = 1500, n: int = 4, seed: int = 0) -> Verifica
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
-    zeros = np.zeros(n)
+    sig, mult = np.empty((trials, n)), np.empty((trials, n))
+    for t in range(trials):
+        sig[t] = rng.uniform(0.0, 1.0, n)
+        mult[t] = rng.uniform(1.0, 2.0, n)
+    both = expected_max_batch(0.0, np.vstack([sig, sig * mult])).tolist()
+    base_all, scaled_all = both[:trials], both[trials:]
     violations = 0
     worst = math.inf
     details = []
-    for _ in range(trials):
-        sig = rng.uniform(0.0, 1.0, n)
-        mult = rng.uniform(1.0, 2.0, n)
-        base = _emax(zeros, sig)
-        scaled = _emax(zeros, sig * mult)
+    for t, (base, scaled) in enumerate(zip(base_all, scaled_all)):
         slack = min(scaled - base, 2.0 * base - scaled)
         if slack < -_QUAD_SLACK:
             violations += 1
         if slack < worst:
             worst = slack
-            details.append({"sig": sig.tolist(), "mult": mult.tolist(),
+            details.append({"sig": sig[t].tolist(), "mult": mult[t].tolist(),
                             "base": base, "scaled": scaled, "slack": slack})
     return VerificationReport("var2approx", trials, violations, worst,
                               tuple(details), seed)
@@ -274,19 +291,23 @@ def verify_correlation_gap(
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    details = []
+    means, sds = np.empty((trials, n)), np.empty((trials, n))
+    lhs_all = []
     for t in range(trials):
         a = rng.normal(0.0, 1.0, (n, n))
         cov = a @ a.T
         cov *= 1.0 / np.trace(cov)
-        means = rng.uniform(0.0, 1.0, n)
-        spec = CovarianceSpec(means, cov)
-        lhs = expected_max_correlated(
+        means[t] = rng.uniform(0.0, 1.0, n)
+        sds[t] = np.sqrt(np.diag(cov))
+        spec = CovarianceSpec(means[t], cov)
+        lhs_all.append(expected_max_correlated(
             spec, EstimatorConfig(mc_samples=mc_samples, seed=derive_seed(seed, f"gap:{t}"))
-        )
-        rhs = _emax(means, np.sqrt(np.diag(cov)))
+        ))
+    rhs_all = expected_max_batch(means, sds).tolist()
+    violations = 0
+    worst = 0.0
+    details = []
+    for t, (lhs, rhs) in enumerate(zip(lhs_all, rhs_all)):
         bound = CORRELATION_GAP_CONSTANT * rhs + lhs.half_width + 1e-9
         ratio = lhs.value / (CORRELATION_GAP_CONSTANT * rhs)
         if lhs.value > bound:
@@ -400,7 +421,7 @@ def _per_set_values_correlated(n, means, cov, samples, seed):
         subsets = list(itertools.combinations(range(n), k))
         stat = np.zeros(samples)
         for s in subsets:
-            stat += x[:, list(s)].max(axis=1)
+            stat += row_max(x, s)
         stat /= len(subsets)
         mean = float(stat.mean())
         hw = Z95 * float(stat.std(ddof=1)) / math.sqrt(samples)

@@ -58,6 +58,7 @@ __all__ = [
     "graph_objective",
     "graph_objective_correlated",
     "psd_factor",
+    "row_max",
     "derive_seed",
 ]
 
@@ -76,8 +77,9 @@ _KNOTS = np.array(
 _MC_CHUNK = 1 << 18
 
 # Quadrature nodes per slab inside expected_max_batch: every node-sized
-# float64 temporary stays at 8 MiB, whatever the batch size and row width.
-_SLAB_NODES = 1 << 20
+# float64 temporary stays at 256 KiB, whatever the batch size and row width,
+# which keeps a slab's working set in cache.
+_SLAB_NODES = 1 << 15
 
 
 class EstimationError(Exception):
@@ -278,8 +280,10 @@ def expected_max_batch(means, stddevs, *, points: int = 10, subdiv: int = 1) -> 
     ``stddevs`` has shape (C, n); ``means`` is broadcast against it (shape
     (n,) or (C, n)).  Returns a length-C array.  Panels are rebuilt per row,
     so rows may mix degenerate and non-degenerate coordinates freely.  Rows
-    are evaluated in slabs of at most ``_SLAB_NODES`` quadrature nodes, which
-    bounds memory; a row's value does not depend on the slab it lands in.
+    are evaluated in slabs of at most ``_SLAB_NODES`` (2^15) quadrature
+    nodes, which bounds memory and keeps each temporary in cache; a row's
+    value does not depend on the slab or batch it lands in, so one call over
+    many rows returns the bits of one call per row.
 
     ``points`` is the Gauss-Legendre order per panel and ``subdiv`` splits
     every panel evenly; the default (10, 1) already resolves all CDF
@@ -369,25 +373,48 @@ def _closed_form_expected_max(v: GaussianVector) -> float:
     raise ValueError("closed form requires n <= 2 or at most one non-degenerate coordinate")
 
 
-def _mc_expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimate:
-    means = np.asarray(v.means)
-    stddevs = np.asarray(v.stddevs)
-    total = cfg.mc_samples
+def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
+    """Chunked Monte Carlo mean of a per-sample statistic.
+
+    Chunk ``k`` draws a (count, width) block of standard normals from
+    ``_chunk_rng(seed, k)``; ``stat_of`` maps the block to one statistic per
+    sample.  Sums and sums of squares accumulate in chunk order.
+    """
     s1 = 0.0
     s2 = 0.0
     done = 0
     chunk = 0
     while done < total:
         count = min(_MC_CHUNK, total - done)
-        z = _chunk_rng(cfg.seed, chunk).standard_normal((count, v.n))
-        mx = (means + stddevs * z).max(axis=1)
-        s1 += float(mx.sum())
-        s2 += float(np.square(mx).sum())
+        stat = stat_of(_chunk_rng(seed, chunk).standard_normal((count, width)))
+        s1 += float(stat.sum())
+        s2 += float(np.square(stat).sum())
         done += count
         chunk += 1
     mean = s1 / total
     var = max((s2 - total * mean * mean) / (total - 1), 0.0)
     return Estimate(mean, Z95 * math.sqrt(var / total), "monte_carlo")
+
+
+def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
+    """Per-row maximum of ``y[:, c] + shift[c]`` over ``c`` in ``cols``.
+
+    A chain of ``np.maximum`` over the columns, optionally also against
+    ``floor`` (taken right after the first column).  Equal, bit for bit, to
+    ``(y + shift)[:, cols].max(axis=1)``: the additions are the same
+    elementwise additions and a maximum is exact.  Over a short axis this is
+    many times faster than ``max(axis=1)`` and than broadcasting ``shift``
+    over the whole block.
+    """
+    first, *rest = cols
+    stat = y[:, first].copy() if shift is None else y[:, first] + shift[first]
+    if floor is not None:
+        np.maximum(stat, floor, out=stat)
+    tmp = None if shift is None else np.empty_like(stat)
+    for c in rest:
+        col = y[:, c] if shift is None else np.add(y[:, c], shift[c], out=tmp)
+        np.maximum(stat, col, out=stat)
+    return stat
 
 
 def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimate:
@@ -405,7 +432,10 @@ def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimat
     if method == "quadrature":
         val = _quadrature_expected_max(v.means, v.stddevs, cfg.quadrature_tolerance)
         return Estimate(val, 0.0, "quadrature")
-    return _mc_expected_max_independent(v, cfg)
+    means = np.asarray(v.means)
+    stddevs = np.asarray(v.stddevs)
+    return _mc_estimate(cfg.seed, cfg.mc_samples, v.n,
+                        lambda z: row_max(z * stddevs, range(v.n), means))
 
 
 def psd_factor(matrix: np.ndarray, *, rank_tol: float = 1e-10) -> np.ndarray:
@@ -427,38 +457,21 @@ def psd_factor(matrix: np.ndarray, *, rank_tol: float = 1e-10) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(w[keep])
 
 
-def _mc_max_of_samples(c: CovarianceSpec, cfg: EstimatorConfig, reduce_sets=None) -> Estimate:
+def _mc_max_of_samples(c: CovarianceSpec, cfg: EstimatorConfig, reduce_sets) -> Estimate:
     """Chunked Monte Carlo over joint samples.
 
-    ``reduce_sets`` maps a sample block (count, n) to per-sample statistics;
-    the default takes the row maximum.
+    ``reduce_sets`` maps a block of centred samples ``z @ L.T`` (count, n),
+    the means not yet added, to per-sample statistics.
     """
     L = psd_factor(c.matrix)
-    rank = L.shape[1]
-    total = cfg.mc_samples
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    chunk = 0
-    while done < total:
-        count = min(_MC_CHUNK, total - done)
-        z = _chunk_rng(cfg.seed, chunk).standard_normal((count, rank))
-        x = z @ L.T + c.means
-        stat = x.max(axis=1) if reduce_sets is None else reduce_sets(x)
-        s1 += float(stat.sum())
-        s2 += float(np.square(stat).sum())
-        done += count
-        chunk += 1
-    mean = s1 / total
-    var = max((s2 - total * mean * mean) / (total - 1), 0.0)
-    return Estimate(mean, Z95 * math.sqrt(var / total), "monte_carlo")
+    return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], lambda z: reduce_sets(z @ L.T))
 
 
 def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
     """Monte Carlo E[max_i X_i] for X ~ N(mu, Sigma); deterministic given seed."""
     if cfg.method not in ("auto", "monte_carlo"):
         raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
-    return _mc_max_of_samples(c, cfg)
+    return _mc_max_of_samples(c, cfg, lambda y: row_max(y, range(c.n), c.means))
 
 
 def _restricted_vector(inst: Instance, alloc: AllocationVector, members) -> GaussianVector:
@@ -500,12 +513,10 @@ def graph_objective_correlated(inst: Instance, c: CovarianceSpec, cfg: Estimator
         raise ValueError(f"covariance dimension {c.n} does not match instance n={inst.n}")
     if cfg.method not in ("auto", "monte_carlo"):
         raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
-    sets = [np.asarray(s, dtype=int) for s in inst.sets]
-
-    def per_sample_total(x: np.ndarray) -> np.ndarray:
-        total = np.zeros(x.shape[0])
-        for idx in sets:
-            total += x[:, idx].max(axis=1)
+    def per_sample_total(y: np.ndarray) -> np.ndarray:
+        total = np.zeros(y.shape[0])
+        for members in inst.sets:
+            total += row_max(y, members, c.means)
         return total
 
     return _mc_max_of_samples(c, cfg, reduce_sets=per_sample_total)

@@ -32,6 +32,7 @@ from .oracle import (
     expected_max_batch,
     expected_max_correlated,
     graph_objective,
+    row_max,
 )
 
 __all__ = [
@@ -462,12 +463,7 @@ def ptas_correlated(
         for diag in diag_combos:
             for subs, factors in _psd_candidates(diag, off_caps(diag), pairs, grid_step):
                 for sub, factor in zip(subs, factors):
-                    x = z_sup @ factor.T + mu_sup
-                    # A chain of column maxima: much faster than max(axis=1)
-                    # over a short axis, and exact, so the value is unchanged.
-                    top = np.maximum(x[:, 0], rest_mu)
-                    for col in range(1, s):
-                        np.maximum(top, x[:, col], out=top)
+                    top = row_max(z_sup @ factor.T, range(s), mu_sup, floor=rest_mu)
                     val = float(top.mean())
                     if val > best_val:
                         best_val = val

@@ -7,6 +7,8 @@ import pytest
 
 from varalloc.analysis import (
     CORRELATION_GAP_CONSTANT,
+    LIPSCHITZ_CONSTANT,
+    VerificationReport,
     SweepRow,
     SweepTable,
     concavity_curve,
@@ -20,8 +22,8 @@ from varalloc.analysis import (
     verify_submodular_g,
     verify_var2approx,
 )
-from varalloc.analysis import _emax, _emax_floor0
-from varalloc.oracle import EstimatorConfig
+from varalloc.analysis import _QUAD_SLACK, _emax, _emax_floor0
+from varalloc.oracle import CovarianceSpec, EstimatorConfig, derive_seed, expected_max_correlated
 
 PHI0 = 0.3989422804014327
 EMAX4 = 1.029375373003964  # E max of 4 iid standard normals
@@ -222,3 +224,148 @@ class TestSweepTable:
         path = tmp_path / "empty.csv"
         emit_sweep_csv(SweepTable(()), path)
         assert path.read_text() == "parameter,statistic,value,ci_half_width\n"
+
+
+# Eager references: one _emax call per trial, in the order the fuzzers drew
+# and scored before their quadrature was batched.  The batched verifiers must
+# return equal reports, details included.
+
+def _eager_eps_contribution(eps_grid, n_per_trial, trials, seed):
+    rng = np.random.default_rng(seed)
+    details = []
+    fitted = []
+    for eps in eps_grid:
+        scale = eps * math.sqrt(math.log(1.0 / eps))
+        profiles = [np.full(int(1.0 / (eps * eps)), eps * eps)]
+        for _ in range(trials):
+            v = rng.uniform(0.0, eps * eps, n_per_trial)
+            total = v.sum()
+            if total > 1.0:
+                v *= 1.0 / total
+            profiles.append(v)
+        best = 0.0
+        for prof in profiles:
+            measured = _emax_floor0(np.sqrt(prof))
+            best = max(best, measured / scale)
+            details.append({"eps": eps, "n": len(prof), "measured": measured,
+                            "fitted_constant": measured / scale})
+        fitted.append(best)
+    ratio = max(fitted) / min(fitted)
+    return VerificationReport("eps_contribution", len(details), int(ratio > 2.0), ratio,
+                              tuple(details), seed)
+
+
+def _eager_lipschitz(trials, n, seed):
+    rng = np.random.default_rng(seed)
+    violations, worst, details = 0, 0.0, []
+    for _ in range(trials):
+        means = rng.normal(0.0, 1.0, n)
+        s1 = rng.uniform(0.0, 1.0, n)
+        s2 = rng.uniform(0.0, 1.0, n)
+        diff = abs(_emax(means, s1) - _emax(means, s2))
+        l1 = float(np.abs(s1 - s2).sum())
+        if diff > LIPSCHITZ_CONSTANT * l1 + _QUAD_SLACK:
+            violations += 1
+        ratio = diff / l1 if l1 > 0 else 0.0
+        if ratio > worst:
+            worst = ratio
+            details.append({"means": means.tolist(), "s1": s1.tolist(),
+                            "s2": s2.tolist(), "ratio": ratio})
+    return VerificationReport("lipschitz", trials, violations, worst, tuple(details), seed)
+
+
+def _eager_max_floor_bound(trials, n_range, seed):
+    rng = np.random.default_rng(seed)
+    violations, worst, details = 0, math.inf, []
+    for _ in range(trials):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        means = rng.uniform(0.0, 1.0, n)
+        sig = rng.uniform(0.0, 1.0, n)
+        lhs = _emax(means, sig)
+        with_floor = _emax(np.concatenate([means, [0.0]]), np.concatenate([sig, [0.0]]))
+        factor = 1.0 - 2.0 ** (1 - n)
+        margin = lhs - factor * with_floor
+        if margin < -_QUAD_SLACK:
+            violations += 1
+        if margin < worst:
+            worst = margin
+            details.append({"n": n, "lhs": lhs, "rhs": factor * with_floor, "margin": margin})
+    return VerificationReport("max_floor_bound", trials, violations, worst, tuple(details), seed)
+
+
+def _eager_var2approx(trials, n, seed):
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(n)
+    violations, worst, details = 0, math.inf, []
+    for _ in range(trials):
+        sig = rng.uniform(0.0, 1.0, n)
+        mult = rng.uniform(1.0, 2.0, n)
+        base = _emax(zeros, sig)
+        scaled = _emax(zeros, sig * mult)
+        slack = min(scaled - base, 2.0 * base - scaled)
+        if slack < -_QUAD_SLACK:
+            violations += 1
+        if slack < worst:
+            worst = slack
+            details.append({"sig": sig.tolist(), "mult": mult.tolist(),
+                            "base": base, "scaled": scaled, "slack": slack})
+    return VerificationReport("var2approx", trials, violations, worst, tuple(details), seed)
+
+
+def _eager_correlation_gap(trials, n, mc_samples, seed):
+    rng = np.random.default_rng(seed)
+    violations, worst, details = 0, 0.0, []
+    for t in range(trials):
+        a = rng.normal(0.0, 1.0, (n, n))
+        cov = a @ a.T
+        cov *= 1.0 / np.trace(cov)
+        means = rng.uniform(0.0, 1.0, n)
+        lhs = expected_max_correlated(
+            CovarianceSpec(means, cov),
+            EstimatorConfig(mc_samples=mc_samples, seed=derive_seed(seed, f"gap:{t}")),
+        )
+        rhs = _emax(means, np.sqrt(np.diag(cov)))
+        bound = CORRELATION_GAP_CONSTANT * rhs + lhs.half_width + 1e-9
+        ratio = lhs.value / (CORRELATION_GAP_CONSTANT * rhs)
+        if lhs.value > bound:
+            violations += 1
+        if ratio > worst:
+            worst = ratio
+            details.append({"trial": t, "lhs": lhs.value, "rhs": rhs, "ratio": ratio})
+    return VerificationReport("correlation_gap", trials, violations, worst, tuple(details), seed)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+class TestBatchedMatchesEager:
+    def test_eps_contribution(self, seed):
+        grid = (0.5, 0.3, 0.125)
+        assert verify_eps_contribution(grid, n_per_trial=9, trials=12, seed=seed) == \
+            _eager_eps_contribution(grid, 9, 12, seed)
+
+    def test_lipschitz(self, seed):
+        assert verify_lipschitz(trials=50, n=5, seed=seed) == _eager_lipschitz(50, 5, seed)
+
+    def test_max_floor_bound(self, seed):
+        assert verify_max_floor_bound(trials=50, n_range=(2, 7), seed=seed) == \
+            _eager_max_floor_bound(50, (2, 7), seed)
+
+    def test_var2approx(self, seed):
+        assert verify_var2approx(trials=50, n=3, seed=seed) == _eager_var2approx(50, 3, seed)
+
+    def test_correlation_gap(self, seed):
+        assert verify_correlation_gap(trials=20, n=3, mc_samples=5_000, seed=seed) == \
+            _eager_correlation_gap(20, 3, 5_000, seed)
+
+
+def test_lipschitz_memory_bounded():
+    # 2 x 2000 rows at n=4: the draws take 192 KiB and the quadrature runs in
+    # cache-sized slabs, so the batch never holds per-trial node arrays at once.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        verify_lipschitz(trials=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

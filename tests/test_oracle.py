@@ -26,7 +26,9 @@ from varalloc.oracle import (
     graph_objective,
     graph_objective_correlated,
     psd_factor,
+    row_max,
 )
+import varalloc.oracle as oracle
 
 PHI0 = 0.3989422804014327          # pdf of the standard normal at 0
 INV_SQRT_PI = 0.5641895835477563   # 1/sqrt(pi)
@@ -136,8 +138,9 @@ class TestQuadrature:
 
     def test_slab_memory_bounded_and_rows_independent_of_slab(self):
         # 2048 rows at n=8 hold 2.5M nodes.  Slabs keep each node temporary
-        # at _SLAB_NODES float64s, and the batch holds fewer than eight such
-        # temporaries at once; a 2048-row slab would need about 120 MiB.
+        # at _SLAB_NODES float64s (2^15, 256 KiB: 26 rows here), and the
+        # batch holds fewer than eight such temporaries at once, so the peak
+        # stays under 2 MiB; a 2048-row slab would need about 120 MiB.
         import tracemalloc
 
         from varalloc.oracle import _SLAB_NODES
@@ -257,6 +260,87 @@ class TestAutoAndMonteCarlo:
             GaussianVector((), ())
         with pytest.raises(ValueError):
             GaussianVector((0,), (-1,))
+
+
+# The two Monte Carlo loops as they stood before they shared one accumulator
+# and the column-chain row maximum; the shared path must keep their bits.
+
+def _reference_mc_independent(v, cfg):
+    means, stddevs = np.asarray(v.means), np.asarray(v.stddevs)
+    s1 = s2 = 0.0
+    done = chunk = 0
+    while done < cfg.mc_samples:
+        count = min(oracle._MC_CHUNK, cfg.mc_samples - done)
+        z = oracle._chunk_rng(cfg.seed, chunk).standard_normal((count, v.n))
+        mx = (means + stddevs * z).max(axis=1)
+        s1 += float(mx.sum())
+        s2 += float(np.square(mx).sum())
+        done += count
+        chunk += 1
+    mean = s1 / cfg.mc_samples
+    var = max((s2 - cfg.mc_samples * mean * mean) / (cfg.mc_samples - 1), 0.0)
+    return Estimate(mean, oracle.Z95 * math.sqrt(var / cfg.mc_samples), "monte_carlo")
+
+
+def _reference_mc_joint(c, cfg, reduce_sets=lambda x: x.max(axis=1)):
+    L = psd_factor(c.matrix)
+    s1 = s2 = 0.0
+    done = chunk = 0
+    while done < cfg.mc_samples:
+        count = min(oracle._MC_CHUNK, cfg.mc_samples - done)
+        z = oracle._chunk_rng(cfg.seed, chunk).standard_normal((count, L.shape[1]))
+        stat = reduce_sets(z @ L.T + c.means)
+        s1 += float(stat.sum())
+        s2 += float(np.square(stat).sum())
+        done += count
+        chunk += 1
+    mean = s1 / cfg.mc_samples
+    var = max((s2 - cfg.mc_samples * mean * mean) / (cfg.mc_samples - 1), 0.0)
+    return Estimate(mean, oracle.Z95 * math.sqrt(var / cfg.mc_samples), "monte_carlo")
+
+
+class TestMonteCarloAccumulator:
+    # 300,000 samples span two chunks of 2^18.
+    CFG = EstimatorConfig(method="monte_carlo", mc_samples=300_000, seed=5)
+
+    def test_row_max_matches_max_over_axis(self):
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=(1000, 6))
+        y[rng.random(y.shape) < 0.2] = 0.0  # exact ties
+        shift = rng.uniform(-1, 1, 6)
+        x = y + shift
+        for cols in ((0,), (2, 5), (5, 0, 3), range(6)):
+            want = x[:, list(cols)].max(axis=1)
+            assert np.array_equal(row_max(y, cols, shift), want)
+            assert np.array_equal(row_max(x, cols), want)
+            assert np.array_equal(row_max(y, cols, shift, floor=0.3), np.maximum(want, 0.3))
+
+    def test_row_max_leaves_input_unchanged(self):
+        y = np.arange(12.0).reshape(4, 3)
+        row_max(y, (2, 0), floor=100.0)
+        assert np.array_equal(y, np.arange(12.0).reshape(4, 3))
+
+    def test_independent_matches_reference(self):
+        for v in (GaussianVector((0, 0.5, -1), (1, 0.0, 2)), GaussianVector((0.3,), (0.7,))):
+            assert expected_max_independent(v, self.CFG) == _reference_mc_independent(v, self.CFG)
+
+    def test_correlated_matches_reference(self):
+        for spec in (CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]]),
+                     CovarianceSpec([0, 0.2], [[0.5, 0.5], [0.5, 0.5]])):  # rank 1
+            assert expected_max_correlated(spec, self.CFG) == _reference_mc_joint(spec, self.CFG)
+
+    def test_graph_correlated_matches_reference(self):
+        inst = Instance(4, [0.1, 0.0, 0.4, 0.2], [(0, 1), (1, 2, 3), (3,), (0, 2)])
+        spec = CovarianceSpec(inst.means, np.diag([0.4, 0.3, 0.2, 0.1]) + 0.05)
+
+        def per_sample_total(x):
+            total = np.zeros(x.shape[0])
+            for members in inst.sets:
+                total += x[:, list(members)].max(axis=1)
+            return total
+
+        got = graph_objective_correlated(inst, spec, self.CFG)
+        assert got == _reference_mc_joint(spec, self.CFG, per_sample_total)
 
 
 class TestCorrelated:
