@@ -104,14 +104,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _write_bytes(path: str | None, blob: bytes) -> None:
-    if path is None:
-        sys.stdout.write(blob.decode("utf-8"))
-    else:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-
-
 def _estimate_doc(est: Estimate) -> dict:
     return {"value": est.value, "half_width": est.half_width, "method": est.method_used}
 
@@ -133,7 +125,7 @@ def _report_doc(report: solvers.SolveReport, inst: Instance, cfg: EstimatorConfi
         alloc_doc = {"matrix": [[float(x) for x in row] for row in alloc.matrix]}
     return {
         "algorithm": report.algorithm,
-        "seed": report.seed,
+        "seed": cfg.seed,
         "eps": report.eps,
         "grid_step": report.grid_step,
         "support_size": report.support_size,
@@ -159,7 +151,7 @@ def _cmd_generate(args) -> int:
         if args.k is None:
             raise ValueError("complete-k requires --k")
         inst = complete_k_subsets_instance(args.n, args.k)
-    _write_bytes(args.out, serialize_instance(inst))
+    _write_text(args.out, serialize_instance(inst).decode("utf-8"))
     return 0
 
 
@@ -182,18 +174,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("brute-force requires --grid-step")
         report = solvers.brute_force_grid(inst, args.grid_step, cfg)
     else:
-        alloc = solvers.uniform_allocation(inst)
-        objective = graph_objective(inst, alloc, cfg)
-        report = solvers.SolveReport(
-            allocation=alloc,
-            objective=objective,
-            algorithm="uniform",
-            eps=None,
-            grid_step=None,
-            support_size=alloc.support_size,
-            elapsed=0.0,
-            seed=cfg.seed,
-        )
+        report = solvers.uniform(inst, cfg)
     print(f"{report.algorithm}: {report.elapsed:.2f}s", file=sys.stderr)
     _write_text(args.out, json.dumps(_report_doc(report, inst, cfg), indent=2) + "\n")
     return 0

@@ -189,6 +189,10 @@ class CovarianceSpec:
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 
+    @property
+    def support_size(self) -> int:
+        return int((np.diag(self.matrix) > 0).sum())
+
     def __eq__(self, other):
         if not isinstance(other, CovarianceSpec):
             return NotImplemented

@@ -43,6 +43,7 @@ __all__ = [
     "log_approx_graph",
     "greedy_fixed_variance",
     "brute_force_grid",
+    "uniform",
     "uniform_allocation",
 ]
 
@@ -61,8 +62,9 @@ _CRN_SAMPLES_GRID = 65_536
 class BudgetError(RuntimeError):
     """The candidate grid exceeds the configured node budget."""
 
-    def __init__(self, required: int, budget: int, what: str):
-        super().__init__(f"{what} needs {required} nodes, exceeding the budget {budget}")
+    def __init__(self, required: int, budget: int, what: str, *, at_least: bool = False):
+        needs = "needs at least" if at_least else "needs"
+        super().__init__(f"{what} {needs} {required} nodes, exceeding the budget {budget}")
         self.required = required
         self.budget = budget
 
@@ -76,14 +78,42 @@ class SolveReport:
     algorithm: str
     eps: float | None
     grid_step: float | None
-    support_size: int
     elapsed: float
-    seed: int
+
+    @property
+    def support_size(self) -> int:
+        return self.allocation.support_size
 
 
-def _require_single_full_set(inst: Instance, what: str) -> None:
+def _report(algorithm: str, inst: Instance, allocation: AllocationVector | CovarianceSpec,
+            cfg: EstimatorConfig, t0: float, *, eps: float | None = None,
+            grid_step: float | None = None) -> SolveReport:
+    """Re-estimates ``allocation`` independently of the search; elapsed counts from ``t0``.
+
+    A covariance matrix comes only from the single-full-set search, so its
+    objective is the one set's expected maximum.
+    """
+    if isinstance(allocation, CovarianceSpec):
+        objective = expected_max_correlated(allocation, cfg)
+    else:
+        objective = graph_objective(inst, allocation, cfg)
+    return SolveReport(allocation, objective, algorithm, eps, grid_step,
+                       time.perf_counter() - t0)
+
+
+def _ptas_support(inst: Instance, eps: float, cap: int, what: str) -> int:
+    """Support size ceil(1/eps^2), clamped to n, after the checks both PTAS share."""
     if inst.m != 1 or inst.sets[0] != tuple(range(inst.n)):
         raise ValueError(f"{what} requires a single set covering all variables")
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
+    s = min(math.ceil(1.0 / (eps * eps)), inst.n)
+    if s > cap:
+        raise ValueError(
+            f"support size {s} exceeds the desk-scale cap {cap}; "
+            "use a larger eps or a smaller instance"
+        )
+    return s
 
 
 def _grid_limit(step: float) -> int:
@@ -93,19 +123,39 @@ def _grid_limit(step: float) -> int:
 
 
 def _count_grid(n_coords: int, limit: int) -> int:
-    """Number of non-negative integer vectors with sum of squares <= limit."""
+    """Number of non-negative integer vectors with sum of squares <= limit.
+
+    ``f[q]`` counts the vectors of all but the last coordinate with squared
+    sum q; a last coordinate k extends those with q <= limit - k^2.  So one
+    or two coordinates cost O(1) or O(limit) work, not O(limit^1.5).
+    """
     kmax = math.isqrt(limit)
+    if n_coords == 1:
+        return kmax + 1
+    squares = np.arange(kmax + 1) ** 2
     f = np.zeros(limit + 1)
-    f[0] = 1.0
-    for _ in range(n_coords):
+    f[squares] = 1.0
+    for _ in range(n_coords - 2):
         g = np.zeros_like(f)
-        for k in range(kmax + 1):
-            sq = k * k
-            if sq > limit:
-                break
+        for sq in squares.tolist():
             g[sq:] += f[: limit + 1 - sq]
         f = g
-    return int(f.sum())
+    return int(np.cumsum(f, out=f)[limit - squares].sum())
+
+
+def _check_grid_budget(n_coords: int, limit: int, supports: int, budget: int, what: str) -> None:
+    """Raise BudgetError if ``supports`` grids of ``n_coords`` exceed ``budget`` nodes.
+
+    A lower bound comes first, so the exact count only runs on a grid the
+    budget bounds: every vector whose coordinates are all at most
+    isqrt(limit // n_coords) is on the grid.
+    """
+    low = (math.isqrt(limit // n_coords) + 1) ** n_coords * supports
+    if low > budget:
+        raise BudgetError(low, budget, what, at_least=True)
+    required = _count_grid(n_coords, limit) * supports
+    if required > budget:
+        raise BudgetError(required, budget, what)
 
 
 def _enumerate_grid(n_coords: int, limit: int) -> np.ndarray:
@@ -252,6 +302,12 @@ def uniform_allocation(inst: Instance) -> AllocationVector:
     return AllocationVector((s,) * inst.n)
 
 
+def uniform(inst: Instance, cfg: EstimatorConfig) -> SolveReport:
+    """The uniform-split baseline, evaluated and reported like the solvers."""
+    t0 = time.perf_counter()
+    return _report("uniform", inst, uniform_allocation(inst), cfg, t0)
+
+
 def ptas_independent(
     inst: Instance,
     eps: float,
@@ -278,22 +334,10 @@ def ptas_independent(
     The node budget counts the whole grid, which bounds the enumeration.
     """
     t0 = time.perf_counter()
-    _require_single_full_set(inst, "ptas_independent")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    k = math.ceil(1.0 / (eps * eps))
-    s = min(k, inst.n)
-    if s > _MAX_SUPPORT_INDEPENDENT:
-        raise ValueError(
-            f"support size {s} exceeds the desk-scale cap {_MAX_SUPPORT_INDEPENDENT}; "
-            "use a larger eps or a smaller instance"
-        )
+    s = _ptas_support(inst, eps, _MAX_SUPPORT_INDEPENDENT, "ptas_independent")
     step = eps**3
     limit = _grid_limit(step)
-    per_support = _count_grid(s, limit)
-    required = per_support * math.comb(inst.n, s)
-    if required > node_budget:
-        raise BudgetError(required, node_budget, "ptas_independent grid")
+    _check_grid_budget(s, limit, math.comb(inst.n, s), node_budget, "ptas_independent grid")
 
     mults = _enumerate_maximal(s, limit)
     values_on_support = mults * step
@@ -308,19 +352,8 @@ def ptas_independent(
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_sigma = sig[i].copy()
-
-    alloc = AllocationVector(best_sigma)
-    objective = graph_objective(inst, alloc, cfg)
-    return SolveReport(
-        allocation=alloc,
-        objective=objective,
-        algorithm="ptas_independent",
-        eps=eps,
-        grid_step=step,
-        support_size=alloc.support_size,
-        elapsed=time.perf_counter() - t0,
-        seed=cfg.seed,
-    )
+    return _report("ptas_independent", inst, AllocationVector(best_sigma), cfg, t0,
+                   eps=eps, grid_step=step)
 
 
 def brute_force_grid(
@@ -339,25 +372,13 @@ def brute_force_grid(
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
     limit = _grid_limit(grid_step)
-    required = _count_grid(inst.n, limit)
-    if required > node_budget:
-        raise BudgetError(required, node_budget, "brute-force grid")
+    _check_grid_budget(inst.n, limit, 1, node_budget, "brute-force grid")
 
     sig = _enumerate_grid(inst.n, limit) * grid_step
     vals = _objective_batch(inst, sig)
     i = int(np.argmax(vals))
-    alloc = AllocationVector(sig[i])
-    objective = graph_objective(inst, alloc, cfg)
-    return SolveReport(
-        allocation=alloc,
-        objective=objective,
-        algorithm="brute_force_grid",
-        eps=None,
-        grid_step=grid_step,
-        support_size=alloc.support_size,
-        elapsed=time.perf_counter() - t0,
-        seed=cfg.seed,
-    )
+    return _report("brute_force_grid", inst, AllocationVector(sig[i]), cfg, t0,
+                   grid_step=grid_step)
 
 
 def _psd_candidates(diag, caps, pairs, grid_step: float):
@@ -409,44 +430,23 @@ def ptas_correlated(
     enumerable only for trivial supports, so the step is left configurable.
     """
     t0 = time.perf_counter()
-    _require_single_full_set(inst, "ptas_correlated")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    s = _ptas_support(inst, eps, _MAX_SUPPORT_CORRELATED, "ptas_correlated")
     if grid_step is None:
         grid_step = eps**3
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
-    k = math.ceil(1.0 / (eps * eps))
-    s = min(k, inst.n)
-    if s > _MAX_SUPPORT_CORRELATED:
-        raise ValueError(
-            f"support size {s} exceeds the desk-scale cap {_MAX_SUPPORT_CORRELATED}; "
-            "use a larger eps or a smaller instance"
-        )
 
     level_cap = int(1.0 / grid_step + 1e-9)
+    supports = math.comb(inst.n, s)
+    # Each diagonal counts at least one candidate: a lower bound before listing them.
+    low = math.comb(level_cap + s, s) * supports
+    if low > node_budget:
+        raise BudgetError(low, node_budget, "ptas_correlated grid", at_least=True)
     pairs = list(itertools.combinations(range(s), 2))
-
-    diag_combos: list[tuple[int, ...]] = []
-    vec = [0] * s
-
-    def rec(pos: int, rem: int) -> None:
-        if pos == s:
-            diag_combos.append(tuple(vec))
-            return
-        for d in range(rem + 1):
-            vec[pos] = d
-            rec(pos + 1, rem - d)
-        vec[pos] = 0
-
-    rec(0, level_cap)
-
-    def off_caps(diag: tuple[int, ...]) -> list[int]:
-        return [math.isqrt(diag[i] * diag[j]) for i, j in pairs]
-
-    required = sum(
-        math.prod(2 * c + 1 for c in off_caps(d)) for d in diag_combos
-    ) * math.comb(inst.n, s)
+    # Each diagonal with the Cauchy-Schwarz caps of its off-diagonal multipliers.
+    grid = [(d, [math.isqrt(d[i] * d[j]) for i, j in pairs])
+            for d in itertools.product(range(level_cap + 1), repeat=s) if sum(d) <= level_cap]
+    required = sum(math.prod(2 * c + 1 for c in caps) for _, caps in grid) * supports
     if required > node_budget:
         raise BudgetError(required, node_budget, "ptas_correlated grid")
 
@@ -460,8 +460,8 @@ def ptas_correlated(
         rest_mu = max((inst.means[i] for i in rest), default=-math.inf)
         z_sup = z[:, sup]
         mu_sup = means[sup]
-        for diag in diag_combos:
-            for subs, factors in _psd_candidates(diag, off_caps(diag), pairs, grid_step):
+        for diag, caps in grid:
+            for subs, factors in _psd_candidates(diag, caps, pairs, grid_step):
                 for sub, factor in zip(subs, factors):
                     top = row_max(z_sup @ factor.T, range(s), mu_sup, floor=rest_mu)
                     val = float(top.mean())
@@ -470,18 +470,8 @@ def ptas_correlated(
                         best_matrix = np.zeros((inst.n, inst.n))
                         best_matrix[np.ix_(sup, sup)] = sub
 
-    spec = CovarianceSpec(means, best_matrix)
-    objective = expected_max_correlated(spec, cfg)
-    return SolveReport(
-        allocation=spec,
-        objective=objective,
-        algorithm="ptas_correlated",
-        eps=eps,
-        grid_step=grid_step,
-        support_size=int((np.diag(spec.matrix) > 0).sum()),
-        elapsed=time.perf_counter() - t0,
-        seed=cfg.seed,
-    )
+    return _report("ptas_correlated", inst, CovarianceSpec(means, best_matrix), cfg, t0,
+                   eps=eps, grid_step=grid_step)
 
 
 def log_approx_graph(
@@ -517,19 +507,7 @@ def log_approx_graph(
                 best_sigma = np.zeros(n)
                 best_sigma[chosen] = sdev
         assert float(np.square(best_sigma).sum()) <= 1.0 + BUDGET_TOL
-
-    alloc = AllocationVector(best_sigma)
-    objective = graph_objective(inst, alloc, cfg)
-    return SolveReport(
-        allocation=alloc,
-        objective=objective,
-        algorithm="log_approx_graph",
-        eps=None,
-        grid_step=None,
-        support_size=alloc.support_size,
-        elapsed=time.perf_counter() - t0,
-        seed=cfg.seed,
-    )
+    return _report("log_approx_graph", inst, AllocationVector(best_sigma), cfg, t0)
 
 
 def greedy_fixed_variance(

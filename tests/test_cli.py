@@ -56,6 +56,34 @@ def test_solve_ptas_corr_and_evaluate(tmp_path):
     assert json.loads(evl.read_text())["matches_reported"] is True
 
 
+@pytest.mark.parametrize("algorithm, means, extra", [
+    ("ptas-ind", [0.0, 0.4, 0.9], ["--eps", "0.5"]),
+    ("ptas-corr", [0.0, 0.9], ["--eps", "0.7", "--grid-step", "0.25"]),
+    ("log-approx", None, []),
+    ("brute-force", [0.0, 0.4, 0.9], ["--grid-step", "0.25"]),
+    ("uniform", None, []),
+])
+def test_report_fields_derived_for_every_algorithm(tmp_path, algorithm, means, extra):
+    inst = tmp_path / "inst.json"
+    if means is None:
+        assert run(["generate", "erdos-renyi", "--n", "6", "--m", "8", "--p", "0.4",
+                    "--seed", "11", "--out", str(inst)]) == 0
+    else:
+        inst.write_text(json.dumps({"n": len(means), "means": means,
+                                    "sets": [list(range(len(means)))]}))
+    out = tmp_path / "rep.json"
+    assert run(["solve", algorithm, "--in", str(inst), "--seed", "5",
+                "--mc-samples", "20000", *extra, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["seed"] == 5
+    alloc = doc["allocation"]
+    if "stddevs" in alloc:
+        positive = sum(s > 0 for s in alloc["stddevs"])
+    else:
+        positive = sum(row[i] > 0 for i, row in enumerate(alloc["matrix"]))
+    assert doc["support_size"] == positive
+
+
 def test_byte_identical_reproducibility(tmp_path):
     paths = []
     for tag in ("a", "b"):

@@ -19,6 +19,7 @@ from varalloc.oracle import (
 from varalloc.solvers import (
     BudgetError,
     _crn_greedy,
+    _count_grid,
     _crn_matrix,
     _enumerate_grid,
     _enumerate_maximal,
@@ -29,6 +30,7 @@ from varalloc.solvers import (
     log_approx_graph,
     ptas_correlated,
     ptas_independent,
+    uniform,
     uniform_allocation,
 )
 
@@ -55,6 +57,15 @@ class TestUniform:
         for n in (1, 2, 3, 5, 7):
             alloc = uniform_allocation(single_set_instance([0.0] * n))
             assert sum(s * s for s in alloc.stddevs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_solver_reports_like_the_others(self):
+        inst = cycle_instance(4, 0)
+        rep = uniform(inst, CFG)
+        assert rep.algorithm == "uniform"
+        assert rep.allocation == uniform_allocation(inst)
+        assert rep.objective == graph_objective(inst, rep.allocation, CFG)
+        assert rep.support_size == 4
+        assert rep.elapsed > 0.0
 
 
 class TestPtasIndependent:
@@ -170,6 +181,48 @@ class TestBruteForce:
             brute = brute_force_grid(inst, 0.25, CFG)
             uni = graph_objective(inst, uniform_allocation(inst), CFG)
             assert brute.objective.value <= uni.value + 1e-6
+
+
+class TestBudgetCheckedFirst:
+    """An over-budget grid is refused before it is counted or listed."""
+
+    @staticmethod
+    def refused(solve) -> tuple[BudgetError, int]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as exc:
+                solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return exc.value, peak
+
+    def test_brute_force_refused_before_counting(self):
+        # Counting this grid (limit 10^6) takes two 8 MB arrays.
+        err, peak = self.refused(
+            lambda: brute_force_grid(single_set_instance([0.0] * 3), 0.001, CFG))
+        assert peak < 2**20
+        assert "needs at least" in str(err) and err.required > err.budget
+
+    def test_ptas_correlated_refused_before_listing_diagonals(self):
+        # Listing the 1,373,701 diagonals of this grid takes about 100 MB.
+        err, peak = self.refused(
+            lambda: ptas_correlated(single_set_instance([0.0] * 3), 0.3, 0.005, CFG))
+        assert peak < 2**20
+        assert "needs at least" in str(err) and err.required > err.budget
+
+    def test_exact_count_when_the_lower_bound_fits(self):
+        limit = _grid_limit(0.1)
+        low = (math.isqrt(limit // 3) + 1) ** 3
+        with pytest.raises(BudgetError) as exc:
+            brute_force_grid(single_set_instance([0.0] * 3), 0.1, CFG, node_budget=low)
+        assert exc.value.required == len(_enumerate_grid(3, limit)) > low
+        assert "at least" not in str(exc.value)
+
+    @pytest.mark.parametrize("n_coords", [1, 2, 3, 4])
+    def test_count_matches_enumeration(self, n_coords):
+        for limit in (0, 1, 2, 3, 4, 15, 16, 17, 100, 543):
+            assert _count_grid(n_coords, limit) == len(_enumerate_grid(n_coords, limit))
 
 
 class TestPtasCorrelated:
