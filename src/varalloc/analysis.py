@@ -58,6 +58,7 @@ LIPSCHITZ_CONSTANT = 2.0
 
 _QUAD_SLACK = 1e-7  # tolerance granted to quadrature when asserting inequalities
 _SUBSET_SAMPLE_CAP = 20_000
+_LARGE_VARIANCE_FRACTION = 0.25  # of p: the variance that counts as large in a profile
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,23 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.violations == 0
+
+
+def _verdict(claim: str, seed: int, violated, score, detail, *,
+             higher_is_worse: bool) -> VerificationReport:
+    """Report of a claim whose trial t scored ``score[t]``; the worst starts at
+    0.0 for ratios (``higher_is_worse``) and at inf for slacks.  ``details`` is
+    ``detail(t)`` for each trial strictly worse than the start and all earlier
+    trials, in order; a NaN never is, as with scalar comparisons.
+    ``verify_eps_contribution`` and ``verify_submodular_g`` list every trial.
+    """
+    start, sign = (0.0, 1.0) if higher_is_worse else (math.inf, -1.0)
+    signed = sign * score  # higher is worse for both kinds
+    prior = np.fmax.accumulate(np.concatenate([[sign * start], signed]))[:-1]
+    records = np.flatnonzero(signed > prior).tolist()
+    worst = float(score[records[-1]]) if records else start
+    return VerificationReport(claim, len(score), int(np.count_nonzero(violated)), worst,
+                              tuple(detail(t) for t in records), seed)
 
 
 @dataclass(frozen=True)
@@ -195,23 +213,14 @@ def verify_lipschitz(trials: int = 2000, n: int = 4, seed: int = 0) -> Verificat
         means[t] = rng.normal(0.0, 1.0, n)
         s1[t] = rng.uniform(0.0, 1.0, n)
         s2[t] = rng.uniform(0.0, 1.0, n)
-    both = expected_max_batch(np.vstack([means, means]), np.vstack([s1, s2])).tolist()
-    e1, e2 = both[:trials], both[trials:]
-    violations = 0
-    worst = 0.0
-    details = []
-    for t in range(trials):
-        diff = abs(e1[t] - e2[t])
-        l1 = float(np.abs(s1[t] - s2[t]).sum())
-        if diff > LIPSCHITZ_CONSTANT * l1 + _QUAD_SLACK:
-            violations += 1
-        ratio = diff / l1 if l1 > 0 else 0.0
-        if ratio > worst:
-            worst = ratio
-            details.append({"means": means[t].tolist(), "s1": s1[t].tolist(),
-                            "s2": s2[t].tolist(), "ratio": ratio})
-    return VerificationReport("lipschitz", trials, violations, worst,
-                              tuple(details), seed)
+    both = expected_max_batch(np.vstack([means, means]), np.vstack([s1, s2]))
+    diff = np.abs(both[:trials] - both[trials:])
+    l1 = np.abs(s1 - s2).sum(axis=1)
+    ratio = np.divide(diff, l1, out=np.zeros(trials), where=l1 > 0)
+    return _verdict("lipschitz", seed, diff > LIPSCHITZ_CONSTANT * l1 + _QUAD_SLACK, ratio,
+                    lambda t: {"means": means[t].tolist(), "s1": s1[t].tolist(),
+                               "s2": s2[t].tolist(), "ratio": float(ratio[t])},
+                    higher_is_worse=True)
 
 
 def verify_max_floor_bound(
@@ -237,20 +246,12 @@ def verify_max_floor_bound(
         rows = ns == n
         lhs_all[rows] = expected_max_batch(means[rows, :n], sig[rows, :n])
         floor_all[rows] = expected_max_batch(means[rows, :n + 1], sig[rows, :n + 1])
-    violations = 0
-    worst = math.inf
-    details = []
-    for n, lhs, with_floor in zip(ns.tolist(), lhs_all.tolist(), floor_all.tolist()):
-        factor = 1.0 - 2.0 ** (1 - n)
-        margin = lhs - factor * with_floor
-        if margin < -_QUAD_SLACK:
-            violations += 1
-        if margin < worst:
-            worst = margin
-            details.append({"n": n, "lhs": lhs, "rhs": factor * with_floor,
-                            "margin": margin})
-    return VerificationReport("max_floor_bound", trials, violations, worst,
-                              tuple(details), seed)
+    rhs = (1.0 - 2.0 ** (1 - ns)) * floor_all
+    margin = lhs_all - rhs
+    return _verdict("max_floor_bound", seed, margin < -_QUAD_SLACK, margin,
+                    lambda t: {"n": int(ns[t]), "lhs": float(lhs_all[t]),
+                               "rhs": float(rhs[t]), "margin": float(margin[t])},
+                    higher_is_worse=False)
 
 
 def verify_var2approx(trials: int = 1500, n: int = 4, seed: int = 0) -> VerificationReport:
@@ -263,21 +264,14 @@ def verify_var2approx(trials: int = 1500, n: int = 4, seed: int = 0) -> Verifica
     for t in range(trials):
         sig[t] = rng.uniform(0.0, 1.0, n)
         mult[t] = rng.uniform(1.0, 2.0, n)
-    both = expected_max_batch(0.0, np.vstack([sig, sig * mult])).tolist()
-    base_all, scaled_all = both[:trials], both[trials:]
-    violations = 0
-    worst = math.inf
-    details = []
-    for t, (base, scaled) in enumerate(zip(base_all, scaled_all)):
-        slack = min(scaled - base, 2.0 * base - scaled)
-        if slack < -_QUAD_SLACK:
-            violations += 1
-        if slack < worst:
-            worst = slack
-            details.append({"sig": sig[t].tolist(), "mult": mult[t].tolist(),
-                            "base": base, "scaled": scaled, "slack": slack})
-    return VerificationReport("var2approx", trials, violations, worst,
-                              tuple(details), seed)
+    both = expected_max_batch(0.0, np.vstack([sig, sig * mult]))
+    base, scaled = both[:trials], both[trials:]
+    slack = np.minimum(scaled - base, 2.0 * base - scaled)
+    return _verdict("var2approx", seed, slack < -_QUAD_SLACK, slack,
+                    lambda t: {"sig": sig[t].tolist(), "mult": mult[t].tolist(),
+                               "base": float(base[t]), "scaled": float(scaled[t]),
+                               "slack": float(slack[t])},
+                    higher_is_worse=False)
 
 
 def verify_correlation_gap(
@@ -292,7 +286,7 @@ def verify_correlation_gap(
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
     means, sds = np.empty((trials, n)), np.empty((trials, n))
-    lhs_all = []
+    estimates = []
     for t in range(trials):
         a = rng.normal(0.0, 1.0, (n, n))
         cov = a @ a.T
@@ -300,23 +294,18 @@ def verify_correlation_gap(
         means[t] = rng.uniform(0.0, 1.0, n)
         sds[t] = np.sqrt(np.diag(cov))
         spec = CovarianceSpec(means[t], cov)
-        lhs_all.append(expected_max_correlated(
+        estimates.append(expected_max_correlated(
             spec, EstimatorConfig(mc_samples=mc_samples, seed=derive_seed(seed, f"gap:{t}"))
         ))
-    rhs_all = expected_max_batch(means, sds).tolist()
-    violations = 0
-    worst = 0.0
-    details = []
-    for t, (lhs, rhs) in enumerate(zip(lhs_all, rhs_all)):
-        bound = CORRELATION_GAP_CONSTANT * rhs + lhs.half_width + 1e-9
-        ratio = lhs.value / (CORRELATION_GAP_CONSTANT * rhs)
-        if lhs.value > bound:
-            violations += 1
-        if ratio > worst:
-            worst = ratio
-            details.append({"trial": t, "lhs": lhs.value, "rhs": rhs, "ratio": ratio})
-    return VerificationReport("correlation_gap", trials, violations, worst,
-                              tuple(details), seed)
+    lhs = np.array([e.value for e in estimates])
+    half_width = np.array([e.half_width for e in estimates])
+    rhs = expected_max_batch(means, sds)
+    ratio = lhs / (CORRELATION_GAP_CONSTANT * rhs)
+    violated = lhs > CORRELATION_GAP_CONSTANT * rhs + half_width + 1e-9
+    return _verdict("correlation_gap", seed, violated, ratio,
+                    lambda t: {"trial": t, "lhs": float(lhs[t]), "rhs": float(rhs[t]),
+                               "ratio": float(ratio[t])},
+                    higher_is_worse=True)
 
 
 def verify_submodular_g(k_max: int = 12) -> VerificationReport:
@@ -364,26 +353,20 @@ def verify_max_inequalities(trials: int = 10_000, seed: int = 0) -> Verification
     spurious rounding violations.
     """
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = math.inf
-    details = []
+    draws, slack3, slack4 = np.empty((trials, 4)), np.empty(trials), np.empty(trials)
     for t in range(trials):
-        a, b, c, d = (_max_inequality_pool(rng) for _ in range(4))
+        a, b, c, d = draws[t] = [_max_inequality_pool(rng) for _ in range(4)]
         lhs3 = math.fsum([max(a, b), max(a, c)])
         rhs3 = math.fsum([max(a, b, c), a])
-        slack3 = lhs3 - rhs3
+        slack3[t] = lhs3 - rhs3
         lhs4 = math.fsum([max(a, b, c, d)] * 3 + [max(a, d), max(b, d), max(c, d)])
         rhs4 = math.fsum([max(a, b, d)] * 2 + [max(a, c, d)] * 2 + [max(b, c, d)] * 2)
-        slack4 = rhs4 - lhs4
-        slack = min(slack3, slack4)
-        if slack < 0.0:
-            violations += 1
-        if slack < worst:
-            worst = slack
-            details.append({"trial": t, "tuple": (a, b, c, d),
-                            "slack3": slack3, "slack4": slack4})
-    return VerificationReport("max_inequalities", trials, violations, worst,
-                              tuple(details), seed)
+        slack4[t] = rhs4 - lhs4
+    slack = np.minimum(slack3, slack4)
+    return _verdict("max_inequalities", seed, slack < 0.0, slack,
+                    lambda t: {"trial": t, "tuple": tuple(draws[t].tolist()),
+                               "slack3": float(slack3[t]), "slack4": float(slack4[t])},
+                    higher_is_worse=False)
 
 
 def _per_set_values_independent(n, k, means, sigma, rng) -> float:
@@ -507,14 +490,12 @@ def concentration_profile(
     p_grid,
     seeds,
     cfg: EstimatorConfig,
-    *,
-    large_variance_fraction: float = 0.25,
 ) -> SweepTable:
     """Allocation support of the greedy solver on random instances.
 
     For each membership probability p, runs the multi-set solver over
     Erdos-Renyi instances and reports the count of variables with variance
-    at least ``large_variance_fraction * p`` plus the sorted variance
+    at least ``_LARGE_VARIANCE_FRACTION * p`` plus the sorted variance
     profile, averaged over the instance seeds.  Denser instances should
     concentrate the budget on fewer variables.
     """
@@ -537,7 +518,7 @@ def concentration_profile(
             sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"conc:{p}:{s}"))
             rep = log_approx_graph(inst, sub_cfg)
             var = np.square(rep.allocation.stddevs_array())
-            counts.append(float((var >= large_variance_fraction * p - 1e-12).sum()))
+            counts.append(float((var >= _LARGE_VARIANCE_FRACTION * p - 1e-12).sum()))
             profiles.append(np.sort(var))
         counts = np.asarray(counts)
         profiles = np.asarray(profiles)

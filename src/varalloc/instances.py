@@ -140,7 +140,7 @@ def erdos_renyi_instance(n: int, m: int, p: float, seed: int) -> Instance:
                 break
             resamples += 1
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"set {j} stayed empty after {_MAX_RESAMPLE} resampling attempts (p={p})"
             )
         sets.append(tuple(int(i) for i in np.flatnonzero(mask)))

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -75,11 +74,16 @@ _KNOTS = np.array(
 )
 
 _MC_CHUNK = 1 << 18
+_RANK_TOL = 1e-10  # psd_factor's zero-eigenvalue cut, relative to the largest
 
 # Quadrature nodes per slab inside expected_max_batch: every node-sized
 # float64 temporary stays at 256 KiB, whatever the batch size and row width,
 # which keeps a slab's working set in cache.
 _SLAB_NODES = 1 << 15
+
+# Gauss-Legendre rule per quadrature panel: nodes on [-1, 1] and weights.
+_GL_POINTS = 10
+_GL_NODES, _GL_WEIGHTS = leggauss(_GL_POINTS)
 
 
 class EstimationError(Exception):
@@ -272,13 +276,7 @@ def expected_max_pair(mu1: float, sigma1: float, mu2: float, sigma2: float) -> f
     return float(mu1 * ndtr(z) + mu2 * ndtr(-z) + theta * _norm_pdf(z))
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(points: int):
-    x, w = leggauss(points)
-    return x, w
-
-
-def expected_max_batch(means, stddevs, *, points: int = 10, subdiv: int = 1) -> np.ndarray:
+def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     """E[max_i X_i] for a batch of independent Gaussian vectors.
 
     ``stddevs`` has shape (C, n); ``means`` is broadcast against it (shape
@@ -289,24 +287,24 @@ def expected_max_batch(means, stddevs, *, points: int = 10, subdiv: int = 1) -> 
     value does not depend on the slab or batch it lands in, so one call over
     many rows returns the bits of one call per row.
 
-    ``points`` is the Gauss-Legendre order per panel and ``subdiv`` splits
-    every panel evenly; the default (10, 1) already resolves all CDF
-    transitions to ~1e-12 since panel spacing follows each coordinate's
-    standard deviation.
+    Each panel takes a 10-point Gauss-Legendre rule, and ``subdiv`` splits
+    every panel evenly; unsplit panels already resolve all CDF transitions
+    to ~1e-12 since panel spacing follows each coordinate's standard
+    deviation.
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
-    # A row has 15n + 2 panels of points * subdiv nodes each.
-    slab = max(1, _SLAB_NODES // ((len(_KNOTS) * n + 2) * points * subdiv))
+    # A row has 15n + 2 panels of _GL_POINTS * subdiv nodes each.
+    slab = max(1, _SLAB_NODES // ((len(_KNOTS) * n + 2) * _GL_POINTS * subdiv))
     out = np.empty(ncand)
     for start in range(0, ncand, slab):
         sl = slice(start, min(start + slab, ncand))
-        out[sl] = _expected_max_slab(means[sl], stddevs[sl], points, subdiv)
+        out[sl] = _expected_max_slab(means[sl], stddevs[sl], subdiv)
     return out
 
 
-def _expected_max_slab(means, stddevs, points, subdiv):
+def _expected_max_slab(means, stddevs, subdiv):
     ncand, n = stddevs.shape
     lo = (means - _TAIL_SIGMAS * stddevs).max(axis=1)
     hi = (means + _TAIL_SIGMAS * stddevs).max(axis=1)
@@ -327,10 +325,9 @@ def _expected_max_slab(means, stddevs, points, subdiv):
         a = (a[:, :, None] + width[:, :, None] * frac[:-1]).reshape(ncand, -1)
         b = (b[:, :, None] - width[:, :, None] * (1.0 - frac[1:])).reshape(ncand, -1)
 
-    x, w = _gl_rule(points)
     half = 0.5 * (b - a)
-    t = (a[:, :, None] + half[:, :, None] * (x + 1.0)).reshape(ncand, -1)
-    wt = (half[:, :, None] * w).reshape(ncand, -1)
+    t = (a[:, :, None] + half[:, :, None] * (_GL_NODES + 1.0)).reshape(ncand, -1)
+    wt = (half[:, :, None] * _GL_WEIGHTS).reshape(ncand, -1)
 
     # Survival function of the maximum: 1 - prod_i F_i(t).  A degenerate
     # coordinate is a unit step at its mean, which lies at or below lo by
@@ -348,9 +345,9 @@ def _quadrature_expected_max(means, stddevs, tol: float) -> float:
     """Refine the panel rule until two successive levels agree within tol."""
     m = np.asarray(means, dtype=float)[None, :]
     s = np.asarray(stddevs, dtype=float)[None, :]
-    prev = float(expected_max_batch(m, s, points=10, subdiv=1)[0])
+    prev = float(expected_max_batch(m, s)[0])
     for subdiv in (2, 4, 8, 16):
-        val = float(expected_max_batch(m, s, points=10, subdiv=subdiv)[0])
+        val = float(expected_max_batch(m, s, subdiv=subdiv)[0])
         if abs(val - prev) <= 0.5 * tol:
             return val
         prev = val
@@ -442,10 +439,10 @@ def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimat
                         lambda z: row_max(z * stddevs, range(v.n), means))
 
 
-def psd_factor(matrix: np.ndarray, *, rank_tol: float = 1e-10) -> np.ndarray:
+def psd_factor(matrix: np.ndarray) -> np.ndarray:
     """Symmetric factor L with L L^T = matrix, tolerating rank deficiency.
 
-    Eigenvalues below -1e-9 raise; eigenvalues within ``rank_tol`` of zero
+    Eigenvalues below -1e-9 raise; eigenvalues within ``_RANK_TOL`` of zero
     (relative to the largest) are treated as exact zeros, so PSD-but-singular
     matrices such as perfectly correlated blocks sample correctly.  Returns
     an (n, r) factor with r the numerical rank.
@@ -456,7 +453,7 @@ def psd_factor(matrix: np.ndarray, *, rank_tol: float = 1e-10) -> np.ndarray:
         raise FactorizationError(
             f"matrix violates the PSD tolerance (smallest eigenvalue {w[0]:.3e})"
         )
-    cut = rank_tol * max(float(w[-1]), 1.0)
+    cut = _RANK_TOL * max(float(w[-1]), 1.0)
     keep = w > cut
     return vecs[:, keep] * np.sqrt(w[keep])
 

@@ -107,7 +107,7 @@ def _ptas_support(inst: Instance, eps: float, cap: int, what: str) -> int:
         raise ValueError(f"{what} requires a single set covering all variables")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    s = min(math.ceil(1.0 / (eps * eps)), inst.n)
+    s = min(math.ceil(1.0 / max(eps * eps, 1e-300)), inst.n)  # eps^2 may underflow to 0
     if s > cap:
         raise ValueError(
             f"support size {s} exceeds the desk-scale cap {cap}; "
@@ -120,6 +120,13 @@ def _grid_limit(step: float) -> int:
     # Largest allowed sum of squared multipliers: sum (k_i * step)^2 <= 1.
     # The epsilon rescues exactly representable boundaries such as 1/step^2.
     return int(1.0 / (step * step) + 1e-9)
+
+
+def _check_cell(cell: float, budget: int, what: str) -> None:
+    """Refuse a cell too small for 1/cell to be a float: one coordinate alone
+    then takes more than 1e154 values, so the grid is past any budget."""
+    if not (cell > 0.0 and 1.0 / cell < math.inf):
+        raise BudgetError(budget + 1, budget, what, at_least=True)
 
 
 def _count_grid(n_coords: int, limit: int) -> int:
@@ -158,27 +165,24 @@ def _check_grid_budget(n_coords: int, limit: int, supports: int, budget: int, wh
         raise BudgetError(required, budget, what)
 
 
-def _enumerate_grid(n_coords: int, limit: int) -> np.ndarray:
-    """All non-negative integer vectors with sum of squares <= limit.
+def _enumerate_grid(n_coords: int, limit: int, costs: np.ndarray | None = None) -> np.ndarray:
+    """All non-negative integer vectors k with sum_i costs[k_i] <= limit.
 
-    Lexicographic order; the argmax tie-break relies on it.
+    ``costs`` rises from costs[0] == 0 and covers every affordable value:
+    squares up to isqrt(limit) by default.  Each coordinate extends every row
+    by the values its unused limit allows, in increasing order, so rows come
+    in lexicographic order; the argmax tie-break relies on it.
     """
-    rows = []
-    vec = [0] * n_coords
-
-    def rec(pos: int, rem: int) -> None:
-        if pos == n_coords:
-            rows.append(tuple(vec))
-            return
-        k = 0
-        while k * k <= rem:
-            vec[pos] = k
-            rec(pos + 1, rem - k * k)
-            k += 1
-        vec[pos] = 0
-
-    rec(0, limit)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n_coords)
+    if costs is None:
+        costs = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([limit], dtype=np.int64)
+    for _ in range(n_coords):
+        count = np.searchsorted(costs, rem, side="right")
+        k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        rem = np.repeat(rem, count) - costs[k]
+        rows = np.column_stack([np.repeat(rows, count, axis=0), k])
+    return rows
 
 
 def _enumerate_maximal(n_coords: int, limit: int) -> np.ndarray:
@@ -190,9 +194,10 @@ def _enumerate_maximal(n_coords: int, limit: int) -> np.ndarray:
     the (n-1)-dimensional grid yields at most one row.  Rows are a
     lexicographically ordered subset of ``_enumerate_grid``'s rows.
     """
-    prefix = _enumerate_grid(n_coords - 1, limit)
+    squares = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    prefix = _enumerate_grid(n_coords - 1, limit, squares)
     rem = limit - np.square(prefix).sum(axis=1)
-    last = np.array([math.isqrt(int(r)) for r in rem], dtype=np.int64)
+    last = np.searchsorted(squares, rem, side="right") - 1  # isqrt(rem)
     rows = np.column_stack([prefix, last])
     used = limit - rem + last * last
     return rows[used + 2 * rows.min(axis=1) + 1 > limit]
@@ -336,6 +341,7 @@ def ptas_independent(
     t0 = time.perf_counter()
     s = _ptas_support(inst, eps, _MAX_SUPPORT_INDEPENDENT, "ptas_independent")
     step = eps**3
+    _check_cell(step * step, node_budget, "ptas_independent grid")
     limit = _grid_limit(step)
     _check_grid_budget(s, limit, math.comb(inst.n, s), node_budget, "ptas_independent grid")
 
@@ -371,6 +377,7 @@ def brute_force_grid(
     t0 = time.perf_counter()
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
+    _check_cell(grid_step * grid_step, node_budget, "brute-force grid")
     limit = _grid_limit(grid_step)
     _check_grid_budget(inst.n, limit, 1, node_budget, "brute-force grid")
 
@@ -411,7 +418,6 @@ def ptas_correlated(
     cfg: EstimatorConfig,
     *,
     node_budget: int = 500_000,
-    argmax_samples: int = _CRN_SAMPLES_GRID,
 ) -> SolveReport:
     """Additive grid search over covariance matrices.
 
@@ -432,10 +438,11 @@ def ptas_correlated(
     t0 = time.perf_counter()
     s = _ptas_support(inst, eps, _MAX_SUPPORT_CORRELATED, "ptas_correlated")
     if grid_step is None:
-        grid_step = eps**3
-    if not (0.0 < grid_step <= 1.0):
+        grid_step = eps**3  # may underflow to 0, which the budget refuses
+    elif not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
 
+    _check_cell(grid_step, node_budget, "ptas_correlated grid")
     level_cap = int(1.0 / grid_step + 1e-9)
     supports = math.comb(inst.n, s)
     # Each diagonal counts at least one candidate: a lower bound before listing them.
@@ -445,13 +452,13 @@ def ptas_correlated(
     pairs = list(itertools.combinations(range(s), 2))
     # Each diagonal with the Cauchy-Schwarz caps of its off-diagonal multipliers.
     grid = [(d, [math.isqrt(d[i] * d[j]) for i, j in pairs])
-            for d in itertools.product(range(level_cap + 1), repeat=s) if sum(d) <= level_cap]
+            for d in _enumerate_grid(s, level_cap, np.arange(level_cap + 1)).tolist()]
     required = sum(math.prod(2 * c + 1 for c in caps) for _, caps in grid) * supports
     if required > node_budget:
         raise BudgetError(required, node_budget, "ptas_correlated grid")
 
     means = inst.means_array()
-    z = _crn_matrix(derive_seed(cfg.seed, "crn"), argmax_samples, inst.n)
+    z = _crn_matrix(derive_seed(cfg.seed, "crn"), _CRN_SAMPLES_GRID, inst.n)
     best_val = -math.inf
     best_matrix = np.zeros((inst.n, inst.n))
     for support in itertools.combinations(range(inst.n), s):

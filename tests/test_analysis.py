@@ -22,7 +22,7 @@ from varalloc.analysis import (
     verify_submodular_g,
     verify_var2approx,
 )
-from varalloc.analysis import _QUAD_SLACK, _emax, _emax_floor0
+from varalloc.analysis import _QUAD_SLACK, _emax, _emax_floor0, _max_inequality_pool
 from varalloc.oracle import CovarianceSpec, EstimatorConfig, derive_seed, expected_max_correlated
 
 PHI0 = 0.3989422804014327
@@ -227,8 +227,8 @@ class TestSweepTable:
 
 
 # Eager references: one _emax call per trial, in the order the fuzzers drew
-# and scored before their quadrature was batched.  The batched verifiers must
-# return equal reports, details included.
+# and scored before their quadrature was batched, and a per-trial tally of
+# max_inequalities.  The verifiers must return equal reports, details included.
 
 def _eager_eps_contribution(eps_grid, n_per_trial, trials, seed):
     rng = np.random.default_rng(seed)
@@ -335,6 +335,23 @@ def _eager_correlation_gap(trials, n, mc_samples, seed):
     return VerificationReport("correlation_gap", trials, violations, worst, tuple(details), seed)
 
 
+def _eager_max_inequalities(trials, seed):
+    rng = np.random.default_rng(seed)
+    violations, worst, details = 0, math.inf, []
+    for t in range(trials):
+        a, b, c, d = (_max_inequality_pool(rng) for _ in range(4))
+        slack3 = math.fsum([max(a, b), max(a, c)]) - math.fsum([max(a, b, c), a])
+        slack4 = (math.fsum([max(a, b, d)] * 2 + [max(a, c, d)] * 2 + [max(b, c, d)] * 2)
+                  - math.fsum([max(a, b, c, d)] * 3 + [max(a, d), max(b, d), max(c, d)]))
+        slack = min(slack3, slack4)
+        if slack < 0.0:
+            violations += 1
+        if slack < worst:
+            worst = slack
+            details.append({"trial": t, "tuple": (a, b, c, d), "slack3": slack3, "slack4": slack4})
+    return VerificationReport("max_inequalities", trials, violations, worst, tuple(details), seed)
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 class TestBatchedMatchesEager:
     def test_eps_contribution(self, seed):
@@ -342,19 +359,31 @@ class TestBatchedMatchesEager:
         assert verify_eps_contribution(grid, n_per_trial=9, trials=12, seed=seed) == \
             _eager_eps_contribution(grid, 9, 12, seed)
 
+    # Zero trials pin the starting worst values: 0.0 for ratios, inf for slacks.
     def test_lipschitz(self, seed):
-        assert verify_lipschitz(trials=50, n=5, seed=seed) == _eager_lipschitz(50, 5, seed)
+        for trials in (50, 0):
+            assert verify_lipschitz(trials=trials, n=5, seed=seed) == \
+                _eager_lipschitz(trials, 5, seed)
 
     def test_max_floor_bound(self, seed):
-        assert verify_max_floor_bound(trials=50, n_range=(2, 7), seed=seed) == \
-            _eager_max_floor_bound(50, (2, 7), seed)
+        for trials in (50, 0):
+            assert verify_max_floor_bound(trials=trials, n_range=(2, 7), seed=seed) == \
+                _eager_max_floor_bound(trials, (2, 7), seed)
 
     def test_var2approx(self, seed):
-        assert verify_var2approx(trials=50, n=3, seed=seed) == _eager_var2approx(50, 3, seed)
+        for trials in (50, 0):
+            assert verify_var2approx(trials=trials, n=3, seed=seed) == \
+                _eager_var2approx(trials, 3, seed)
 
     def test_correlation_gap(self, seed):
-        assert verify_correlation_gap(trials=20, n=3, mc_samples=5_000, seed=seed) == \
-            _eager_correlation_gap(20, 3, 5_000, seed)
+        for trials in (20, 0):
+            assert verify_correlation_gap(trials=trials, n=3, mc_samples=5_000, seed=seed) == \
+                _eager_correlation_gap(trials, 3, 5_000, seed)
+
+    def test_max_inequalities(self, seed):
+        for trials in (3_000, 0):
+            assert verify_max_inequalities(trials=trials, seed=seed) == \
+                _eager_max_inequalities(trials, seed)
 
 
 def test_lipschitz_memory_bounded():

@@ -168,6 +168,27 @@ def test_budget_failure_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "erdos-renyi", "--n", "1", "--m", "1", "--p", "1e-9"], 2),
+    (["solve", "brute-force", "--grid-step", "1e-300"], 1),
+    (["solve", "ptas-ind", "--eps", "1e-60"], 1),
+    (["solve", "ptas-ind", "--eps", "1e-200"], 1),
+    (["solve", "ptas-corr", "--eps", "0.9", "--grid-step", "1e-320"], 1),
+    (["solve", "ptas-corr", "--eps", "1e-120"], 1),
+])
+def test_extreme_inputs_fail_cleanly(tmp_path, capsys, argv, code):
+    # Steps whose inverse square leaves float range are refused by the budget.
+    inst = tmp_path / "pair.json"
+    inst.write_text('{"n": 2, "means": [0.0, 0.0], "sets": [[0, 1]]}\n')
+    if argv[0] == "solve":
+        argv = argv + ["--in", str(inst)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    if code == 1:
+        assert "needs at least" in err
+
+
 def test_sweep_concavity_csv(tmp_path):
     out = tmp_path / "concavity.csv"
     assert run([

@@ -135,6 +135,29 @@ class TestMaximalGrid:
         assert _enumerate_maximal(4, _grid_limit(0.4**3)).shape == (784, 4)
         assert _enumerate_grid(4, _grid_limit(0.4**3)).shape == (22672, 4)
 
+    def test_enumeration_memory_near_result_size(self):
+        # 1,018,899 rows (23 MiB): the rows are built as arrays, not as a list
+        # of tuples that takes about five times the result.
+        tracemalloc.start()
+        try:
+            grid = _enumerate_grid(3, 15400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (1_018_899, 3)
+        assert peak < 3 * grid.nbytes
+
+    @pytest.mark.parametrize("n_coords, limit", [(1, 7), (2, 30), (3, 12), (4, 9)])
+    def test_rows_are_the_filtered_product(self, n_coords, limit):
+        # The default squares (the deviation grid) and the identity table
+        # (ptas_correlated's diagonals), in lexicographic product order.
+        values = range(limit + 1)
+        for costs, rows in (([k * k for k in values], _enumerate_grid(n_coords, limit)),
+                            (values, _enumerate_grid(n_coords, limit, np.arange(limit + 1)))):
+            expected = [list(d) for d in itertools.product(values, repeat=n_coords)
+                        if sum(costs[k] for k in d) <= limit]
+            assert rows.tolist() == expected
+
     def test_same_allocation_as_full_grid(self):
         rng = np.random.default_rng(2024)
         for n in (2, 3, 4):
