@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .instances import AllocationVector, erdos_renyi_instance
+from .instances import erdos_renyi_instance
 from .oracle import (
     CovarianceSpec,
     EstimatorConfig,
@@ -43,8 +43,7 @@ __all__ = [
     "verify_max_inequalities",
     "concavity_curve",
     "concentration_profile",
-    "write_sweep_csv",
-    "emit_sweep_csv",
+    "sweep_csv",
     "ALL_CHECKS",
 ]
 
@@ -369,16 +368,21 @@ def verify_max_inequalities(trials: int = 10_000, seed: int = 0) -> Verification
                     higher_is_worse=False)
 
 
-def _per_set_values_independent(n, k, means, sigma, rng) -> float:
-    """Average over k-subsets of E max of the member coordinates."""
-    count = math.comb(n, k)
-    if count <= _SUBSET_SAMPLE_CAP:
+def _half_width(x: np.ndarray) -> np.ndarray:
+    """95% confidence half-width of the mean along the last axis; 0 for one value."""
+    count = x.shape[-1]
+    if count == 1:
+        return np.zeros(x.shape[:-1])
+    return Z95 * x.std(axis=-1, ddof=1) / math.sqrt(count)
+
+
+def _per_set_values_independent(n, k, sigma, rng) -> float:
+    """Average over k-subsets of E max of the member coordinates (zero means)."""
+    if math.comb(n, k) <= _SUBSET_SAMPLE_CAP:
         subsets = list(itertools.combinations(range(n), k))
     else:
-        subsets = [tuple(rng.choice(n, size=k, replace=False)) for _ in range(_SUBSET_SAMPLE_CAP)]
-    sub_means = np.array([[means[i] for i in s] for s in subsets])
-    sub_sigma = np.array([[sigma[i] for i in s] for s in subsets])
-    return float(expected_max_batch(sub_means, sub_sigma).mean())
+        subsets = [rng.choice(n, size=k, replace=False) for _ in range(_SUBSET_SAMPLE_CAP)]
+    return float(expected_max_batch(0.0, sigma[np.array(subsets)]).mean())
 
 
 def _block_covariance(sigma: np.ndarray, sign: float) -> np.ndarray:
@@ -391,96 +395,59 @@ def _block_covariance(sigma: np.ndarray, sign: float) -> np.ndarray:
     return cov
 
 
-def _per_set_values_correlated(n, means, cov, samples, seed):
-    """Per-set average and CI for all subset sizes, on shared joint draws.
-
-    Returns (value[k], hw[k]) for k = 1..n, exploiting one sample matrix.
-    """
+def _per_set_values_correlated(n, cov, samples, seed):
+    """Per-set average and its half-width for k = 1..n, as two length-n arrays,
+    on one matrix of zero-mean joint draws."""
     L = psd_factor(cov)
-    z = np.random.default_rng(seed).standard_normal((samples, L.shape[1]))
-    x = z @ L.T + means
-    values = {}
-    for k in range(1, n + 1):
+    x = np.random.default_rng(seed).standard_normal((samples, L.shape[1])) @ L.T
+    stats = np.zeros((n, samples))
+    for k, stat in enumerate(stats, 1):
         subsets = list(itertools.combinations(range(n), k))
-        stat = np.zeros(samples)
         for s in subsets:
             stat += row_max(x, s)
         stat /= len(subsets)
-        mean = float(stat.mean())
-        hw = Z95 * float(stat.std(ddof=1)) / math.sqrt(samples)
-        values[k] = (mean, hw)
-    return values
+    return stats.mean(axis=1), _half_width(stats)
 
 
-def _sigma_candidates(n: int, allocation: AllocationVector | None):
-    cands = []
-    if allocation is not None:
-        cands.append(np.asarray(allocation.stddevs, dtype=float))
-    for s in range(1, n + 1):
-        v = np.zeros(n)
-        v[:s] = 1.0 / math.sqrt(s)
-        cands.append(v)
-    seen = set()
-    out = []
-    for v in cands:
-        key = tuple(v.tolist())
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
-
-
-def concavity_curve(n: int, allocation: AllocationVector | None, cfg: EstimatorConfig) -> SweepTable:
+def concavity_curve(n: int, cfg: EstimatorConfig) -> SweepTable:
     """Per-set objective of the complete k-subset instance, for k = 1..n.
 
-    For each candidate deviation vector sigma the curve
+    Candidate s = 1..n spreads the unit budget evenly over the first s
+    variables.  For each candidate deviation vector sigma the curve
     f_sigma(k) = average over k-subsets of E max of the members
     is discretely concave; the table reports the per-k maximum over the
-    candidate set (statistic ``independent``), the analogous curves for the
+    candidates (statistic ``independent``), the analogous curves for the
     block-correlated variants (``positive_correlated`` and
-    ``negative_correlated``), and the worst concavity margin
-    f(k) + f(k-2) - 2 f(k-1) over the candidates (``concavity_margin``,
-    non-positive up to quadrature tolerance).
+    ``negative_correlated``, each at the first candidate attaining the
+    maximum), and the worst concavity margin f(k) + f(k-2) - 2 f(k-1) over
+    the candidates (``concavity_margin``, non-positive up to quadrature
+    tolerance).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     for k in range(1, n + 1):
         if math.comb(n, k) > 1_000_000:
             raise ValueError(f"binom({n}, {k}) exceeds the enumeration guard")
-    means = np.zeros(n)
     rng = np.random.default_rng(derive_seed(cfg.seed, "concavity-subsets"))
-    cands = _sigma_candidates(n, allocation)
+    cands = [np.where(np.arange(n) < s, 1.0 / math.sqrt(s), 0.0) for s in range(1, n + 1)]
+    curves = np.array([[_per_set_values_independent(n, k, sigma, rng) for k in range(1, n + 1)]
+                       for sigma in cands])  # (candidate, k)
+    params = [k / n for k in range(1, n + 1)]
 
-    curves = []
-    for sigma in cands:
-        curves.append([_per_set_values_independent(n, k, means, sigma, rng)
-                       for k in range(1, n + 1)])
-    curves = np.asarray(curves)  # (ncand, n)
-
+    rows = [SweepRow(p, "independent", v, 0.0)
+            for p, v in zip(params, curves.max(axis=0).tolist())]
     samples = min(cfg.mc_samples, 100_000)
-    corr = {}
     for sign, name in ((1.0, "positive_correlated"), (-1.0, "negative_correlated")):
-        per_k_best = [(-math.inf, 0.0)] * n
-        for ci, sigma in enumerate(cands):
-            vals = _per_set_values_correlated(
-                n, means, _block_covariance(sigma, sign), samples,
-                derive_seed(cfg.seed, f"concavity:{name}:{ci}"),
-            )
-            for k in range(1, n + 1):
-                if vals[k][0] > per_k_best[k - 1][0]:
-                    per_k_best[k - 1] = vals[k]
-        corr[name] = per_k_best
-
-    rows = []
-    for k in range(1, n + 1):
-        rows.append(SweepRow(k / n, "independent", float(curves[:, k - 1].max()), 0.0))
-    for name in ("positive_correlated", "negative_correlated"):
-        for k in range(1, n + 1):
-            v, hw = corr[name][k - 1]
-            rows.append(SweepRow(k / n, name, v, hw))
-    for k in range(3, n + 1):
-        margin = float((curves[:, k - 1] + curves[:, k - 3] - 2.0 * curves[:, k - 2]).max())
-        rows.append(SweepRow(k / n, "concavity_margin", margin, 0.0))
+        values, hws = np.array([
+            _per_set_values_correlated(n, _block_covariance(sigma, sign), samples,
+                                       derive_seed(cfg.seed, f"concavity:{name}:{ci}"))
+            for ci, sigma in enumerate(cands)
+        ]).transpose(1, 0, 2)  # each (candidate, k)
+        best = values.argmax(axis=0), np.arange(n)
+        rows += [SweepRow(p, name, v, hw)
+                 for p, v, hw in zip(params, values[best].tolist(), hws[best].tolist())]
+    margins = (curves[:, 2:] + curves[:, :-2] - 2.0 * curves[:, 1:-1]).max(axis=0)
+    rows += [SweepRow(p, "concavity_margin", v, 0.0) for p, v in zip(params[2:], margins.tolist())]
     return SweepTable(tuple(rows))
 
 
@@ -508,42 +475,30 @@ def concentration_profile(
     if not seeds:
         raise ValueError("need at least one instance seed")
 
-    count_rows = []
-    profile_rows: dict[int, list[SweepRow]] = {r: [] for r in range(n)}
-    for p in p_grid:
-        counts = []
-        profiles = []
-        for s in seeds:
+    counts = np.empty((len(p_grid), len(seeds)))
+    profiles = np.empty((n, len(p_grid), len(seeds)))  # (rank, p, seed)
+    for i, p in enumerate(p_grid):
+        for j, s in enumerate(seeds):
             inst = erdos_renyi_instance(n, m, p, seed=s)
-            sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"conc:{p}:{s}"))
-            rep = log_approx_graph(inst, sub_cfg)
+            rep = log_approx_graph(inst, replace(cfg, seed=derive_seed(cfg.seed, f"conc:{p}:{s}")))
             var = np.square(rep.allocation.stddevs_array())
-            counts.append(float((var >= _LARGE_VARIANCE_FRACTION * p - 1e-12).sum()))
-            profiles.append(np.sort(var))
-        counts = np.asarray(counts)
-        profiles = np.asarray(profiles)
-        hw = Z95 * counts.std(ddof=1) / math.sqrt(len(seeds)) if len(seeds) > 1 else 0.0
-        count_rows.append(SweepRow(p, "large_variance_count", float(counts.mean()), float(hw)))
-        for r in range(n):
-            col = profiles[:, r]
-            chw = Z95 * col.std(ddof=1) / math.sqrt(len(seeds)) if len(seeds) > 1 else 0.0
-            profile_rows[r].append(SweepRow(p, f"sigma_sq_rank_{r}", float(col.mean()), float(chw)))
+            counts[i, j] = np.count_nonzero(var >= _LARGE_VARIANCE_FRACTION * p - 1e-12)
+            profiles[:, i, j] = np.sort(var)
 
-    rows = count_rows + [row for r in range(n) for row in profile_rows[r]]
-    return SweepTable(tuple(rows))
+    stats = [("large_variance_count", counts)]
+    stats += [(f"sigma_sq_rank_{r}", profiles[r]) for r in range(n)]
+    return SweepTable(tuple(
+        SweepRow(p, name, v, hw)
+        for name, x in stats
+        for p, v, hw in zip(p_grid, x.mean(axis=1).tolist(), _half_width(x).tolist())
+    ))
 
 
-def write_sweep_csv(table: SweepTable, fh) -> None:
-    """Write the table to a text stream as CSV rows with shortest floats."""
-    fh.write("parameter,statistic,value,ci_half_width\n")
-    for row in table.rows:
-        fh.write(f"{row.parameter!r},{row.statistic},{row.value!r},{row.ci_half_width!r}\n")
-
-
-def emit_sweep_csv(table: SweepTable, path) -> None:
-    """Write the table to ``path`` as UTF-8 CSV with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(table, fh)
+def sweep_csv(table: SweepTable) -> str:
+    """The table as CSV text, one LF-terminated line per row, shortest round-trip floats."""
+    return "parameter,statistic,value,ci_half_width\n" + "".join(
+        f"{r.parameter!r},{r.statistic},{r.value!r},{r.ci_half_width!r}\n" for r in table.rows
+    )
 
 
 # Registry used by the command-line verify runner.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -109,13 +109,11 @@ def _estimate_doc(est: Estimate) -> dict:
     return {"value": est.value, "half_width": est.half_width, "method": est.method_used}
 
 
-def _config_doc(cfg: EstimatorConfig) -> dict:
-    return {
-        "method": cfg.method,
-        "quadrature_tolerance": cfg.quadrature_tolerance,
-        "mc_samples": cfg.mc_samples,
-        "seed": cfg.seed,
-    }
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` (a bool is not a number), else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"report field {what!r} has an invalid value {value!r}")
+    return value
 
 
 def _report_doc(report: solvers.SolveReport, inst: Instance, cfg: EstimatorConfig) -> dict:
@@ -137,7 +135,7 @@ def _report_doc(report: solvers.SolveReport, inst: Instance, cfg: EstimatorConfi
             "means": list(inst.means),
             "sets": [list(s) for s in inst.sets],
         },
-        "config": _config_doc(cfg),
+        "config": asdict(cfg),
     }
 
 
@@ -183,20 +181,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     with open(args.report_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _typed(json.load(fh), dict, "report")
     for key in ("instance", "allocation", "config"):
         if key not in doc:
             raise ValueError(f"report is missing the {key!r} field")
-    inst_doc = doc["instance"]
-    inst = parse_instance(json.dumps(inst_doc))
-    conf = doc["config"]
+    inst = parse_instance(json.dumps(doc["instance"]))
+    conf = _typed(doc["config"], dict, "config")
+    number = (int, float)
     cfg = EstimatorConfig(
         method=conf.get("method", "auto"),
-        quadrature_tolerance=conf.get("quadrature_tolerance", 1e-9),
-        mc_samples=args.mc_samples if args.mc_samples is not None else conf["mc_samples"],
-        seed=args.seed if args.seed is not None else conf["seed"],
+        quadrature_tolerance=_typed(conf.get("quadrature_tolerance", 1e-9), number,
+                                    "config.quadrature_tolerance"),
+        mc_samples=(args.mc_samples if args.mc_samples is not None
+                    else _typed(conf["mc_samples"], int, "config.mc_samples")),
+        seed=args.seed if args.seed is not None else _typed(conf["seed"], int, "config.seed"),
     )
-    alloc_doc = doc["allocation"]
+    alloc_doc = _typed(doc["allocation"], dict, "allocation")
     if "stddevs" in alloc_doc:
         alloc = AllocationVector(alloc_doc["stddevs"])
         est = graph_objective(inst, alloc, cfg)
@@ -212,8 +212,11 @@ def _cmd_evaluate(args) -> int:
         "seed": cfg.seed,
     }
     if reported is not None:
-        tol = est.half_width + float(reported.get("half_width", 0.0)) + 1e-6
-        out["matches_reported"] = bool(abs(est.value - reported["value"]) <= tol)
+        _typed(reported, dict, "objective")
+        half_width = _typed(reported.get("half_width", 0.0), number, "objective.half_width")
+        tol = est.half_width + float(half_width) + 1e-6
+        value = _typed(reported["value"], number, "objective.value")
+        out["matches_reported"] = bool(abs(est.value - value) <= tol)
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return 0
 
@@ -244,14 +247,11 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = EstimatorConfig(seed=args.seed, mc_samples=args.mc_samples)
     if args.kind == "concavity":
-        table = analysis.concavity_curve(args.n, None, cfg)
+        table = analysis.concavity_curve(args.n, cfg)
     else:
         seeds = [args.seed + i for i in range(_SWEEP_SEED_COUNT)]
         table = analysis.concentration_profile(args.n, args.m, _SWEEP_P_GRID, seeds, cfg)
-    if args.out is None:
-        analysis.write_sweep_csv(table, sys.stdout)
-    else:
-        analysis.emit_sweep_csv(table, args.out)
+    _write_text(args.out, analysis.sweep_csv(table))
     return 0
 
 

@@ -450,12 +450,16 @@ def ptas_correlated(
     if low > node_budget:
         raise BudgetError(low, node_budget, "ptas_correlated grid", at_least=True)
     pairs = list(itertools.combinations(range(s), 2))
-    # Each diagonal with the Cauchy-Schwarz caps of its off-diagonal multipliers.
-    grid = [(d, [math.isqrt(d[i] * d[j]) for i, j in pairs])
-            for d in _enumerate_grid(s, level_cap, np.arange(level_cap + 1)).tolist()]
-    required = sum(math.prod(2 * c + 1 for c in caps) for _, caps in grid) * supports
+    diags = _enumerate_grid(s, level_cap, np.arange(level_cap + 1))
+    # Cauchy-Schwarz caps of the off-diagonal multipliers, isqrt(d_i * d_j) per pair.
+    squares = np.arange(level_cap + 1, dtype=np.int64) ** 2
+    i, j = np.triu_indices(s, 1)  # the pairs, in order
+    caps = np.searchsorted(squares, diags[:, i] * diags[:, j], side="right") - 1
+    # Candidates per diagonal fit in int64; their total is summed in Python ints.
+    required = sum(np.prod(2 * caps + 1, axis=1).tolist()) * supports
     if required > node_budget:
         raise BudgetError(required, node_budget, "ptas_correlated grid")
+    grid = list(zip(diags.tolist(), caps.tolist()))
 
     means = inst.means_array()
     z = _crn_matrix(derive_seed(cfg.seed, "crn"), _CRN_SAMPLES_GRID, inst.n)

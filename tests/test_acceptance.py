@@ -235,7 +235,7 @@ def test_criterion_07_lemma_suite(criterion):
 
 def test_criterion_08_concavity(criterion):
     crit = criterion(8, "per-set objective is discretely concave at n=8", 300)
-    table = concavity_curve(8, None, EstimatorConfig())
+    table = concavity_curve(8, EstimatorConfig())
     margins = [v for _, v, _ in table.values("concavity_margin")]
     crit.finish(bool(margins) and max(margins) <= 1e-6)
 

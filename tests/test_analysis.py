@@ -1,5 +1,6 @@
 """Verification harness and sweep tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from varalloc.analysis import (
     SweepTable,
     concavity_curve,
     concentration_profile,
-    emit_sweep_csv,
+    sweep_csv,
     verify_correlation_gap,
     verify_eps_contribution,
     verify_lipschitz,
@@ -22,8 +23,21 @@ from varalloc.analysis import (
     verify_submodular_g,
     verify_var2approx,
 )
-from varalloc.analysis import _QUAD_SLACK, _emax, _emax_floor0, _max_inequality_pool
-from varalloc.oracle import CovarianceSpec, EstimatorConfig, derive_seed, expected_max_correlated
+from varalloc.analysis import (
+    _QUAD_SLACK,
+    _SUBSET_SAMPLE_CAP,
+    _emax,
+    _emax_floor0,
+    _max_inequality_pool,
+    _per_set_values_independent,
+)
+from varalloc.oracle import (
+    CovarianceSpec,
+    EstimatorConfig,
+    derive_seed,
+    expected_max_batch,
+    expected_max_correlated,
+)
 
 PHI0 = 0.3989422804014327
 EMAX4 = 1.029375373003964  # E max of 4 iid standard normals
@@ -141,7 +155,7 @@ class TestMaxInequalities:
 
 @pytest.fixture(scope="module")
 def table4():
-    return concavity_curve(4, None, EstimatorConfig(mc_samples=50_000))
+    return concavity_curve(4, EstimatorConfig(mc_samples=50_000))
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +184,7 @@ class TestConcavityCurve:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            concavity_curve(1, None, EstimatorConfig())
+            concavity_curve(1, EstimatorConfig())
 
 
 class TestConcentrationProfile:
@@ -203,27 +217,59 @@ class TestSweepTable:
         with pytest.raises(ValueError):
             SweepTable(rows)
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         rows = (
             SweepRow(0.125, "stat", 0.1, 0.01),
             SweepRow(0.25, "stat", 1.0 / 3.0, 0.0),
         )
-        path = tmp_path / "sweep.csv"
-        emit_sweep_csv(SweepTable(rows), path)
-        text = path.read_bytes().decode("utf-8")
+        text = sweep_csv(SweepTable(rows))
         lines = text.split("\n")
         assert lines[0] == "parameter,statistic,value,ci_half_width"
         parsed = lines[1].split(",")
         assert float(parsed[0]) == 0.125
         assert float(parsed[2]) == 0.1
         assert float(lines[2].split(",")[2]) == 1.0 / 3.0  # shortest round trip
-        emit_sweep_csv(SweepTable(rows), tmp_path / "again.csv")
-        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+        assert sweep_csv(SweepTable(rows)) == text
 
-    def test_empty_table_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_sweep_csv(SweepTable(()), path)
-        assert path.read_text() == "parameter,statistic,value,ci_half_width\n"
+    def test_empty_table_header_only(self):
+        assert sweep_csv(SweepTable(())) == "parameter,statistic,value,ci_half_width\n"
+
+
+def _list_per_set_values_independent(n, k, means, sigma, rng, batch):
+    # Reference: subsets gathered by nested list comprehensions, with explicit means.
+    if math.comb(n, k) <= _SUBSET_SAMPLE_CAP:
+        subsets = list(itertools.combinations(range(n), k))
+    else:
+        subsets = [tuple(rng.choice(n, size=k, replace=False)) for _ in range(_SUBSET_SAMPLE_CAP)]
+    sub_means = np.array([[means[i] for i in s] for s in subsets])
+    sub_sigma = np.array([[sigma[i] for i in s] for s in subsets])
+    return float(batch(sub_means, sub_sigma).mean())
+
+
+def _position_weighted(means, stddevs):
+    # Cheap stand-in for the quadrature, which takes seconds over the sampled
+    # rows; it still sees every row's coordinates in order.
+    stddevs = np.asarray(stddevs, dtype=float)
+    weights = np.arange(1.0, stddevs.shape[1] + 1)
+    return (np.broadcast_to(means, stddevs.shape) + stddevs * weights).sum(axis=1)
+
+
+@pytest.mark.parametrize("k", [2, 8, 9])
+def test_per_set_values_independent_matches_reference(monkeypatch, k):
+    # At n = 17, binom(17, 8) = binom(17, 9) = 24,310 exceed the cap, so k = 8
+    # and 9 take the sampled branch; k = 2 enumerates its 136 subsets.
+    n = 17
+    sigma = np.sqrt(np.arange(1.0, n + 1) / (n * (n + 1) / 2))  # distinct, unit budget
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    ref = _list_per_set_values_independent(n, k, np.zeros(n), sigma, ref_rng, _position_weighted)
+    monkeypatch.setattr("varalloc.analysis.expected_max_batch", _position_weighted)
+    assert _per_set_values_independent(n, k, sigma, rng) == ref
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    monkeypatch.undo()
+    if k == 2:  # small enough for the quadrature itself
+        assert (_per_set_values_independent(n, k, sigma, rng)
+                == _list_per_set_values_independent(n, k, np.zeros(n), sigma, ref_rng,
+                                                    expected_max_batch))
 
 
 # Eager references: one _emax call per trial, in the order the fuzzers drew

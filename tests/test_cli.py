@@ -189,6 +189,33 @@ def test_extreme_inputs_fail_cleanly(tmp_path, capsys, argv, code):
         assert "needs at least" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("objective",), 5),
+    (("config",), []),
+    (("objective", "value"), "x"),
+    (("config", "mc_samples"), "x"),
+    (("config", "mc_samples"), None),
+    (("config", "quadrature_tolerance"), "x"),
+    (("config", "seed"), None),
+])
+def test_evaluate_malformed_report_exits_2(tmp_path, capsys, path, value):
+    inst = tmp_path / "cycle.json"
+    rep = tmp_path / "report.json"
+    assert run(["generate", "cycle", "--n", "4", "--mu", "0", "--out", str(inst)]) == 0
+    assert run(["solve", "uniform", "--in", str(inst), "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--in", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_sweep_concavity_csv(tmp_path):
     out = tmp_path / "concavity.csv"
     assert run([

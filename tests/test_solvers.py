@@ -242,6 +242,26 @@ class TestBudgetCheckedFirst:
         assert exc.value.required == len(_enumerate_grid(3, limit)) > low
         assert "at least" not in str(exc.value)
 
+    @pytest.mark.parametrize("s, cap", [(2, 2), (2, 7), (2, 50), (3, 2), (3, 6), (3, 20), (3, 45)])
+    def test_ptas_correlated_count_matches_isqrt_caps(self, s, cap):
+        # Reference count: per diagonal, the product of 2 isqrt(d_i d_j) + 1 over the pairs.
+        pairs = list(itertools.combinations(range(s), 2))
+        expected = sum(
+            math.prod(2 * math.isqrt(d[i] * d[j]) + 1 for i, j in pairs)
+            for d in itertools.product(range(cap + 1), repeat=s) if sum(d) <= cap
+        )
+        low = math.comb(cap + s, s)  # passes the lower bound, so the exact count runs
+        with pytest.raises(BudgetError) as exc:
+            ptas_correlated(single_set_instance([0.0] * s), 0.5, 1.0 / cap, CFG, node_budget=low)
+        assert exc.value.required == expected > low
+        assert "at least" not in str(exc.value)
+
+    def test_ptas_correlated_large_count_is_exact(self):
+        # 487,344 diagonals at cap 141 pass the lower bound of the default budget.
+        with pytest.raises(BudgetError) as exc:
+            ptas_correlated(single_set_instance([0.0] * 3), 0.6, 0.00709, CFG)
+        assert exc.value.required == 89_063_976_900
+
     @pytest.mark.parametrize("n_coords", [1, 2, 3, 4])
     def test_count_matches_enumeration(self, n_coords):
         for limit in (0, 1, 2, 3, 4, 15, 16, 17, 100, 543):
