@@ -57,6 +57,7 @@ LIPSCHITZ_CONSTANT = 2.0
 
 _QUAD_SLACK = 1e-7  # tolerance granted to quadrature when asserting inequalities
 _SUBSET_SAMPLE_CAP = 20_000
+_CONCAVITY_MAX_N = 10  # correlated curves: 2n candidates x (2^n - 1) subsets
 _LARGE_VARIANCE_FRACTION = 0.25  # of p: the variance that counts as large in a profile
 
 
@@ -422,9 +423,13 @@ def concavity_curve(n: int, cfg: EstimatorConfig) -> SweepTable:
     maximum), and the worst concavity margin f(k) + f(k-2) - 2 f(k-1) over
     the candidates (``concavity_margin``, non-positive up to quadrature
     tolerance).
+
+    n runs from 2 to 10: the correlated curves scan all 2^n - 1 subsets for
+    each of 2n candidates, so on a 2-core VM n = 9 takes 18 s and n = 10
+    43 s.  A larger n is refused before any sample is drawn.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n <= _CONCAVITY_MAX_N:
+        raise ValueError(f"n must be between 2 and {_CONCAVITY_MAX_N}")
     for k in range(1, n + 1):
         if math.comb(n, k) > 1_000_000:
             raise ValueError(f"binom({n}, {k}) exceeds the enumeration guard")

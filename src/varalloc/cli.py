@@ -116,6 +116,11 @@ def _typed(value, kind, what: str):
     return value
 
 
+def _numbers(value, what: str) -> list:
+    """``value`` if it is a list of numbers, else a ValueError."""
+    return [_typed(x, (int, float), what) for x in _typed(value, list, what)]
+
+
 def _report_doc(report: solvers.SolveReport, inst: Instance, cfg: EstimatorConfig) -> dict:
     alloc = report.allocation
     if isinstance(alloc, AllocationVector):
@@ -198,10 +203,12 @@ def _cmd_evaluate(args) -> int:
     )
     alloc_doc = _typed(doc["allocation"], dict, "allocation")
     if "stddevs" in alloc_doc:
-        alloc = AllocationVector(alloc_doc["stddevs"])
+        alloc = AllocationVector(_numbers(alloc_doc["stddevs"], "allocation.stddevs"))
         est = graph_objective(inst, alloc, cfg)
     elif "matrix" in alloc_doc:
-        spec = CovarianceSpec(inst.means, np.asarray(alloc_doc["matrix"], dtype=float))
+        matrix = [_numbers(row, "allocation.matrix")
+                  for row in _typed(alloc_doc["matrix"], list, "allocation.matrix")]
+        spec = CovarianceSpec(inst.means, np.asarray(matrix, dtype=float))
         est = graph_objective_correlated(inst, spec, cfg)
     else:
         raise ValueError("allocation must contain 'stddevs' or 'matrix'")

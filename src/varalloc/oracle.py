@@ -291,6 +291,11 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     every panel evenly; unsplit panels already resolve all CDF transitions
     to ~1e-12 since panel spacing follows each coordinate's standard
     deviation.
+
+    Within a slab, a column whose entries all have a zero deviation or
+    mu + 10 s at or below the lower limit (factor exactly 1.0 on every node)
+    is skipped, and a column equal byte for byte to the previous one reuses
+    its factor, so the result has the bits of the product over every column.
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
@@ -305,7 +310,7 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
 
 
 def _expected_max_slab(means, stddevs, subdiv):
-    ncand, n = stddevs.shape
+    ncand = stddevs.shape[0]
     lo = (means - _TAIL_SIGMAS * stddevs).max(axis=1)
     hi = (means + _TAIL_SIGMAS * stddevs).max(axis=1)
 
@@ -329,15 +334,21 @@ def _expected_max_slab(means, stddevs, subdiv):
     t = (a[:, :, None] + half[:, :, None] * (_GL_NODES + 1.0)).reshape(ncand, -1)
     wt = (half[:, :, None] * _GL_WEIGHTS).reshape(ncand, -1)
 
-    # Survival function of the maximum: 1 - prod_i F_i(t).  A degenerate
-    # coordinate is a unit step at its mean, which lies at or below lo by
-    # construction, so its factor is exactly 1 on every node.
+    # Survival function of the maximum: 1 - prod_i F_i(t).  A factor is
+    # exactly 1 on every node (t >= lo) for a degenerate entry, a unit step
+    # at or below lo, and where mu + 10 s <= lo puts z >= 10 (ndtr is 1.0).
+    # Such entries get z = +inf; multiplying by 1.0 is exact.
+    live = (stddevs > 0) & (means + _TAIL_SIGMAS * stddevs > lo[:, None])
+    m_eff = np.where(live, means, -np.inf)
+    s_eff = np.where(live, stddevs, 1.0)
     prod = np.ones_like(t)
-    for i in range(n):
-        s = stddevs[:, i, None]
-        m = means[:, i, None]
-        z = (t - m) / np.where(s > 0, s, 1.0)
-        prod *= np.where(s > 0, ndtr(z), 1.0)
+    key = None
+    for i in np.flatnonzero(live.any(axis=0)):
+        col = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
+        if col != key:
+            key = col
+            factor = ndtr((t - m_eff[:, i, None]) / s_eff[:, i, None])
+        prod *= factor
     return lo + ((1.0 - prod) * wt).sum(axis=1)
 
 

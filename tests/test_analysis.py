@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,12 @@ class TestConcavityCurve:
     def test_guard(self):
         with pytest.raises(ValueError):
             concavity_curve(1, EstimatorConfig())
+
+    def test_size_cap_refuses_before_sampling(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="between 2 and 10"):
+            concavity_curve(23, EstimatorConfig())
+        assert time.perf_counter() - start < 0.05
 
 
 class TestConcentrationProfile:

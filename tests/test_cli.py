@@ -197,6 +197,9 @@ def test_extreme_inputs_fail_cleanly(tmp_path, capsys, argv, code):
     (("config", "mc_samples"), None),
     (("config", "quadrature_tolerance"), "x"),
     (("config", "seed"), None),
+    (("allocation", "stddevs"), 5),
+    (("allocation", "stddevs"), [None]),
+    (("allocation",), {"matrix": {}}),
 ])
 def test_evaluate_malformed_report_exits_2(tmp_path, capsys, path, value):
     inst = tmp_path / "cycle.json"

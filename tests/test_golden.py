@@ -73,6 +73,19 @@ def _uniform(work: Path) -> list[str]:
     return ["cycle.json", "report.json"]
 
 
+def _uniform_wide(work: Path) -> list[str]:
+    # One 256-wide set and a random graph: quadrature in auto mode on wide
+    # sets of equal deviations, which the 2-member cycle sets never reach.
+    wide = str(work / "wide.json")
+    assert run(["generate", "complete-k", "--n", "256", "--k", "256", "--out", wide]) == 0
+    assert run(["solve", "uniform", "--in", wide, "--out", str(work / "wide-report.json")]) == 0
+    er = str(work / "er.json")
+    assert run(["generate", "erdos-renyi", "--n", "24", "--m", "72", "--p", "0.5",
+                "--seed", "1", "--out", er]) == 0
+    assert run(["solve", "uniform", "--in", er, "--out", str(work / "er-report.json")]) == 0
+    return ["wide.json", "wide-report.json", "er.json", "er-report.json"]
+
+
 def _evaluate(work: Path) -> list[str]:
     inst = _write_instance(work / "in.json", [0.0, 0.0])
     rep = str(work / "report.json")
@@ -122,6 +135,7 @@ CASES = {
     "ptas_corr_pair": _ptas_corr_pair,
     "log_approx": _log_approx,
     "uniform": _uniform,
+    "uniform_wide": _uniform_wide,
     "evaluate": _evaluate,
     "verify_submodular_g": _verify,
     "verify_all": _verify_all,

@@ -58,6 +58,39 @@ def scipy_expected_max(means, stddevs):
     return upper - lower
 
 
+def _full_product_expected_max(means, stddevs, subdiv):
+    """Reference for ``expected_max_batch``: the same panels as one slab, and
+    the survival product taken over every coordinate with ``ndtr`` on every
+    node (a degenerate coordinate contributes 1.0)."""
+    stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
+    means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
+    ncand, n = stddevs.shape
+    lo = (means - 10.0 * stddevs).max(axis=1)
+    hi = (means + 10.0 * stddevs).max(axis=1)
+    bps = (means[:, None, :] + stddevs[:, None, :] * oracle._KNOTS[:, None]).reshape(ncand, -1)
+    bps = np.concatenate([bps, np.zeros((ncand, 1))], axis=1)
+    np.clip(bps, lo[:, None], hi[:, None], out=bps)
+    edges = np.concatenate([lo[:, None], bps, hi[:, None]], axis=1)
+    edges.sort(axis=1)
+    a = edges[:, :-1]
+    b = edges[:, 1:]
+    if subdiv > 1:
+        frac = np.linspace(0.0, 1.0, subdiv + 1)
+        width = b - a
+        a = (a[:, :, None] + width[:, :, None] * frac[:-1]).reshape(ncand, -1)
+        b = (b[:, :, None] - width[:, :, None] * (1.0 - frac[1:])).reshape(ncand, -1)
+    half = 0.5 * (b - a)
+    t = (a[:, :, None] + half[:, :, None] * (oracle._GL_NODES + 1.0)).reshape(ncand, -1)
+    wt = (half[:, :, None] * oracle._GL_WEIGHTS).reshape(ncand, -1)
+    prod = np.ones_like(t)
+    for i in range(n):
+        s = stddevs[:, i, None]
+        m = means[:, i, None]
+        z = (t - m) / np.where(s > 0, s, 1.0)
+        prod *= np.where(s > 0, ndtr(z), 1.0)
+    return lo + ((1.0 - prod) * wt).sum(axis=1)
+
+
 class TestClosedForms:
     def test_floor_spot_values(self):
         assert expected_max_with_floor(0, 1, 0) == pytest.approx(PHI0, abs=1e-12)
@@ -158,6 +191,70 @@ class TestQuadrature:
         assert peak <= 8 * _SLAB_NODES * 8
         rows = np.array([expected_max_batch(m, s)[0] for m, s in zip(means, sigs)])
         assert np.array_equal(batch, rows)
+
+    @pytest.mark.parametrize("kind", ["zero_columns", "dominated", "repeated", "random"])
+    def test_bits_match_full_product_reference(self, kind):
+        rng = np.random.default_rng(["zero_columns", "dominated", "repeated", "random"].index(kind))
+        means = rng.uniform(-2, 2, (12, 9))
+        sigs = rng.uniform(0, 1.5, (12, 9))
+        if kind == "zero_columns":
+            sigs[:, [1, 4, 5]] = 0.0
+            sigs[rng.random(sigs.shape) < 0.2] = 0.0
+        elif kind == "dominated":
+            # Column 0 is a point mass at 40, so lo >= 40: a coordinate with
+            # mu_i + 10 s_i <= 40 is dominated in its row, the others are not.
+            means[:, 0], sigs[:, 0] = 40.0, 0.0
+            means[:, 1:] += 35.0
+            sigs[:, 1:] += 1.0
+            means[::2, 1:] -= 25.0
+            means[1::4, 1:5] -= 25.0
+            assert ((means + 10 * sigs <= 40.0) & (sigs > 0)).any(axis=0)[1:].all()
+            assert ((means + 10 * sigs > 40.0) & (sigs > 0)).any(axis=0)[1:].all()
+        elif kind == "repeated":
+            means[:, :] = [0.0, 0.0, -0.0, -0.0, 0.5, 0.5, 0.5, -0.0, 0.5]
+            sigs[:, :] = sigs[:, [0]]
+            sigs[:, 6] *= 0.5  # the means of column 5, other deviations
+            sigs[:, 8] = 0.0
+        for subdiv in (1, 2, 4):
+            want = _full_product_expected_max(means, sigs, subdiv)
+            got = expected_max_batch(means, sigs, subdiv=subdiv)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for r in range(0, 12, 5):
+                one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
+                assert one.view(np.int64)[0] == want.view(np.int64)[r]
+
+    def test_ndtr_is_exactly_one_where_factors_are_skipped(self):
+        assert ndtr(np.inf) == 1.0
+        assert ndtr(np.nextafter(10.0, 0.0)) == 1.0
+
+    def test_ndtr_calls_follow_distinct_live_columns(self, monkeypatch):
+        calls = []
+
+        def counting_ndtr(z):
+            calls.append(z.shape)
+            return ndtr(z)
+
+        monkeypatch.setattr(oracle, "ndtr", counting_ndtr)
+        wide = np.full((1, 256), 1 / 16)
+        for subdiv in (1, 2, 4):
+            calls.clear()
+            expected_max_batch(0.0, wide, subdiv=subdiv)
+            assert len(calls) == 1
+        calls.clear()
+        est = expected_max_independent(GaussianVector([0.0] * 256, wide[0]),
+                                       EstimatorConfig(method="quadrature"))
+        assert len(calls) == 2  # subdiv 1 and 2, one call per refinement level
+        assert est.value == expected_max_batch(0.0, wide, subdiv=2)[0]
+
+        rng = np.random.default_rng(5)
+        sigs = rng.uniform(0.5, 1.0, (3, 4))
+        sigs[:, 2] = 0.0
+        calls.clear()
+        expected_max_batch(rng.uniform(0, 0.1, 4), sigs)
+        assert len(calls) == 3
+        calls.clear()
+        expected_max_batch(rng.uniform(0, 0.1, 4), rng.uniform(0.5, 1.0, 4))
+        assert len(calls) == 4
 
     def test_scale_monotonicity(self):
         # Zero-mean: scaling all deviations by c scales the value by exactly c.
