@@ -27,12 +27,21 @@ Monte Carlo: chunked sampling with per-chunk generators derived from
 (seed, chunk_index), so estimates are bit-reproducible and independent of
 any internal parallelism; confidence intervals are normal-approximation
 95% half-widths (1.96 s / sqrt(N)).
+
+Parallelism: ``_pmap`` runs independent quadrature slabs and verifier
+trials on the calling thread plus one pool thread per further CPU of the
+affinity mask (numpy and ``ndtr`` release the interpreter lock).  Each slab
+and trial does the same arithmetic on any thread, so results have the same
+bits for any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,9 +85,10 @@ _KNOTS = np.array(
 _MC_CHUNK = 1 << 18
 _RANK_TOL = 1e-10  # psd_factor's zero-eigenvalue cut, relative to the largest
 
-# Quadrature nodes per slab inside expected_max_batch: every node-sized
-# float64 temporary stays at 256 KiB, whatever the batch size and row width,
-# which keeps a slab's working set in cache.
+# Quadrature nodes in flight inside expected_max_batch, across all threads:
+# each node-sized float64 temporary, summed over the slabs evaluated at once,
+# stays at 256 KiB whatever the batch size and row width, which keeps the
+# working set in cache.
 _SLAB_NODES = 1 << 15
 
 # Gauss-Legendre rule per quadrature panel: nodes on [-1, 1] and weights.
@@ -114,6 +124,79 @@ def derive_seed(seed: int, label: str) -> int:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # Deterministic per-chunk stream; reduction order is fixed by chunk index.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+
+
+def _workers() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _helper_pool(size: int) -> ThreadPoolExecutor:
+    # Created on first parallel use, never at import; it lives as long as
+    # the process, and its threads idle between calls.
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=size, thread_name_prefix="varalloc")
+        return _pool
+
+
+def _pmap(fn, items) -> list:
+    """``[fn(x) for x in items]``, in item order, on every CPU of the process.
+
+    The calling thread and ``_workers() - 1`` pool threads take indices from
+    one shared counter, so the caller does a share of the work.  With one
+    worker or at most one item this is the plain list comprehension and no
+    pool is made.  After an exception no further item is handed out; helpers
+    not yet started are cancelled, started ones are waited for, and the
+    exception of the lowest index is raised, which is the one the list
+    comprehension would raise.  Cancelling before waiting also lets an item
+    call ``_pmap`` itself: queued helpers never block the caller.
+    """
+    items = list(items)
+    workers = _workers()
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    next_index = 0
+
+    def drain():
+        nonlocal next_index
+        while True:
+            with lock:
+                if errors or next_index == len(items):
+                    return
+                i = next_index
+                next_index += 1
+            try:
+                out[i] = fn(items[i])
+            except Exception as exc:  # re-raised by the caller below
+                with lock:
+                    errors[i] = exc
+                return
+
+    pool = _helper_pool(workers - 1)
+    helpers = [pool.submit(drain) for _ in range(min(workers, len(items)) - 1)]
+    try:
+        drain()
+    finally:
+        with lock:  # no more hand-outs, also if the caller was interrupted
+            next_index = len(items)
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _norm_pdf(z):
@@ -283,9 +366,11 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     (n,) or (C, n)).  Returns a length-C array.  Panels are rebuilt per row,
     so rows may mix degenerate and non-degenerate coordinates freely.  Rows
     are evaluated in slabs of at most ``_SLAB_NODES`` (2^15) quadrature
-    nodes, which bounds memory and keeps each temporary in cache; a row's
-    value does not depend on the slab or batch it lands in, so one call over
-    many rows returns the bits of one call per row.
+    nodes in flight across all threads: with W workers (``_pmap``) a slab
+    holds ``_SLAB_NODES // W`` nodes, or one row when a row alone is larger.
+    That bounds memory and keeps each temporary in cache.  A row's value
+    does not depend on the slab, batch or thread it lands in, so one call
+    over many rows returns the bits of one call per row, for any W.
 
     Each panel takes a 10-point Gauss-Legendre rule, and ``subdiv`` splits
     every panel evenly; unsplit panels already resolve all CDF transitions
@@ -301,12 +386,14 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
     # A row has 15n + 2 panels of _GL_POINTS * subdiv nodes each.
-    slab = max(1, _SLAB_NODES // ((len(_KNOTS) * n + 2) * _GL_POINTS * subdiv))
-    out = np.empty(ncand)
-    for start in range(0, ncand, slab):
-        sl = slice(start, min(start + slab, ncand))
-        out[sl] = _expected_max_slab(means[sl], stddevs[sl], subdiv)
-    return out
+    row_nodes = (len(_KNOTS) * n + 2) * _GL_POINTS * subdiv
+    slab = max(1, _SLAB_NODES // _workers() // row_nodes)
+    if ncand <= slab:
+        return _expected_max_slab(means, stddevs, subdiv) if ncand else np.empty(0)
+    return np.concatenate(_pmap(
+        lambda start: _expected_max_slab(means[start:start + slab],
+                                         stddevs[start:start + slab], subdiv),
+        range(0, ncand, slab)))
 
 
 def _expected_max_slab(means, stddevs, subdiv):

@@ -123,6 +123,15 @@ class TestCorrelationGap:
         assert rep.violations == 0
         assert rep.worst_margin <= 1.0
 
+    def test_report_independent_of_workers(self, monkeypatch):
+        import varalloc.oracle as oracle
+
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(oracle, "_workers", lambda: workers)
+            reports.append(verify_correlation_gap(trials=40, mc_samples=5_000, seed=2))
+        assert reports[0] == reports[1]
+
 
 class TestSubmodularG:
     def test_g1_value(self):

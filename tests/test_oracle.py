@@ -295,6 +295,115 @@ class TestQuadrature:
         assert exc.value.estimate == 1.3125
 
 
+class TestParallelMap:
+    """``oracle._pmap``: ordered results, one pool, lowest-index errors."""
+
+    def test_results_in_item_order_under_stress(self, monkeypatch):
+        # More workers than cores and a short switch interval, so that a lost
+        # or repeated hand-out of an index would show in ``calls``.
+        import sys
+
+        monkeypatch.setattr(oracle, "_workers", lambda: 8)
+        monkeypatch.setattr(oracle, "_pool", None)
+        calls = [0] * 2000
+
+        def square(x):
+            calls[x] += 1
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = oracle._pmap(square, range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+            oracle._pool.shutdown()
+        assert got == [x * x for x in range(2000)]
+        assert calls == [1] * 2000
+
+    def test_empty_input(self):
+        assert oracle._pmap(lambda x: x, []) == []
+
+    def test_one_worker_makes_no_pool(self, monkeypatch):
+        def no_pool(size):
+            raise AssertionError("a pool was requested with one worker")
+
+        monkeypatch.setattr(oracle, "_workers", lambda: 1)
+        monkeypatch.setattr(oracle, "_helper_pool", no_pool)
+        assert oracle._pmap(lambda x: -x, range(5)) == [0, -1, -2, -3, -4]
+
+    def test_lowest_index_exception_is_raised(self, monkeypatch):
+        import time
+
+        monkeypatch.setattr(oracle, "_workers", lambda: 2)
+
+        def fail(i):
+            if i == 1:
+                time.sleep(0.05)  # the higher index fails first
+                raise ValueError("item 1")
+            if i == 2:
+                raise KeyError("item 2")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            oracle._pmap(fail, range(6))
+        assert oracle._pmap(lambda i: 2 * i, range(6)) == [0, 2, 4, 6, 8, 10]
+
+    def test_nested_map_returns(self, monkeypatch):
+        import threading
+
+        monkeypatch.setattr(oracle, "_workers", lambda: 2)
+        result = []
+
+        def outer():
+            result.append(oracle._pmap(
+                lambda i: oracle._pmap(lambda j: 10 * i + j, range(3)), range(4)))
+
+        runner = threading.Thread(target=outer, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "nested _pmap did not return"
+        assert result == [[[10 * i + j for j in range(3)] for i in range(4)]]
+
+
+class TestBitsIndependentOfWorkers:
+    @pytest.mark.parametrize("rows, n", [(4000, 4), (84, 33), (0, 5)])
+    def test_batch(self, monkeypatch, rows, n):
+        rng = np.random.default_rng(rows + n)
+        means = rng.uniform(-1, 1, (rows, n))
+        sigs = rng.uniform(0, 1, (rows, n))
+        sigs[rng.random((rows, n)) < 0.25] = 0.0
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(oracle, "_workers", lambda: workers)
+            got[workers] = expected_max_batch(means, sigs)
+        assert got[1].shape == (rows,)
+        assert np.array_equal(got[1].view(np.int64), got[2].view(np.int64))
+
+    def test_slab_memory_bounded_with_two_workers(self, monkeypatch):
+        # The two threads' slabs hold _SLAB_NODES // 2 nodes each, so the
+        # bound of test_slab_memory_bounded_and_rows_independent_of_slab
+        # holds unchanged.
+        import tracemalloc
+
+        from varalloc.oracle import _SLAB_NODES
+
+        monkeypatch.setattr(oracle, "_workers", lambda: 2)
+        rng = np.random.default_rng(11)
+        means = rng.uniform(0, 1, (2048, 8))
+        sigs = rng.uniform(0, 0.5, (2048, 8))
+        sigs[rng.random((2048, 8)) < 0.25] = 0.0
+        tracemalloc.start()
+        try:
+            batch = expected_max_batch(means, sigs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _SLAB_NODES * 8
+        monkeypatch.setattr(oracle, "_workers", lambda: 1)
+        assert np.array_equal(batch, expected_max_batch(means, sigs))
+
+
 class TestAutoAndMonteCarlo:
     def test_auto_dispatch(self):
         cfg = EstimatorConfig()
