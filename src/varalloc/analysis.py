@@ -57,7 +57,6 @@ CORRELATION_GAP_CONSTANT = 2.0 * math.e / (math.e - 1.0)
 LIPSCHITZ_CONSTANT = 2.0
 
 _QUAD_SLACK = 1e-7  # tolerance granted to quadrature when asserting inequalities
-_SUBSET_SAMPLE_CAP = 20_000
 _CONCAVITY_MAX_N = 10  # correlated curves: 2n candidates x (2^n - 1) subsets
 _LARGE_VARIANCE_FRACTION = 0.25  # of p: the variance that counts as large in a profile
 
@@ -378,12 +377,9 @@ def _half_width(x: np.ndarray) -> np.ndarray:
     return Z95 * x.std(axis=-1, ddof=1) / math.sqrt(count)
 
 
-def _per_set_values_independent(n, k, sigma, rng) -> float:
-    """Average over k-subsets of E max of the member coordinates (zero means)."""
-    if math.comb(n, k) <= _SUBSET_SAMPLE_CAP:
-        subsets = list(itertools.combinations(range(n), k))
-    else:
-        subsets = [rng.choice(n, size=k, replace=False) for _ in range(_SUBSET_SAMPLE_CAP)]
+def _per_set_values_independent(n, k, sigma) -> float:
+    """Average over all k-subsets of E max of the member coordinates (zero means)."""
+    subsets = list(itertools.combinations(range(n), k))
     return float(expected_max_batch(0.0, sigma[np.array(subsets)]).mean())
 
 
@@ -431,9 +427,8 @@ def concavity_curve(n: int, cfg: EstimatorConfig) -> SweepTable:
     """
     if not 2 <= n <= _CONCAVITY_MAX_N:
         raise ValueError(f"n must be between 2 and {_CONCAVITY_MAX_N}")
-    rng = np.random.default_rng(derive_seed(cfg.seed, "concavity-subsets"))
     cands = [np.where(np.arange(n) < s, 1.0 / math.sqrt(s), 0.0) for s in range(1, n + 1)]
-    curves = np.array([[_per_set_values_independent(n, k, sigma, rng) for k in range(1, n + 1)]
+    curves = np.array([[_per_set_values_independent(n, k, sigma) for k in range(1, n + 1)]
                        for sigma in cands])  # (candidate, k)
     params = [k / n for k in range(1, n + 1)]
 

@@ -218,15 +218,17 @@ def _crn_matrix(seed: int, samples: int, n: int) -> np.ndarray:
 
 
 def _crn_greedy(seed: int, samples: int, means: np.ndarray, sdev: float, sets, picks: int,
-                stop_without_gain: bool = False) -> tuple[list[int], float]:
+                stop_without_gain: bool = False) -> tuple[list[int], list[float]]:
     """Greedy assignment of deviation ``sdev`` under common random numbers.
 
     Up to ``picks`` times, assigns the unassigned variable that most increases
     ``sum_j mean_s max_{i in S_j} X_i``, where an assigned variable adds its
     term ``T_i = means[i] + sdev * z[:, i]`` (``z`` drawn from ``seed``) and an
     unassigned one its mean; ties go to the lowest index.  Returns the chosen
-    indices in order and the sampled objective; ``stop_without_gain`` ends
-    the loop at a best gain <= 0.
+    indices in order and the sampled objective before the first pick and
+    after each one, so ``totals[p]`` belongs to ``chosen[:p]``: nothing in the
+    loop reads ``picks``, so a shorter run is a prefix of a longer one.
+    ``stop_without_gain`` ends the loop at a best gain <= 0.
 
     Candidate i's value on set j, ``mean_s max(G, d, T_i)`` (G: the per-sample
     max of the set's assigned terms; d: its largest other unassigned mean),
@@ -274,6 +276,7 @@ def _crn_greedy(seed: int, samples: int, means: np.ndarray, sdev: float, sets, p
     set_mean = [score(j) for j in range(len(free))]
     total = math.fsum(set_mean)
     chosen: list[int] = []
+    totals = [total]
     for _ in range(picks):
         best_i, best_obj = -1, -math.inf
         for i in range(len(mu)):
@@ -298,7 +301,8 @@ def _crn_greedy(seed: int, samples: int, means: np.ndarray, sdev: float, sets, p
             set_mean[j] = new_mean
             if not free[j]:
                 gmax[j] = None
-    return chosen, total
+        totals.append(total)
+    return chosen, totals
 
 
 def uniform_allocation(inst: Instance) -> AllocationVector:
@@ -485,6 +489,37 @@ def ptas_correlated(
                    eps=eps, grid_step=grid_step)
 
 
+def _greedy_levels(seed: int, samples: int, means: np.ndarray, sets,
+                   n: int) -> list[tuple[float, list[int], float]]:
+    """``(sdev, chosen, total)`` of the CRN greedy at sdev 2^-k, k = 0..log2(n).
+
+    Level k assigns sdev 2^-k to min(4^k, n) variables.  With nonzero means
+    each level runs its own greedy.  With every mean zero (of either sign)
+    each term is ``2^-k * z_i``, the sdev-1 term scaled by an exact power of
+    two, and every later step of the greedy keeps its bits under that
+    scaling: max, the floors max(G, d) with d in {+-0, -inf}, the additions
+    of ``np.add.reduce``, the division by the sample count, ``math.fsum``,
+    the running updates of the total and the ``>`` comparisons are all
+    exact or correctly rounded, and rounding commutes with a power of two
+    unless a term underflows, which needs |z| < 2^(k - 1022).  So one sdev-1
+    greedy serves every level: level k takes its first min(4^k, n) picks,
+    with the same ties, and its total times 2^-k, bit for bit what a level-k
+    greedy returns.
+    """
+    kmax = int(math.floor(math.log2(n)))
+    levels = []
+    if means.any():
+        for k in range(kmax + 1):
+            chosen, totals = _crn_greedy(seed, samples, means, 2.0 ** (-k), sets, min(4**k, n))
+            levels.append((2.0 ** (-k), chosen, totals[-1]))
+    else:
+        unit, totals = _crn_greedy(seed, samples, means, 1.0, sets, min(4**kmax, n))
+        for k in range(kmax + 1):
+            chosen = unit[: min(4**k, n)]
+            levels.append((2.0 ** (-k), chosen, totals[len(chosen)] * 2.0 ** (-k)))
+    return levels
+
+
 def log_approx_graph(
     inst: Instance,
     cfg: EstimatorConfig,
@@ -497,9 +532,13 @@ def log_approx_graph(
     dropped from the working objective.  For each k up to log2(n), up to
     min(4^k, n) variables greedily receive variance 4^-k (each step picks
     the zero-variance variable whose assignment maximizes the objective,
-    ties to the lowest index); the best round wins.  Each round runs the CRN
-    greedy engine on the same sample matrix, redrawn from the solve's seed,
-    and re-scores only the sets the last pick touched.  The reported
+    ties to the lowest index); the best round wins, the first on ties.  Each
+    round runs the CRN greedy engine on the same sample matrix, drawn from
+    the solve's seed, and re-scores only the sets the last pick touched.
+    When every mean is zero, as in the Erdos-Renyi and complete-k families,
+    the rounds are one greedy at sdev 1 scaled by 2^-k, so that greedy runs
+    once and each round reads a prefix of its picks and its scaled totals,
+    with the bits of separate runs (``_greedy_levels``).  The reported
     objective re-includes the singleton sets.
     """
     t0 = time.perf_counter()
@@ -507,12 +546,10 @@ def log_approx_graph(
     work_sets = [s for s in inst.sets if len(s) >= 2]
     best_sigma = np.zeros(n)
     if work_sets:
-        means = inst.means_array()
-        seed = derive_seed(cfg.seed, "crn")
+        levels = _greedy_levels(derive_seed(cfg.seed, "crn"), argmax_samples,
+                                inst.means_array(), work_sets, n)
         best_val = -math.inf
-        for k in range(int(math.floor(math.log2(n))) + 1):
-            sdev = 2.0 ** (-k)
-            chosen, total = _crn_greedy(seed, argmax_samples, means, sdev, work_sets, min(4**k, n))
+        for sdev, chosen, total in levels:
             if total > best_val:
                 best_val = total
                 best_sigma = np.zeros(n)

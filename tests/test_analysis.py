@@ -26,7 +26,6 @@ from varalloc.analysis import (
 )
 from varalloc.analysis import (
     _QUAD_SLACK,
-    _SUBSET_SAMPLE_CAP,
     _emax,
     _emax_floor0,
     _max_inequality_pool,
@@ -251,20 +250,17 @@ class TestSweepTable:
         assert sweep_csv(SweepTable(())) == "parameter,statistic,value,ci_half_width\n"
 
 
-def _list_per_set_values_independent(n, k, means, sigma, rng, batch):
+def _list_per_set_values_independent(n, k, means, sigma, batch):
     # Reference: subsets gathered by nested list comprehensions, with explicit means.
-    if math.comb(n, k) <= _SUBSET_SAMPLE_CAP:
-        subsets = list(itertools.combinations(range(n), k))
-    else:
-        subsets = [tuple(rng.choice(n, size=k, replace=False)) for _ in range(_SUBSET_SAMPLE_CAP)]
+    subsets = list(itertools.combinations(range(n), k))
     sub_means = np.array([[means[i] for i in s] for s in subsets])
     sub_sigma = np.array([[sigma[i] for i in s] for s in subsets])
     return float(batch(sub_means, sub_sigma).mean())
 
 
 def _position_weighted(means, stddevs):
-    # Cheap stand-in for the quadrature, which takes seconds over the sampled
-    # rows; it still sees every row's coordinates in order.
+    # Stand-in batch that weights each coordinate by its position, so rows
+    # whose columns come in another order give other values.
     stddevs = np.asarray(stddevs, dtype=float)
     weights = np.arange(1.0, stddevs.shape[1] + 1)
     return (np.broadcast_to(means, stddevs.shape) + stddevs * weights).sum(axis=1)
@@ -272,20 +268,14 @@ def _position_weighted(means, stddevs):
 
 @pytest.mark.parametrize("k", [2, 8, 9])
 def test_per_set_values_independent_matches_reference(monkeypatch, k):
-    # At n = 17, binom(17, 8) = binom(17, 9) = 24,310 exceed the cap, so k = 8
-    # and 9 take the sampled branch; k = 2 enumerates its 136 subsets.
-    n = 17
+    # n = 10 is the largest n concavity_curve accepts.
+    n = 10
     sigma = np.sqrt(np.arange(1.0, n + 1) / (n * (n + 1) / 2))  # distinct, unit budget
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    ref = _list_per_set_values_independent(n, k, np.zeros(n), sigma, ref_rng, _position_weighted)
+    assert (_per_set_values_independent(n, k, sigma)
+            == _list_per_set_values_independent(n, k, np.zeros(n), sigma, expected_max_batch))
     monkeypatch.setattr("varalloc.analysis.expected_max_batch", _position_weighted)
-    assert _per_set_values_independent(n, k, sigma, rng) == ref
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    monkeypatch.undo()
-    if k == 2:  # small enough for the quadrature itself
-        assert (_per_set_values_independent(n, k, sigma, rng)
-                == _list_per_set_values_independent(n, k, np.zeros(n), sigma, ref_rng,
-                                                    expected_max_batch))
+    assert (_per_set_values_independent(n, k, sigma)
+            == _list_per_set_values_independent(n, k, np.zeros(n), sigma, _position_weighted))
 
 
 # Eager references: one _emax call per trial, in the order the fuzzers drew

@@ -66,6 +66,22 @@ def _log_approx(work: Path) -> list[str]:
     return ["er.json", "report.json"]
 
 
+def _log_approx_rounds(work: Path) -> list[str]:
+    # Zero means at n = 17: levels k = 0..4 take 1, 4, 16, 17 and 17 picks,
+    # so 4^k clamps to n twice.  Then one set with distinct nonzero means,
+    # which runs one greedy per level.
+    er = str(work / "er17.json")
+    assert run(["generate", "erdos-renyi", "--n", "17", "--m", "30", "--p", "0.3",
+                "--seed", "5", "--out", er]) == 0
+    assert run(["solve", "log-approx", "--in", er, "--seed", "4", "--mc-samples", "100000",
+                "--out", str(work / "er17-report.json")]) == 0
+    distinct = np.random.default_rng([3, 1]).uniform(0.1, 1, 6)
+    means = _write_instance(work / "means.json", distinct)
+    assert run(["solve", "log-approx", "--in", means, "--seed", "4", "--mc-samples", "100000",
+                "--out", str(work / "means-report.json")]) == 0
+    return ["er17.json", "er17-report.json", "means.json", "means-report.json"]
+
+
 def _uniform(work: Path) -> list[str]:
     inst = str(work / "cycle.json")
     assert run(["generate", "cycle", "--n", "5", "--mu", "0.25", "--out", inst]) == 0
@@ -134,6 +150,7 @@ CASES = {
     "ptas_corr_n3": _ptas_corr_n3,
     "ptas_corr_pair": _ptas_corr_pair,
     "log_approx": _log_approx,
+    "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,
     "uniform_wide": _uniform_wide,
     "evaluate": _evaluate,

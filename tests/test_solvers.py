@@ -3,12 +3,20 @@
 import dataclasses
 import itertools
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from varalloc.instances import AllocationVector, Instance, cycle_instance, erdos_renyi_instance
+from varalloc import solvers
+from varalloc.instances import (
+    AllocationVector,
+    Instance,
+    complete_k_subsets_instance,
+    cycle_instance,
+    erdos_renyi_instance,
+)
 from varalloc.oracle import (
     CovarianceSpec,
     EstimatorConfig,
@@ -23,6 +31,7 @@ from varalloc.solvers import (
     _crn_matrix,
     _enumerate_grid,
     _enumerate_maximal,
+    _greedy_levels,
     _grid_limit,
     _psd_candidates,
     brute_force_grid,
@@ -482,16 +491,22 @@ def _reference_instances():
             yield Instance(10, [float(x) for x in means], sets), 40 + rep
 
 
+def assert_every_prefix_matches_reference(seed, means, sets, z, sdev, picks):
+    """The engine's picks and its total after each one equal the reference's."""
+    chosen, totals = _crn_greedy(seed, z.shape[0], means, sdev, sets, picks)
+    assert len(chosen) == picks and len(totals) == picks + 1
+    for p in range(picks + 1):
+        assert (chosen[:p], totals[p]) == reference_crn_greedy(means, sets, z, sdev, p)
+
+
 class TestCrnGreedyEngine:
     def test_matches_reference_on_every_level(self):
         for inst, seed in _reference_instances():
             means = inst.means_array()
             z = _crn_matrix(seed, REF_SAMPLES, inst.n)
             for k in range(4):
-                sdev = 2.0 ** (-k)
-                picks = min(4**k, inst.n)
-                got = _crn_greedy(seed, REF_SAMPLES, means, sdev, inst.sets, picks)
-                assert got == reference_crn_greedy(means, inst.sets, z, sdev, picks)
+                assert_every_prefix_matches_reference(seed, means, inst.sets, z, 2.0 ** (-k),
+                                                      min(4**k, inst.n))
 
     def test_log_approx_picks_the_reference_level(self):
         for inst, seed in _reference_instances():
@@ -515,8 +530,7 @@ class TestCrnGreedyEngine:
         means = inst.means_array()
         z = _crn_matrix(5, REF_SAMPLES, 4)
         for sdev in (4.0, 2.0, 1.0):
-            got = _crn_greedy(5, REF_SAMPLES, means, sdev, inst.sets, 3)
-            assert got == reference_crn_greedy(means, inst.sets, z, sdev, 3)
+            assert_every_prefix_matches_reference(5, means, inst.sets, z, sdev, 3)
 
     def test_fixed_variance_stops_without_gain(self):
         # Variables 1 and 2 sit below a mean of 9 at sdev 0.5: their gain is
@@ -558,3 +572,58 @@ class TestCrnGreedyEngine:
         finally:
             tracemalloc.stop()
         assert peak <= (inst.n + inst.m + 8) * 32_768 * 8
+
+
+def per_level_greedy(seed, samples, means, sets, n):
+    """One greedy per variance level at that level's sdev: the plain loop."""
+    levels = []
+    for k in range(int(math.floor(math.log2(n))) + 1):
+        chosen, totals = _crn_greedy(seed, samples, means, 2.0 ** (-k), sets, min(4**k, n))
+        levels.append((2.0 ** (-k), chosen, totals[-1]))
+    return levels
+
+
+def _bits(levels):
+    return [struct.pack("<d", total) for _, _, total in levels]
+
+
+class TestGreedyLevels:
+    # n = 10 and 17 clamp 4^k to n on their last two levels; n = 16 meets it.
+    CASES = [(7, 12, 0.4), (10, 16, 0.35), (16, 30, 0.3), (17, 24, 0.25)]
+
+    @pytest.mark.parametrize("n, m, p", CASES)
+    def test_zero_means_match_per_level_greedy(self, n, m, p):
+        sets = [s for s in erdos_renyi_instance(n, m, p, n).sets if len(s) >= 2]
+        signs = np.random.default_rng(n).random(n) < 0.5
+        for means in (np.zeros(n), np.full(n, -0.0), np.where(signs, -0.0, 0.0)):
+            for samples in (REF_SAMPLES, 1000):
+                got = _greedy_levels(n, samples, means, sets, n)
+                want = per_level_greedy(n, samples, means, sets, n)
+                assert [lv[:2] for lv in got] == [lv[:2] for lv in want]
+                assert _bits(got) == _bits(want)
+        assert [len(chosen) for _, chosen, _ in got] == [min(4**k, n) for k in range(len(got))]
+
+    def test_complete_k_and_zero_mean_cycle(self):
+        for inst in (complete_k_subsets_instance(8, 3), cycle_instance(12, 0.0)):
+            means = inst.means_array()
+            got = _greedy_levels(3, REF_SAMPLES, means, inst.sets, inst.n)
+            want = per_level_greedy(3, REF_SAMPLES, means, inst.sets, inst.n)
+            assert [lv[:2] for lv in got] == [lv[:2] for lv in want]
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", [5, 10, 17])
+    def test_greedy_runs_once_only_with_zero_means(self, monkeypatch, n):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return _crn_greedy(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_crn_greedy", counted)
+        sets = erdos_renyi_instance(n, 2 * n, 0.4, 1).sets
+        log_approx_graph(Instance(n, (0.0,) * n, sets), CFG, argmax_samples=REF_SAMPLES)
+        assert calls == [1.0]
+        calls.clear()
+        means = (0.0,) * (n - 1) + (0.5,)
+        log_approx_graph(Instance(n, means, sets), CFG, argmax_samples=REF_SAMPLES)
+        assert calls == [2.0 ** (-k) for k in range(int(math.floor(math.log2(n))) + 1)]
