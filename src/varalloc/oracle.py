@@ -496,23 +496,24 @@ def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
 
 
 def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
-    """Per-row maximum of ``y[:, c] + shift[c]`` over ``c`` in ``cols``.
+    """Per-sample maximum of ``y[c] + shift[c]`` over the rows ``c`` in ``cols``.
 
-    A chain of ``np.maximum`` over the columns, optionally also against
-    ``floor`` (taken right after the first column).  Equal, bit for bit, to
-    ``(y + shift)[:, cols].max(axis=1)``: the additions are the same
-    elementwise additions and a maximum is exact.  Over a short axis this is
-    many times faster than ``max(axis=1)`` and than broadcasting ``shift``
-    over the whole block.
+    ``y`` is a coordinate-major sample block: row ``c`` holds every sample of
+    coordinate ``c``.  A chain of ``np.maximum`` over the rows, optionally
+    also against ``floor`` (taken right after the first row).  Equal, bit for
+    bit, to ``(y + shift[:, None])[cols].max(axis=0)``: the additions are the
+    same elementwise additions and a maximum is exact.  Every operand is a
+    contiguous row, so this is many times faster than ``max(axis=0)`` over a
+    short axis and than broadcasting ``shift`` over the whole block.
     """
     first, *rest = cols
-    stat = y[:, first].copy() if shift is None else y[:, first] + shift[first]
+    stat = y[first].copy() if shift is None else y[first] + shift[first]
     if floor is not None:
         np.maximum(stat, floor, out=stat)
     tmp = None if shift is None else np.empty_like(stat)
     for c in rest:
-        col = y[:, c] if shift is None else np.add(y[:, c], shift[c], out=tmp)
-        np.maximum(stat, col, out=stat)
+        row = y[c] if shift is None else np.add(y[c], shift[c], out=tmp)
+        np.maximum(stat, row, out=stat)
     return stat
 
 
@@ -533,8 +534,9 @@ def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimat
         return Estimate(val, 0.0, "quadrature")
     means = np.asarray(v.means)
     stddevs = np.asarray(v.stddevs)
-    return _mc_estimate(cfg.seed, cfg.mc_samples, v.n,
-                        lambda z: row_max(z * stddevs, range(v.n), means))
+    return _mc_estimate(
+        cfg.seed, cfg.mc_samples, v.n,
+        lambda z: row_max(np.multiply(z.T, stddevs[:, None], order="C"), range(v.n), means))
 
 
 def psd_factor(matrix: np.ndarray) -> np.ndarray:
@@ -559,11 +561,13 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
 def _mc_max_of_samples(c: CovarianceSpec, cfg: EstimatorConfig, reduce_sets) -> Estimate:
     """Chunked Monte Carlo over joint samples.
 
-    ``reduce_sets`` maps a block of centred samples ``z @ L.T`` (count, n),
-    the means not yet added, to per-sample statistics.
+    ``reduce_sets`` maps a coordinate-major block of centred samples
+    ``L @ z.T`` (n, count), the means not yet added, to per-sample
+    statistics.  Each entry is the same length-r dot product as in
+    ``z @ L.T``; the short-first product packs far better in BLAS.
     """
     L = psd_factor(c.matrix)
-    return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], lambda z: reduce_sets(z @ L.T))
+    return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], lambda z: reduce_sets(L @ z.T))
 
 
 def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
@@ -613,7 +617,7 @@ def graph_objective_correlated(inst: Instance, c: CovarianceSpec, cfg: Estimator
     if cfg.method not in ("auto", "monte_carlo"):
         raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
     def per_sample_total(y: np.ndarray) -> np.ndarray:
-        total = np.zeros(y.shape[0])
+        total = np.zeros(y.shape[1])
         for members in inst.sets:
             total += row_max(y, members, c.means)
         return total

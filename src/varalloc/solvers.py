@@ -471,14 +471,15 @@ def ptas_correlated(
     best_matrix = np.zeros((inst.n, inst.n))
     for support in itertools.combinations(range(inst.n), s):
         sup = np.asarray(support, dtype=int)
-        rest = [i for i in range(inst.n) if i not in support]
-        rest_mu = max((inst.means[i] for i in rest), default=-math.inf)
-        z_sup = z[:, sup]
+        # The largest mean off the support; none on a full support (where a
+        # floor of -inf would be an exact no-op pass).
+        floor = max((inst.means[i] for i in range(inst.n) if i not in support), default=None)
+        z_sup = z[:, sup].T  # a view of the gathered copy: short-first gemm below
         mu_sup = means[sup]
         for diag, caps in grid:
             for subs, factors in _psd_candidates(diag, caps, pairs, grid_step):
                 for sub, factor in zip(subs, factors):
-                    top = row_max(z_sup @ factor.T, range(s), mu_sup, floor=rest_mu)
+                    top = row_max(factor @ z_sup, range(s), mu_sup, floor=floor)
                     val = float(top.mean())
                     if val > best_val:
                         best_val = val

@@ -515,16 +515,31 @@ class TestMonteCarloAccumulator:
         y[rng.random(y.shape) < 0.2] = 0.0  # exact ties
         shift = rng.uniform(-1, 1, 6)
         x = y + shift
+        yt, xt = np.ascontiguousarray(y.T), np.ascontiguousarray(x.T)  # coordinate-major
         for cols in ((0,), (2, 5), (5, 0, 3), range(6)):
             want = x[:, list(cols)].max(axis=1)
-            assert np.array_equal(row_max(y, cols, shift), want)
-            assert np.array_equal(row_max(x, cols), want)
-            assert np.array_equal(row_max(y, cols, shift, floor=0.3), np.maximum(want, 0.3))
+            assert np.array_equal(row_max(yt, cols, shift), want)
+            assert np.array_equal(row_max(xt, cols), want)
+            assert np.array_equal(row_max(yt, cols, shift, floor=0.3), np.maximum(want, 0.3))
 
     def test_row_max_leaves_input_unchanged(self):
-        y = np.arange(12.0).reshape(4, 3)
+        y = np.arange(12.0).reshape(4, 3).T.copy()
         row_max(y, (2, 0), floor=100.0)
-        assert np.array_equal(y, np.arange(12.0).reshape(4, 3))
+        assert np.array_equal(y, np.arange(12.0).reshape(4, 3).T)
+
+    @pytest.mark.parametrize("count", [1, 7, 1_003, 20_000, 65_536, 2**18])
+    def test_short_first_product_matches_sample_major_bits(self, count):
+        # Sample blocks are built as ``L @ z.T``; every estimate's bits rest on
+        # it equalling the sample-major ``z @ L.T`` exactly, for each width n
+        # and numerical rank r of the factor.
+        rng = np.random.default_rng(count)
+        for n in range(1, 6):
+            for r in range(1, n + 1):
+                a = rng.normal(size=(n, r))
+                L = psd_factor(a @ a.T)
+                assert L.shape == (n, r)
+                z = rng.standard_normal((count, r))
+                assert (L @ z.T).tobytes() == (z @ L.T).T.tobytes()
 
     def test_independent_matches_reference(self):
         for v in (GaussianVector((0, 0.5, -1), (1, 0.0, 2)), GaussianVector((0.3,), (0.7,))):

@@ -345,6 +345,49 @@ class TestPtasCorrelated:
             np.maximum(top, x[:, col], out=top)
         assert np.array_equal(top, x.max(axis=1))
 
+    @pytest.mark.parametrize("means,eps,step", [
+        ([0.0, 0.0], 0.7, 0.25),       # s = n: no floor
+        ([0.3, 0.1, 0.5], 0.8, 0.5),   # s = 2 < n: the finite floor
+    ])
+    def test_matches_sample_major_reference(self, monkeypatch, means, eps, step):
+        inst = single_set_instance(means)
+        values, row_max = [], solvers.row_max
+
+        def spy(*args, **kwargs):
+            top = row_max(*args, **kwargs)
+            values.append(float(top.mean()))
+            return top
+
+        monkeypatch.setattr(solvers, "row_max", spy)
+        rep = ptas_correlated(inst, eps, step, CFG)
+
+        # The sample-major layout: (samples, s) blocks ``z[:, sup] @ factor.T``
+        # and a column chain, with the floor right after the first column.
+        n, s = inst.n, min(math.ceil(1.0 / eps**2), inst.n)
+        cap = int(1.0 / step + 1e-9)
+        pairs = list(itertools.combinations(range(s), 2))
+        z = _crn_matrix(derive_seed(CFG.seed, "crn"), solvers._CRN_SAMPLES_GRID, n)
+        want, best_val, best = [], -math.inf, None
+        for support in itertools.combinations(range(n), s):
+            sup = list(support)
+            rest_mu = max((means[i] for i in range(n) if i not in support), default=-math.inf)
+            diags = (d for d in itertools.product(range(cap + 1), repeat=s) if sum(d) <= cap)
+            for diag in diags:
+                caps = [math.isqrt(diag[i] * diag[j]) for i, j in pairs]
+                for subs, factors in _psd_candidates(diag, caps, pairs, step):
+                    for sub, factor in zip(subs, factors):
+                        y = z[:, sup] @ factor.T
+                        top = y[:, 0] + means[sup[0]]
+                        np.maximum(top, rest_mu, out=top)
+                        for c in range(1, s):
+                            np.maximum(top, y[:, c] + means[sup[c]], out=top)
+                        want.append(float(top.mean()))
+                        if want[-1] > best_val:
+                            best_val, best = want[-1], np.zeros((n, n))
+                            best[np.ix_(sup, sup)] = sub
+        assert len(want) > 10 and values == want
+        assert np.array_equal(rep.allocation.matrix, best)
+
     def test_determinism(self):
         a = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
         b = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
