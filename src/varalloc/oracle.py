@@ -381,6 +381,14 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     mu + 10 s at or below the lower limit (factor exactly 1.0 on every node)
     is skipped, and a column equal byte for byte to the previous one reuses
     its factor, so the result has the bits of the product over every column.
+    When the rows of a slab differ in which columns are live, and the most
+    live columns of any row are fewer than the slab's live columns in all,
+    each row's live columns are packed to the left in index order, padded
+    with exact 1.0 factors.  When at most half of a slab's panels have
+    positive width, nodes and products are built for those panels only and
+    their contributions scattered back into their slots of a zero array: a
+    zero-width panel's contributions are zeros, and every row is summed over
+    its full length in the same order, so the result keeps its bits.
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
@@ -408,51 +416,100 @@ def _expected_max_slab(means, stddevs, subdiv):
     np.clip(bps, lo[:, None], hi[:, None], out=bps)
     edges = np.concatenate([lo[:, None], bps, hi[:, None]], axis=1)
     edges.sort(axis=1)
-
     a = edges[:, :-1]
     b = edges[:, 1:]
-    if subdiv > 1:
-        frac = np.linspace(0.0, 1.0, subdiv + 1)
-        width = b - a
-        a = (a[:, :, None] + width[:, :, None] * frac[:-1]).reshape(ncand, -1)
-        b = (b[:, :, None] - width[:, :, None] * (1.0 - frac[1:])).reshape(ncand, -1)
-
-    half = 0.5 * (b - a)
-    t = (a[:, :, None] + half[:, :, None] * (_GL_NODES + 1.0)).reshape(ncand, -1)
-    wt = (half[:, :, None] * _GL_WEIGHTS).reshape(ncand, -1)
 
     # Survival function of the maximum: 1 - prod_i F_i(t).  A factor is
     # exactly 1 on every node (t >= lo) for a degenerate entry, a unit step
     # at or below lo, and where mu + 10 s <= lo puts z >= 10 (ndtr is 1.0).
-    # Such entries get z = +inf; multiplying by 1.0 is exact.
+    # Such entries get z = +inf; multiplying by 1.0 is exact, so a row's
+    # product is that of its live entries in index order, wherever they sit.
     live = (stddevs > 0) & (means + _TAIL_SIGMAS * stddevs > lo[:, None])
     m_eff = np.where(live, means, -np.inf)
     s_eff = np.where(live, stddevs, 1.0)
+    cols = np.flatnonzero(live.any(axis=0))
+    most = int(live.sum(axis=1).max())
+    if most < len(cols):
+        order = np.argsort(~live, axis=1, kind="stable")[:, :most]
+        m_eff = np.take_along_axis(m_eff, order, axis=1)
+        s_eff = np.take_along_axis(s_eff, order, axis=1)
+        cols = range(most)
+
+    # A zero-width panel's nodes have weight 0.0 and contribute exact zeros,
+    # so when they are the majority only positive-width panels get nodes:
+    # each becomes one row of nodes, and ``owner`` is the row it came from.
+    wide = b > a
+    owner = None
+    if 2 * np.count_nonzero(wide) <= wide.size:
+        owner = np.nonzero(wide)[0]
+        a, b = a[wide][:, None], b[wide][:, None]
+        m_eff, s_eff = m_eff[owner], s_eff[owner]
+    span = a.shape[1] * subdiv * _GL_POINTS
+    if subdiv > 1:
+        frac = np.linspace(0.0, 1.0, subdiv + 1)
+        width = b - a
+        a, b = (a[:, :, None] + width[:, :, None] * frac[:-1],
+                b[:, :, None] - width[:, :, None] * (1.0 - frac[1:]))
+
+    half = 0.5 * (b - a)
+    t = (a[..., None] + half[..., None] * (_GL_NODES + 1.0)).reshape(len(a), span)
+    wt = (half[..., None] * _GL_WEIGHTS).reshape(len(a), span)
+
     prod = np.ones_like(t)
     key = None
-    for i in np.flatnonzero(live.any(axis=0)):
+    for i in cols:
         col = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
         if col != key:
             key = col
             factor = ndtr((t - m_eff[:, i, None]) / s_eff[:, i, None])
         prod *= factor
-    return lo + ((1.0 - prod) * wt).sum(axis=1)
+    terms = (1.0 - prod) * wt
+    if owner is not None:
+        # Back into row order, so each row sums the same operands in the
+        # same order as with every panel.
+        full = np.zeros(wide.shape + (span,))
+        full[wide] = terms
+        terms = full.reshape(ncand, -1)
+    return lo + terms.sum(axis=1)
+
+
+def _quadrature_rows(means, stddevs, tol: float):
+    """Refine the panel rule on each row until two successive levels agree within tol.
+
+    ``means`` and ``stddevs`` have shape (R, n).  Each level (subdiv 1, 2,
+    4, 8, 16) is one ``expected_max_batch`` call over the rows still open,
+    and a row's values do not depend on its batch, so every row gets the
+    bits of refining it alone.  Returns ``(values, failed)``: ``failed``
+    lists, ascending, the rows that never agreed within tol, and their
+    ``values`` are the subdiv-16 estimates.
+    """
+    prev = expected_max_batch(means, stddevs)
+    values = np.empty(len(prev))
+    open_rows = np.arange(len(prev))
+    for subdiv in (2, 4, 8, 16):
+        val = expected_max_batch(means[open_rows], stddevs[open_rows], subdiv=subdiv)
+        values[open_rows] = val
+        still = ~(np.abs(val - prev) <= 0.5 * tol)
+        open_rows, prev = open_rows[still], val[still]
+        if not len(open_rows):
+            break
+    return values, open_rows
+
+
+def _nonconvergence(tol: float, estimate: float) -> QuadratureError:
+    return QuadratureError(
+        f"quadrature did not reach tolerance {tol:g} after bounded refinement",
+        estimate=float(estimate),
+    )
 
 
 def _quadrature_expected_max(means, stddevs, tol: float) -> float:
-    """Refine the panel rule until two successive levels agree within tol."""
-    m = np.asarray(means, dtype=float)[None, :]
-    s = np.asarray(stddevs, dtype=float)[None, :]
-    prev = float(expected_max_batch(m, s)[0])
-    for subdiv in (2, 4, 8, 16):
-        val = float(expected_max_batch(m, s, subdiv=subdiv)[0])
-        if abs(val - prev) <= 0.5 * tol:
-            return val
-        prev = val
-    raise QuadratureError(
-        f"quadrature did not reach tolerance {tol:g} after bounded refinement",
-        estimate=prev,
-    )
+    """One row of ``_quadrature_rows``; raises ``QuadratureError`` if it fails."""
+    values, failed = _quadrature_rows(np.asarray(means, dtype=float)[None, :],
+                                      np.asarray(stddevs, dtype=float)[None, :], tol)
+    if len(failed):
+        raise _nonconvergence(tol, values[0])
+    return float(values[0])
 
 
 def _closed_form_expected_max(v: GaussianVector) -> float:
@@ -517,16 +574,20 @@ def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
     return stat
 
 
+def _method_for(v: GaussianVector, method: str) -> str:
+    if method != "auto":
+        return method
+    live = sum(1 for s in v.stddevs if s > 0)
+    return "closed_form" if (v.n <= 2 or live <= 1) else "quadrature"
+
+
 def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimate:
     """E[max_i X_i] for an independent Gaussian vector.
 
     ``auto`` uses the exact closed forms for n <= 2 or when at most one
     coordinate is non-degenerate, and quadrature otherwise.
     """
-    method = cfg.method
-    if method == "auto":
-        live = sum(1 for s in v.stddevs if s > 0)
-        method = "closed_form" if (v.n <= 2 or live <= 1) else "quadrature"
+    method = _method_for(v, cfg.method)
     if method == "closed_form":
         return Estimate(_closed_form_expected_max(v), 0.0, "closed_form")
     if method == "quadrature":
@@ -587,25 +648,45 @@ def _restricted_vector(inst: Instance, alloc: AllocationVector, members) -> Gaus
 def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfig) -> Estimate:
     """Sum over sets of E[max over the member variables].
 
+    Each set is estimated as ``expected_max_independent`` would, with the
+    same bits.  Sets that take quadrature are refined together, one
+    ``expected_max_batch`` call per refinement level for all open sets of
+    one width.  Values add up in set order.  A set that does not converge
+    raises ``QuadratureError("set j: ...")``, naming the lowest such j.
     Monte Carlo sets draw from independent per-set streams, so confidence
     half-widths combine in quadrature.
     """
     if len(alloc.stddevs) != inst.n:
         raise ValueError(f"allocation has length {len(alloc.stddevs)}, expected {inst.n}")
-    value = 0.0
-    var_sum = 0.0
-    methods = set()
+    estimates = [None] * len(inst.sets)
+    by_width = {}  # quadrature sets as (j, vector), grouped by width
     for j, members in enumerate(inst.sets):
+        v = _restricted_vector(inst, alloc, members)
+        if _method_for(v, cfg.method) == "quadrature":
+            by_width.setdefault(v.n, []).append((j, v))
+            continue
         sub_cfg = cfg
         if cfg.method in ("monte_carlo", "auto"):
             sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"set:{j}"))
-        try:
-            est = expected_max_independent(_restricted_vector(inst, alloc, members), sub_cfg)
-        except QuadratureError as e:
-            raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
+        estimates[j] = expected_max_independent(v, sub_cfg)
+    tol = cfg.quadrature_tolerance
+    failures = {}
+    for group in by_width.values():
+        values, failed = _quadrature_rows(np.array([v.means for _, v in group]),
+                                          np.array([v.stddevs for _, v in group]), tol)
+        for (j, _), x in zip(group, values):
+            estimates[j] = Estimate(float(x), 0.0, "quadrature")
+        failures.update((group[r][0], values[r]) for r in failed)
+    if failures:
+        j = min(failures)
+        e = _nonconvergence(tol, failures[j])
+        raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
+    value = 0.0
+    var_sum = 0.0
+    for est in estimates:
         value += est.value
         var_sum += est.half_width**2
-        methods.add(est.method_used)
+    methods = {est.method_used for est in estimates}
     method = methods.pop() if len(methods) == 1 else "mixed"
     return Estimate(value, math.sqrt(var_sum), method)
 

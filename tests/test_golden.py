@@ -102,6 +102,26 @@ def _uniform_wide(work: Path) -> list[str]:
     return ["wide.json", "wide-report.json", "er.json", "er-report.json"]
 
 
+def _graph_mixed_widths(work: Path) -> list[str]:
+    # Sets of widths 1, 2, 3, 8 and 9, at least two of each.  Mean 6 sits
+    # more than 10 deviations above the zero means under the uniform split,
+    # so the sets holding variable 0 have one live member; the log-approx
+    # allocation leaves other sets with none or one nonzero deviation.
+    means = [6.0, -0.0, 0.0, 0.0, 0.5] + [0.0] * 7
+    sets = [[0], [5], [1, 2], [0, 3], [0, 1, 2], [3, 4, 5], [0, 6, 7], [8, 9, 10],
+            list(range(8)), list(range(2, 11)), list(range(4, 12))]
+    inst = work / "mixed.json"
+    inst.write_text(json.dumps({"n": len(means), "means": means, "sets": sets}) + "\n",
+                    encoding="utf-8")
+    assert run(["solve", "uniform", "--in", str(inst),
+                "--out", str(work / "uniform-report.json")]) == 0
+    assert run(["solve", "log-approx", "--in", str(inst), "--seed", "6", "--mc-samples", "100000",
+                "--out", str(work / "la-report.json")]) == 0
+    assert run(["evaluate", "--in", str(work / "la-report.json"),
+                "--out", str(work / "la-eval.json")]) == 0
+    return ["mixed.json", "uniform-report.json", "la-report.json", "la-eval.json"]
+
+
 def _evaluate(work: Path) -> list[str]:
     inst = _write_instance(work / "in.json", [0.0, 0.0])
     rep = str(work / "report.json")
@@ -153,6 +173,7 @@ CASES = {
     "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,
     "uniform_wide": _uniform_wide,
+    "graph_mixed_widths": _graph_mixed_widths,
     "evaluate": _evaluate,
     "verify_submodular_g": _verify,
     "verify_all": _verify_all,

@@ -2,6 +2,8 @@
 Monte Carlo calibration, and the module invariants."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +91,85 @@ def _full_product_expected_max(means, stddevs, subdiv):
         z = (t - m) / np.where(s > 0, s, 1.0)
         prod *= np.where(s > 0, ndtr(z), 1.0)
     return lo + ((1.0 - prod) * wt).sum(axis=1)
+
+
+def _unpacked_slab(means, stddevs, subdiv):
+    """Reference for ``oracle._expected_max_slab`` as it stood before live
+    columns and positive-width panels were packed: nodes on every panel,
+    one ``ndtr`` per distinct live column of the slab, in column order."""
+    ncand = stddevs.shape[0]
+    lo = (means - 10.0 * stddevs).max(axis=1)
+    hi = (means + 10.0 * stddevs).max(axis=1)
+    bps = (means[:, None, :] + stddevs[:, None, :] * oracle._KNOTS[:, None]).reshape(ncand, -1)
+    bps = np.concatenate([bps, np.zeros((ncand, 1))], axis=1)
+    np.clip(bps, lo[:, None], hi[:, None], out=bps)
+    edges = np.concatenate([lo[:, None], bps, hi[:, None]], axis=1)
+    edges.sort(axis=1)
+    a = edges[:, :-1]
+    b = edges[:, 1:]
+    if subdiv > 1:
+        frac = np.linspace(0.0, 1.0, subdiv + 1)
+        width = b - a
+        a = (a[:, :, None] + width[:, :, None] * frac[:-1]).reshape(ncand, -1)
+        b = (b[:, :, None] - width[:, :, None] * (1.0 - frac[1:])).reshape(ncand, -1)
+    half = 0.5 * (b - a)
+    t = (a[:, :, None] + half[:, :, None] * (oracle._GL_NODES + 1.0)).reshape(ncand, -1)
+    wt = (half[:, :, None] * oracle._GL_WEIGHTS).reshape(ncand, -1)
+    live = (stddevs > 0) & (means + 10.0 * stddevs > lo[:, None])
+    m_eff = np.where(live, means, -np.inf)
+    s_eff = np.where(live, stddevs, 1.0)
+    prod = np.ones_like(t)
+    key = None
+    for i in np.flatnonzero(live.any(axis=0)):
+        col = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
+        if col != key:
+            key = col
+            factor = ndtr((t - m_eff[:, i, None]) / s_eff[:, i, None])
+        prod *= factor
+    return lo + ((1.0 - prod) * wt).sum(axis=1)
+
+
+def _positive_width_share(means, stddevs):
+    """Share of a slab's panels (before subdivision) with positive width."""
+    lo = (means - 10.0 * stddevs).max(axis=1, keepdims=True)
+    hi = (means + 10.0 * stddevs).max(axis=1, keepdims=True)
+    knots = (means[:, None, :] + stddevs[:, None, :] * oracle._KNOTS[:, None]).reshape(len(lo), -1)
+    edges = np.sort(np.concatenate(
+        [lo, np.clip(knots, lo, hi), np.clip(np.zeros_like(lo), lo, hi), hi], axis=1), axis=1)
+    return float((edges[:, 1:] > edges[:, :-1]).mean())
+
+
+def _slab_case(kind):
+    """Inputs for the packed-slab bit tests, one slab each."""
+    rng = np.random.default_rng(["degenerate", "live_sets", "wide_equal", "signed_zero",
+                                 "random4"].index(kind))
+    if kind == "degenerate":
+        # lo == hi in every row: no panel has positive width, no entry is live.
+        means = rng.choice([0.0, -0.0, 0.5], (6, 5))
+        means[1] = -0.0
+        return means, np.zeros((6, 5))
+    if kind == "live_sets":
+        # Two or three live entries per row, at different columns; column 0
+        # of the last rows is a point mass above every other member's reach.
+        means = rng.uniform(0.0, 1.0, (8, 9))
+        sigs = np.where(rng.random((8, 9)) < 0.3, rng.uniform(0.1, 0.6, (8, 9)), 0.0)
+        sigs[:, 0] = 0.0
+        sigs[np.arange(8), rng.integers(1, 9, 8)] = 0.4
+        means[6:, 0] = 20.0
+        sigs[6:, 1:4] = 0.5
+        return means, sigs
+    if kind == "wide_equal":
+        return np.zeros((1, 256)), np.full((1, 256), 1 / 16)
+    if kind == "signed_zero":
+        means = np.array([[-0.0, 0.0, 0.5, 0.0], [-0.0, 0.0, -0.0, 0.0],
+                          [0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.25, 0.25]])
+        sigs = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                         [0.25, 0.25, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0]])
+        return means, sigs
+    means = rng.uniform(0.0, 0.1, (40, 4))
+    sigs = rng.uniform(0.5, 1.0, (40, 4))
+    sigs[rng.random((40, 4)) < 0.1] = 0.0
+    return means, sigs
 
 
 class TestClosedForms:
@@ -223,6 +304,31 @@ class TestQuadrature:
                 one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
                 assert one.view(np.int64)[0] == want.view(np.int64)[r]
 
+    @pytest.mark.parametrize("kind", ["degenerate", "live_sets", "wide_equal", "signed_zero",
+                                      "random4"])
+    def test_packed_slab_bits_match_unpacked_reference(self, kind):
+        means, sigs = _slab_case(kind)
+        live = sigs > 0
+        share = _positive_width_share(means, sigs)
+        if kind == "degenerate":
+            assert share == 0.0 and not live.any()
+        elif kind == "live_sets":
+            # Rows differ in their live columns, so the slab packs them.
+            assert live.sum(axis=1).max() < live.any(axis=0).sum()
+        elif kind == "wide_equal":
+            assert share <= 0.5
+        elif kind == "random4":
+            assert share > 0.5  # every panel gets nodes, as before
+        for subdiv in (1, 2, 4):
+            want = _unpacked_slab(means, sigs, subdiv)
+            got = oracle._expected_max_slab(means, sigs, subdiv)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            batch = expected_max_batch(means, sigs, subdiv=subdiv)
+            assert np.array_equal(batch.view(np.int64), want.view(np.int64))
+            for r in range(len(means)):
+                one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
+                assert one.view(np.int64)[0] == want.view(np.int64)[r]
+
     def test_ndtr_is_exactly_one_where_factors_are_skipped(self):
         assert ndtr(np.inf) == 1.0
         assert ndtr(np.nextafter(10.0, 0.0)) == 1.0
@@ -231,7 +337,7 @@ class TestQuadrature:
         calls = []
 
         def counting_ndtr(z):
-            calls.append(z.shape)
+            calls.append(z.size)
             return ndtr(z)
 
         monkeypatch.setattr(oracle, "ndtr", counting_ndtr)
@@ -240,21 +346,37 @@ class TestQuadrature:
             calls.clear()
             expected_max_batch(0.0, wide, subdiv=subdiv)
             assert len(calls) == 1
+            # Equal knots leave at most 15 positive-width panels of 3,842, and
+            # only those get nodes.
+            assert calls[0] <= 15 * 10 * subdiv
         calls.clear()
         est = expected_max_independent(GaussianVector([0.0] * 256, wide[0]),
                                        EstimatorConfig(method="quadrature"))
         assert len(calls) == 2  # subdiv 1 and 2, one call per refinement level
         assert est.value == expected_max_batch(0.0, wide, subdiv=2)[0]
 
+        # A point mass sets the lower limit above many knots of the other
+        # columns: 66 of the 3 x 62 panels have positive width, and only
+        # their nodes reach ndtr.
         rng = np.random.default_rng(5)
         sigs = rng.uniform(0.5, 1.0, (3, 4))
         sigs[:, 2] = 0.0
+        means = rng.uniform(0, 0.1, 4)
+        assert round(_positive_width_share(np.tile(means, (3, 1)), sigs) * 3 * 62) == 66
         calls.clear()
-        expected_max_batch(rng.uniform(0, 0.1, 4), sigs)
-        assert len(calls) == 3
+        expected_max_batch(means, sigs)
+        assert calls == [66 * 10] * 3
+        # Here most panels have positive width, so every node of the row is
+        # evaluated, as before packing: 62 panels of 10 nodes.
         calls.clear()
         expected_max_batch(rng.uniform(0, 0.1, 4), rng.uniform(0.5, 1.0, 4))
-        assert len(calls) == 4
+        assert calls == [620] * 4
+
+        # Two live columns per row, four in the slab: packed to two.
+        calls.clear()
+        expected_max_batch(rng.uniform(0, 0.1, (2, 4)),
+                           [[0.6, 0.7, 0.0, 0.0], [0.0, 0.0, 0.8, 0.9]])
+        assert len(calls) == 2
 
     def test_scale_monotonicity(self):
         # Zero-mean: scaling all deviations by c scales the value by exactly c.
@@ -658,3 +780,139 @@ class TestGraphObjective:
         spec = CovarianceSpec([0, 0], np.diag([0.5, 0.5]))
         with pytest.raises(ValueError):
             graph_objective_correlated(inst, spec, EstimatorConfig())
+
+
+def _reference_quadrature(means, stddevs, tol):
+    """One set's refinement as it stood before sets were batched: one
+    ``expected_max_batch`` row per level until two levels agree."""
+    m = np.asarray(means, dtype=float)[None, :]
+    s = np.asarray(stddevs, dtype=float)[None, :]
+    prev = float(oracle.expected_max_batch(m, s)[0])
+    for subdiv in (2, 4, 8, 16):
+        val = float(oracle.expected_max_batch(m, s, subdiv=subdiv)[0])
+        if abs(val - prev) <= 0.5 * tol:
+            return val
+        prev = val
+    raise QuadratureError(
+        f"quadrature did not reach tolerance {tol:g} after bounded refinement", estimate=prev)
+
+
+def _reference_graph_objective(inst, alloc, cfg):
+    """``graph_objective`` as one estimate per set, in set order."""
+    value = 0.0
+    var_sum = 0.0
+    methods = set()
+    for j, members in enumerate(inst.sets):
+        v = GaussianVector([inst.means[i] for i in members], [alloc.stddevs[i] for i in members])
+        method = cfg.method
+        if method == "auto":
+            live = sum(1 for s in v.stddevs if s > 0)
+            method = "closed_form" if (v.n <= 2 or live <= 1) else "quadrature"
+        if method == "quadrature":
+            try:
+                val = _reference_quadrature(v.means, v.stddevs, cfg.quadrature_tolerance)
+            except QuadratureError as e:
+                raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
+            est = Estimate(val, 0.0, "quadrature")
+        else:
+            sub_cfg = cfg
+            if cfg.method in ("monte_carlo", "auto"):
+                sub_cfg = replace(cfg, seed=oracle.derive_seed(cfg.seed, f"set:{j}"))
+            est = expected_max_independent(v, sub_cfg)
+        value += est.value
+        var_sum += est.half_width**2
+        methods.add(est.method_used)
+    method = methods.pop() if len(methods) == 1 else "mixed"
+    return Estimate(value, math.sqrt(var_sum), method)
+
+
+def _bits(est):
+    return (np.float64(est.value).view(np.int64), np.float64(est.half_width).view(np.int64),
+            est.method_used)
+
+
+class TestGraphObjectiveBatched:
+    """Sets refined together by width keep the bits of one set at a time."""
+
+    # Widths 1, 2, 3, 4 and 8, several of each; mean 6 dominates the sets
+    # holding variable 0 under the uniform split, and variable 1 is -0.0.
+    INST = Instance(12, [6.0, -0.0, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0, 1.0, 0.0, 0.0],
+                    [(0,), (5,), (1, 2), (0, 3), (0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
+                     (1, 4, 7, 10), (2, 5, 8, 11), tuple(range(8)), tuple(range(4, 12))])
+    ALLOCS = {
+        "uniform": AllocationVector([12**-0.5] * 12),
+        "sparse": AllocationVector([0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0]),
+        "random": AllocationVector(np.random.default_rng(8).dirichlet(np.ones(12)) ** 0.5),
+        "one_live": AllocationVector([1.0] + [0.0] * 11),
+    }
+
+    @pytest.mark.parametrize("alloc", sorted(ALLOCS))
+    @pytest.mark.parametrize("method", ["auto", "quadrature", "closed_form", "monte_carlo"])
+    def test_matches_per_set_reference(self, method, alloc):
+        cfg = EstimatorConfig(method=method, mc_samples=2000, seed=3)
+        alloc = self.ALLOCS[alloc]
+        try:
+            want = _reference_graph_objective(self.INST, alloc, cfg)
+        except ValueError as e:
+            assert method == "closed_form"
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                graph_objective(self.INST, alloc, cfg)
+            return
+        assert _bits(graph_objective(self.INST, alloc, cfg)) == _bits(want)
+
+    def test_methods_used(self):
+        def used(method, alloc):
+            cfg = EstimatorConfig(method=method, mc_samples=2000)
+            return graph_objective(self.INST, self.ALLOCS[alloc], cfg).method_used
+
+        assert used("auto", "uniform") == "mixed"
+        assert used("auto", "one_live") == "closed_form"
+        assert used("quadrature", "uniform") == "quadrature"
+        assert used("closed_form", "one_live") == "closed_form"
+        assert used("monte_carlo", "uniform") == "monte_carlo"
+        with pytest.raises(ValueError, match="closed form requires"):
+            used("closed_form", "uniform")
+
+    def test_one_batch_call_per_width_and_level(self, monkeypatch):
+        calls = []
+        real = oracle.expected_max_batch
+
+        def counting(means, stddevs, *, subdiv=1):
+            calls.append((np.shape(stddevs), subdiv))
+            return real(means, stddevs, subdiv=subdiv)
+
+        monkeypatch.setattr(oracle, "expected_max_batch", counting)
+        graph_objective(self.INST, self.ALLOCS["uniform"], EstimatorConfig())
+        # Four sets of width 3, two of width 4 and two of width 8 take
+        # quadrature: one call per width at each level, over the open sets.
+        levels = {}
+        for (rows, n), subdiv in calls:
+            levels.setdefault(n, []).append((subdiv, rows))
+        assert {n: lv[0] for n, lv in levels.items()} == {3: (1, 4), 4: (1, 2), 8: (1, 2)}
+        for lv in levels.values():
+            assert [s for s, _ in lv] == [1, 2, 4, 8, 16][:len(lv)]
+            assert [r for _, r in lv] == sorted((r for _, r in lv), reverse=True)
+
+    def test_lowest_failing_set_is_named(self, monkeypatch):
+        # Variable 0 marks the sets that never converge: set 2 (width 4) is
+        # refined with the first width group, set 1 (width 3) with the second.
+        inst = Instance(6, [0.75, 0.0, 0.1, 0.2, 0.0, 0.3],
+                        [(1, 2, 3, 4), (0, 1, 2), (0, 2, 3, 4), (2, 3, 5)])
+        alloc = AllocationVector([0.4] * 6)
+        real = oracle.expected_max_batch
+
+        def drifting(means, stddevs, *, subdiv=1):
+            out = real(means, stddevs, subdiv=subdiv)
+            return out + np.where(np.asarray(means)[:, 0] == 0.75, 1e-6 * subdiv, 0.0)
+
+        monkeypatch.setattr(oracle, "expected_max_batch", drifting)
+        cfg = EstimatorConfig()
+        with pytest.raises(QuadratureError) as want:
+            _reference_graph_objective(inst, alloc, cfg)
+        with pytest.raises(QuadratureError) as got:
+            graph_objective(inst, alloc, cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("set 1: quadrature did not reach tolerance 1e-09")
+        assert np.float64(got.value.estimate).view(np.int64) == np.float64(
+            want.value.estimate).view(np.int64)
+        assert isinstance(got.value.__cause__, QuadratureError)
