@@ -381,14 +381,12 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     mu + 10 s at or below the lower limit (factor exactly 1.0 on every node)
     is skipped, and a column equal byte for byte to the previous one reuses
     its factor, so the result has the bits of the product over every column.
-    When the rows of a slab differ in which columns are live, and the most
-    live columns of any row are fewer than the slab's live columns in all,
-    each row's live columns are packed to the left in index order, padded
-    with exact 1.0 factors.  When at most half of a slab's panels have
-    positive width, nodes and products are built for those panels only and
-    their contributions scattered back into their slots of a zero array: a
-    zero-width panel's contributions are zeros, and every row is summed over
-    its full length in the same order, so the result keeps its bits.
+    Each row's live columns are packed to the left in index order, padded
+    with exact 1.0 factors, and nodes and products are built for the
+    positive-width panels only, their contributions scattered back into
+    their slots of a zero array: a zero-width panel's contributions are
+    zeros, and every row is summed over its full length in the same order,
+    so the result keeps its bits.
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
@@ -427,23 +425,20 @@ def _expected_max_slab(means, stddevs, subdiv):
     live = (stddevs > 0) & (means + _TAIL_SIGMAS * stddevs > lo[:, None])
     m_eff = np.where(live, means, -np.inf)
     s_eff = np.where(live, stddevs, 1.0)
-    cols = np.flatnonzero(live.any(axis=0))
+    # Each row's live entries are packed to the left in index order; the
+    # padding keeps z = +inf.
     most = int(live.sum(axis=1).max())
-    if most < len(cols):
-        order = np.argsort(~live, axis=1, kind="stable")[:, :most]
-        m_eff = np.take_along_axis(m_eff, order, axis=1)
-        s_eff = np.take_along_axis(s_eff, order, axis=1)
-        cols = range(most)
+    order = np.argsort(~live, axis=1, kind="stable")[:, :most]
+    m_eff = np.take_along_axis(m_eff, order, axis=1)
+    s_eff = np.take_along_axis(s_eff, order, axis=1)
 
     # A zero-width panel's nodes have weight 0.0 and contribute exact zeros,
-    # so when they are the majority only positive-width panels get nodes:
-    # each becomes one row of nodes, and ``owner`` is the row it came from.
+    # so only positive-width panels get nodes: each becomes one row of
+    # nodes, and ``owner`` is the row it came from.
     wide = b > a
-    owner = None
-    if 2 * np.count_nonzero(wide) <= wide.size:
-        owner = np.nonzero(wide)[0]
-        a, b = a[wide][:, None], b[wide][:, None]
-        m_eff, s_eff = m_eff[owner], s_eff[owner]
+    owner = np.nonzero(wide)[0]
+    a, b = a[wide][:, None], b[wide][:, None]
+    m_eff, s_eff = m_eff[owner], s_eff[owner]
     span = a.shape[1] * subdiv * _GL_POINTS
     if subdiv > 1:
         frac = np.linspace(0.0, 1.0, subdiv + 1)
@@ -457,20 +452,17 @@ def _expected_max_slab(means, stddevs, subdiv):
 
     prod = np.ones_like(t)
     key = None
-    for i in cols:
+    for i in range(most):
         col = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
         if col != key:
             key = col
             factor = ndtr((t - m_eff[:, i, None]) / s_eff[:, i, None])
         prod *= factor
-    terms = (1.0 - prod) * wt
-    if owner is not None:
-        # Back into row order, so each row sums the same operands in the
-        # same order as with every panel.
-        full = np.zeros(wide.shape + (span,))
-        full[wide] = terms
-        terms = full.reshape(ncand, -1)
-    return lo + terms.sum(axis=1)
+    # Back into row order, so each row sums the same operands in the same
+    # order as with every panel.
+    terms = np.zeros(wide.shape + (span,))
+    terms[wide] = (1.0 - prod) * wt
+    return lo + terms.reshape(ncand, -1).sum(axis=1)
 
 
 def _quadrature_rows(means, stddevs, tol: float):
@@ -679,6 +671,7 @@ def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfi
         failures.update((group[r][0], values[r]) for r in failed)
     if failures:
         j = min(failures)
+        # Chained to the one-set error, as when each set was refined alone.
         e = _nonconvergence(tol, failures[j])
         raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
     value = 0.0

@@ -103,8 +103,8 @@ def _uniform_wide(work: Path) -> list[str]:
 
 
 def _graph_mixed_widths(work: Path) -> list[str]:
-    # Sets of widths 1, 2, 3, 8 and 9, at least two of each.  Mean 6 sits
-    # more than 10 deviations above the zero means under the uniform split,
+    # Sets of widths 1, 2, 3 and 8+ (8, 9, 8), at least two of each.  Mean 6
+    # sits more than 10 deviations above the zero means under the uniform split,
     # so the sets holding variable 0 have one live member; the log-approx
     # allocation leaves other sets with none or one nonzero deviation.
     means = [6.0, -0.0, 0.0, 0.0, 0.5] + [0.0] * 7

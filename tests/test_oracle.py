@@ -93,42 +93,6 @@ def _full_product_expected_max(means, stddevs, subdiv):
     return lo + ((1.0 - prod) * wt).sum(axis=1)
 
 
-def _unpacked_slab(means, stddevs, subdiv):
-    """Reference for ``oracle._expected_max_slab`` as it stood before live
-    columns and positive-width panels were packed: nodes on every panel,
-    one ``ndtr`` per distinct live column of the slab, in column order."""
-    ncand = stddevs.shape[0]
-    lo = (means - 10.0 * stddevs).max(axis=1)
-    hi = (means + 10.0 * stddevs).max(axis=1)
-    bps = (means[:, None, :] + stddevs[:, None, :] * oracle._KNOTS[:, None]).reshape(ncand, -1)
-    bps = np.concatenate([bps, np.zeros((ncand, 1))], axis=1)
-    np.clip(bps, lo[:, None], hi[:, None], out=bps)
-    edges = np.concatenate([lo[:, None], bps, hi[:, None]], axis=1)
-    edges.sort(axis=1)
-    a = edges[:, :-1]
-    b = edges[:, 1:]
-    if subdiv > 1:
-        frac = np.linspace(0.0, 1.0, subdiv + 1)
-        width = b - a
-        a = (a[:, :, None] + width[:, :, None] * frac[:-1]).reshape(ncand, -1)
-        b = (b[:, :, None] - width[:, :, None] * (1.0 - frac[1:])).reshape(ncand, -1)
-    half = 0.5 * (b - a)
-    t = (a[:, :, None] + half[:, :, None] * (oracle._GL_NODES + 1.0)).reshape(ncand, -1)
-    wt = (half[:, :, None] * oracle._GL_WEIGHTS).reshape(ncand, -1)
-    live = (stddevs > 0) & (means + 10.0 * stddevs > lo[:, None])
-    m_eff = np.where(live, means, -np.inf)
-    s_eff = np.where(live, stddevs, 1.0)
-    prod = np.ones_like(t)
-    key = None
-    for i in np.flatnonzero(live.any(axis=0)):
-        col = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
-        if col != key:
-            key = col
-            factor = ndtr((t - m_eff[:, i, None]) / s_eff[:, i, None])
-        prod *= factor
-    return lo + ((1.0 - prod) * wt).sum(axis=1)
-
-
 def _positive_width_share(means, stddevs):
     """Share of a slab's panels (before subdivision) with positive width."""
     lo = (means - 10.0 * stddevs).max(axis=1, keepdims=True)
@@ -139,10 +103,13 @@ def _positive_width_share(means, stddevs):
     return float((edges[:, 1:] > edges[:, :-1]).mean())
 
 
+SLAB_KINDS = ["zero_columns", "dominated", "repeated", "random", "degenerate", "live_sets",
+              "wide_equal", "signed_zero", "random4"]
+
+
 def _slab_case(kind):
-    """Inputs for the packed-slab bit tests, one slab each."""
-    rng = np.random.default_rng(["degenerate", "live_sets", "wide_equal", "signed_zero",
-                                 "random4"].index(kind))
+    """(means, stddevs) for the bit tests against the full-product reference."""
+    rng = np.random.default_rng(SLAB_KINDS.index(kind))
     if kind == "degenerate":
         # lo == hi in every row: no panel has positive width, no entry is live.
         means = rng.choice([0.0, -0.0, 0.5], (6, 5))
@@ -166,9 +133,31 @@ def _slab_case(kind):
         sigs = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
                          [0.25, 0.25, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0]])
         return means, sigs
-    means = rng.uniform(0.0, 0.1, (40, 4))
-    sigs = rng.uniform(0.5, 1.0, (40, 4))
-    sigs[rng.random((40, 4)) < 0.1] = 0.0
+    if kind == "random4":
+        means = rng.uniform(0.0, 0.1, (40, 4))
+        sigs = rng.uniform(0.5, 1.0, (40, 4))
+        sigs[rng.random((40, 4)) < 0.1] = 0.0
+        return means, sigs
+    means = rng.uniform(-2, 2, (12, 9))
+    sigs = rng.uniform(0, 1.5, (12, 9))
+    if kind == "zero_columns":
+        sigs[:, [1, 4, 5]] = 0.0
+        sigs[rng.random(sigs.shape) < 0.2] = 0.0
+    elif kind == "dominated":
+        # Column 0 is a point mass at 40, so lo >= 40: a coordinate with
+        # mu_i + 10 s_i <= 40 is dominated in its row, the others are not.
+        means[:, 0], sigs[:, 0] = 40.0, 0.0
+        means[:, 1:] += 35.0
+        sigs[:, 1:] += 1.0
+        means[::2, 1:] -= 25.0
+        means[1::4, 1:5] -= 25.0
+        assert ((means + 10 * sigs <= 40.0) & (sigs > 0)).any(axis=0)[1:].all()
+        assert ((means + 10 * sigs > 40.0) & (sigs > 0)).any(axis=0)[1:].all()
+    elif kind == "repeated":
+        means[:, :] = [0.0, 0.0, -0.0, -0.0, 0.5, 0.5, 0.5, -0.0, 0.5]
+        sigs[:, :] = sigs[:, [0]]
+        sigs[:, 6] *= 0.5  # the means of column 5, other deviations
+        sigs[:, 8] = 0.0
     return means, sigs
 
 
@@ -273,58 +262,18 @@ class TestQuadrature:
         rows = np.array([expected_max_batch(m, s)[0] for m, s in zip(means, sigs)])
         assert np.array_equal(batch, rows)
 
-    @pytest.mark.parametrize("kind", ["zero_columns", "dominated", "repeated", "random"])
+    @pytest.mark.parametrize("kind", SLAB_KINDS)
     def test_bits_match_full_product_reference(self, kind):
-        rng = np.random.default_rng(["zero_columns", "dominated", "repeated", "random"].index(kind))
-        means = rng.uniform(-2, 2, (12, 9))
-        sigs = rng.uniform(0, 1.5, (12, 9))
-        if kind == "zero_columns":
-            sigs[:, [1, 4, 5]] = 0.0
-            sigs[rng.random(sigs.shape) < 0.2] = 0.0
-        elif kind == "dominated":
-            # Column 0 is a point mass at 40, so lo >= 40: a coordinate with
-            # mu_i + 10 s_i <= 40 is dominated in its row, the others are not.
-            means[:, 0], sigs[:, 0] = 40.0, 0.0
-            means[:, 1:] += 35.0
-            sigs[:, 1:] += 1.0
-            means[::2, 1:] -= 25.0
-            means[1::4, 1:5] -= 25.0
-            assert ((means + 10 * sigs <= 40.0) & (sigs > 0)).any(axis=0)[1:].all()
-            assert ((means + 10 * sigs > 40.0) & (sigs > 0)).any(axis=0)[1:].all()
-        elif kind == "repeated":
-            means[:, :] = [0.0, 0.0, -0.0, -0.0, 0.5, 0.5, 0.5, -0.0, 0.5]
-            sigs[:, :] = sigs[:, [0]]
-            sigs[:, 6] *= 0.5  # the means of column 5, other deviations
-            sigs[:, 8] = 0.0
+        means, sigs = _slab_case(kind)
+        live = sigs > 0
+        if kind == "degenerate":
+            assert _positive_width_share(means, sigs) == 0.0 and not live.any()
+        elif kind == "live_sets":
+            assert len({tuple(row) for row in live}) > 1  # rows differ in their live columns
         for subdiv in (1, 2, 4):
             want = _full_product_expected_max(means, sigs, subdiv)
             got = expected_max_batch(means, sigs, subdiv=subdiv)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            for r in range(0, 12, 5):
-                one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
-                assert one.view(np.int64)[0] == want.view(np.int64)[r]
-
-    @pytest.mark.parametrize("kind", ["degenerate", "live_sets", "wide_equal", "signed_zero",
-                                      "random4"])
-    def test_packed_slab_bits_match_unpacked_reference(self, kind):
-        means, sigs = _slab_case(kind)
-        live = sigs > 0
-        share = _positive_width_share(means, sigs)
-        if kind == "degenerate":
-            assert share == 0.0 and not live.any()
-        elif kind == "live_sets":
-            # Rows differ in their live columns, so the slab packs them.
-            assert live.sum(axis=1).max() < live.any(axis=0).sum()
-        elif kind == "wide_equal":
-            assert share <= 0.5
-        elif kind == "random4":
-            assert share > 0.5  # every panel gets nodes, as before
-        for subdiv in (1, 2, 4):
-            want = _unpacked_slab(means, sigs, subdiv)
-            got = oracle._expected_max_slab(means, sigs, subdiv)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            batch = expected_max_batch(means, sigs, subdiv=subdiv)
-            assert np.array_equal(batch.view(np.int64), want.view(np.int64))
             for r in range(len(means)):
                 one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
                 assert one.view(np.int64)[0] == want.view(np.int64)[r]
@@ -366,11 +315,12 @@ class TestQuadrature:
         calls.clear()
         expected_max_batch(means, sigs)
         assert calls == [66 * 10] * 3
-        # Here most panels have positive width, so every node of the row is
-        # evaluated, as before packing: 62 panels of 10 nodes.
+        # A random 4-wide row: 56 of its 62 panels have positive width.
+        means, sigs = rng.uniform(0, 0.1, (1, 4)), rng.uniform(0.5, 1.0, (1, 4))
+        assert round(_positive_width_share(means, sigs) * 62) == 56
         calls.clear()
-        expected_max_batch(rng.uniform(0, 0.1, 4), rng.uniform(0.5, 1.0, 4))
-        assert calls == [620] * 4
+        expected_max_batch(means, sigs)
+        assert calls == [560] * 4
 
         # Two live columns per row, four in the slab: packed to two.
         calls.clear()
