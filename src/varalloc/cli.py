@@ -116,6 +116,14 @@ def _typed(value, kind, what: str):
     return value
 
 
+def _required(doc: dict, what: str, kind):
+    """``_typed`` report field ``what``: a dotted name ending in a key of ``doc``."""
+    key = what.rpartition(".")[2]
+    if key not in doc:
+        raise ValueError(f"report is missing the {what!r} field")
+    return _typed(doc[key], kind, what)
+
+
 def _numbers(value, what: str) -> list:
     """``value`` if it is a list of numbers, else a ValueError."""
     return [_typed(x, (int, float), what) for x in _typed(value, list, what)]
@@ -187,21 +195,18 @@ def _cmd_solve(args) -> int:
 def _cmd_evaluate(args) -> int:
     with open(args.report_path, "r", encoding="utf-8") as fh:
         doc = _typed(json.load(fh), dict, "report")
-    for key in ("instance", "allocation", "config"):
-        if key not in doc:
-            raise ValueError(f"report is missing the {key!r} field")
-    inst = parse_instance(json.dumps(doc["instance"]))
-    conf = _typed(doc["config"], dict, "config")
+    inst_doc, alloc_doc, conf = (_required(doc, key, dict)
+                                 for key in ("instance", "allocation", "config"))
+    inst = parse_instance(json.dumps(inst_doc))
     number = (int, float)
     cfg = EstimatorConfig(
         method=conf.get("method", "auto"),
         quadrature_tolerance=_typed(conf.get("quadrature_tolerance", 1e-9), number,
                                     "config.quadrature_tolerance"),
         mc_samples=(args.mc_samples if args.mc_samples is not None
-                    else _typed(conf["mc_samples"], int, "config.mc_samples")),
-        seed=args.seed if args.seed is not None else _typed(conf["seed"], int, "config.seed"),
+                    else _required(conf, "config.mc_samples", int)),
+        seed=args.seed if args.seed is not None else _required(conf, "config.seed", int),
     )
-    alloc_doc = _typed(doc["allocation"], dict, "allocation")
     if "stddevs" in alloc_doc:
         alloc = AllocationVector(_numbers(alloc_doc["stddevs"], "allocation.stddevs"))
         est = graph_objective(inst, alloc, cfg)
@@ -222,7 +227,7 @@ def _cmd_evaluate(args) -> int:
         _typed(reported, dict, "objective")
         half_width = _typed(reported.get("half_width", 0.0), number, "objective.half_width")
         tol = est.half_width + float(half_width) + 1e-6
-        value = _typed(reported["value"], number, "objective.value")
+        value = _required(reported, "objective.value", number)
         out["matches_reported"] = bool(abs(est.value - value) <= tol)
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return 0

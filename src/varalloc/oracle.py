@@ -42,7 +42,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -495,24 +495,13 @@ def _nonconvergence(tol: float, estimate: float) -> QuadratureError:
     )
 
 
-def _quadrature_expected_max(means, stddevs, tol: float) -> float:
-    """One row of ``_quadrature_rows``; raises ``QuadratureError`` if it fails."""
-    values, failed = _quadrature_rows(np.asarray(means, dtype=float)[None, :],
-                                      np.asarray(stddevs, dtype=float)[None, :], tol)
-    if len(failed):
-        raise _nonconvergence(tol, values[0])
-    return float(values[0])
-
-
-def _closed_form_expected_max(v: GaussianVector) -> float:
-    means = v.means
-    stddevs = v.stddevs
+def _closed_form_expected_max(means: list, stddevs: list) -> float:
     live = [i for i, s in enumerate(stddevs) if s > 0]
-    if v.n == 1:
+    if len(means) == 1:
         return means[0]
     if len(live) == 0:
         return max(means)
-    if v.n == 2:
+    if len(means) == 2:
         return expected_max_pair(means[0], stddevs[0], means[1], stddevs[1])
     if len(live) == 1:
         i = live[0]
@@ -566,11 +555,43 @@ def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
     return stat
 
 
-def _method_for(v: GaussianVector, method: str) -> str:
-    if method != "auto":
-        return method
-    live = sum(1 for s in v.stddevs if s > 0)
-    return "closed_form" if (v.n <= 2 or live <= 1) else "quadrature"
+def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorConfig,
+                   seed_of) -> tuple[list, dict]:
+    """E[max_{i in S_j} X_i] per set, from float arrays over all independent variables.
+
+    ``auto`` takes the closed forms (on Python floats, so -0.0 passes
+    through) for at most two members or at most one nonzero deviation, and
+    quadrature otherwise.  Quadrature sets of one width are refined together
+    by ``_quadrature_rows``; Monte Carlo set j draws from ``seed_of(j)``.
+    Returns the estimates in set order and a map from each set quadrature
+    left unconverged to its best estimate.
+    """
+    estimates = [None] * len(sets)
+    by_width = {}  # quadrature sets as (j, means, stddevs), grouped by width
+    for j, members in enumerate(sets):
+        idx = list(members)
+        m, s = means[idx], stddevs[idx]
+        method = cfg.method
+        if method == "auto":
+            method = "closed_form" if len(idx) <= 2 or np.count_nonzero(s) <= 1 else "quadrature"
+        if method == "closed_form":
+            estimates[j] = Estimate(_closed_form_expected_max(m.tolist(), s.tolist()),
+                                    0.0, "closed_form")
+        elif method == "quadrature":
+            by_width.setdefault(len(idx), []).append((j, m, s))
+        else:
+            estimates[j] = _mc_estimate(
+                seed_of(j), cfg.mc_samples, len(idx),
+                lambda z: row_max(np.multiply(z.T, s[:, None], order="C"), range(len(m)), m))
+    failed = {}
+    for group in by_width.values():
+        values, open_rows = _quadrature_rows(np.array([m for _, m, _ in group]),
+                                             np.array([s for _, _, s in group]),
+                                             cfg.quadrature_tolerance)
+        for (j, _, _), x in zip(group, values):
+            estimates[j] = Estimate(float(x), 0.0, "quadrature")
+        failed.update((group[r][0], values[r]) for r in open_rows)
+    return estimates, failed
 
 
 def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimate:
@@ -579,17 +600,11 @@ def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimat
     ``auto`` uses the exact closed forms for n <= 2 or when at most one
     coordinate is non-degenerate, and quadrature otherwise.
     """
-    method = _method_for(v, cfg.method)
-    if method == "closed_form":
-        return Estimate(_closed_form_expected_max(v), 0.0, "closed_form")
-    if method == "quadrature":
-        val = _quadrature_expected_max(v.means, v.stddevs, cfg.quadrature_tolerance)
-        return Estimate(val, 0.0, "quadrature")
-    means = np.asarray(v.means)
-    stddevs = np.asarray(v.stddevs)
-    return _mc_estimate(
-        cfg.seed, cfg.mc_samples, v.n,
-        lambda z: row_max(np.multiply(z.T, stddevs[:, None], order="C"), range(v.n), means))
+    (est,), failed = _set_estimates(np.asarray(v.means), np.asarray(v.stddevs),
+                                    [range(v.n)], cfg, lambda j: cfg.seed)
+    if failed:
+        raise _nonconvergence(cfg.quadrature_tolerance, failed[0])
+    return est
 
 
 def psd_factor(matrix: np.ndarray) -> np.ndarray:
@@ -611,68 +626,53 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(w[keep])
 
 
-def _mc_max_of_samples(c: CovarianceSpec, cfg: EstimatorConfig, reduce_sets) -> Estimate:
-    """Chunked Monte Carlo over joint samples.
+def _mc_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets) -> Estimate:
+    """Monte Carlo mean of sum_j max_{i in S_j} X_i on joint draws X ~ N(mu, Sigma).
 
-    ``reduce_sets`` maps a coordinate-major block of centred samples
-    ``L @ z.T`` (n, count), the means not yet added, to per-sample
-    statistics.  Each entry is the same length-r dot product as in
-    ``z @ L.T``; the short-first product packs far better in BLAS.
+    Each chunk's centred samples are the coordinate-major block ``L @ z.T``
+    (n, count); each entry is the same length-r dot product as in
+    ``z @ L.T``, and the short-first product packs far better in BLAS.  Set
+    maxima add up in set order, starting from the first set's.
     """
+    if cfg.method not in ("auto", "monte_carlo"):
+        raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
     L = psd_factor(c.matrix)
-    return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], lambda z: reduce_sets(L @ z.T))
+
+    def total(z):
+        y = L @ z.T
+        first, *rest = sets
+        stat = row_max(y, first, c.means)
+        for members in rest:
+            stat += row_max(y, members, c.means)
+        return stat
+
+    return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], total)
 
 
 def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
     """Monte Carlo E[max_i X_i] for X ~ N(mu, Sigma); deterministic given seed."""
-    if cfg.method not in ("auto", "monte_carlo"):
-        raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
-    return _mc_max_of_samples(c, cfg, lambda y: row_max(y, range(c.n), c.means))
-
-
-def _restricted_vector(inst: Instance, alloc: AllocationVector, members) -> GaussianVector:
-    return GaussianVector(
-        means=[inst.means[i] for i in members],
-        stddevs=[alloc.stddevs[i] for i in members],
-    )
+    return _mc_set_maxima(c, cfg, [range(c.n)])
 
 
 def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfig) -> Estimate:
     """Sum over sets of E[max over the member variables].
 
-    Each set is estimated as ``expected_max_independent`` would, with the
-    same bits.  Sets that take quadrature are refined together, one
-    ``expected_max_batch`` call per refinement level for all open sets of
-    one width.  Values add up in set order.  A set that does not converge
+    Sets go through the evaluator of ``expected_max_independent``, so each
+    gets the bits of that call.  Sets that take quadrature are refined
+    together, one ``expected_max_batch`` call per refinement level for all
+    open sets of one width.  Values add up in set order.  A set that does not converge
     raises ``QuadratureError("set j: ...")``, naming the lowest such j.
     Monte Carlo sets draw from independent per-set streams, so confidence
     half-widths combine in quadrature.
     """
     if len(alloc.stddevs) != inst.n:
         raise ValueError(f"allocation has length {len(alloc.stddevs)}, expected {inst.n}")
-    estimates = [None] * len(inst.sets)
-    by_width = {}  # quadrature sets as (j, vector), grouped by width
-    for j, members in enumerate(inst.sets):
-        v = _restricted_vector(inst, alloc, members)
-        if _method_for(v, cfg.method) == "quadrature":
-            by_width.setdefault(v.n, []).append((j, v))
-            continue
-        sub_cfg = cfg
-        if cfg.method in ("monte_carlo", "auto"):
-            sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, f"set:{j}"))
-        estimates[j] = expected_max_independent(v, sub_cfg)
-    tol = cfg.quadrature_tolerance
-    failures = {}
-    for group in by_width.values():
-        values, failed = _quadrature_rows(np.array([v.means for _, v in group]),
-                                          np.array([v.stddevs for _, v in group]), tol)
-        for (j, _), x in zip(group, values):
-            estimates[j] = Estimate(float(x), 0.0, "quadrature")
-        failures.update((group[r][0], values[r]) for r in failed)
-    if failures:
-        j = min(failures)
-        # Chained to the one-set error, as when each set was refined alone.
-        e = _nonconvergence(tol, failures[j])
+    estimates, failed = _set_estimates(inst.means_array(), alloc.stddevs_array(), inst.sets,
+                                       cfg, lambda j: derive_seed(cfg.seed, f"set:{j}"))
+    if failed:
+        j = min(failed)
+        # Chained to the one-set error that expected_max_independent raises.
+        e = _nonconvergence(cfg.quadrature_tolerance, failed[j])
         raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
     value = 0.0
     var_sum = 0.0
@@ -688,12 +688,4 @@ def graph_objective_correlated(inst: Instance, c: CovarianceSpec, cfg: Estimator
     """Sum over sets of per-set maxima, evaluated on shared joint draws."""
     if c.n != inst.n:
         raise ValueError(f"covariance dimension {c.n} does not match instance n={inst.n}")
-    if cfg.method not in ("auto", "monte_carlo"):
-        raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
-    def per_sample_total(y: np.ndarray) -> np.ndarray:
-        total = np.zeros(y.shape[1])
-        for members in inst.sets:
-            total += row_max(y, members, c.means)
-        return total
-
-    return _mc_max_of_samples(c, cfg, reduce_sets=per_sample_total)
+    return _mc_set_maxima(c, cfg, inst.sets)

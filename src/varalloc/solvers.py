@@ -30,8 +30,8 @@ from .oracle import (
     EstimatorConfig,
     derive_seed,
     expected_max_batch,
-    expected_max_correlated,
     graph_objective,
+    graph_objective_correlated,
     row_max,
 )
 
@@ -88,13 +88,9 @@ class SolveReport:
 def _report(algorithm: str, inst: Instance, allocation: AllocationVector | CovarianceSpec,
             cfg: EstimatorConfig, t0: float, *, eps: float | None = None,
             grid_step: float | None = None) -> SolveReport:
-    """Re-estimates ``allocation`` independently of the search; elapsed counts from ``t0``.
-
-    A covariance matrix comes only from the single-full-set search, so its
-    objective is the one set's expected maximum.
-    """
+    """Re-estimates ``allocation`` independently of the search; elapsed counts from ``t0``."""
     if isinstance(allocation, CovarianceSpec):
-        objective = expected_max_correlated(allocation, cfg)
+        objective = graph_objective_correlated(inst, allocation, cfg)
     else:
         objective = graph_objective(inst, allocation, cfg)
     return SolveReport(allocation, objective, algorithm, eps, grid_step,

@@ -189,6 +189,9 @@ def test_extreme_inputs_fail_cleanly(tmp_path, capsys, argv, code):
         assert "needs at least" in err
 
 
+MISSING = object()  # the field is deleted from the report
+
+
 @pytest.mark.parametrize("path, value", [
     (("objective",), 5),
     (("config",), []),
@@ -200,6 +203,10 @@ def test_extreme_inputs_fail_cleanly(tmp_path, capsys, argv, code):
     (("allocation", "stddevs"), 5),
     (("allocation", "stddevs"), [None]),
     (("allocation",), {"matrix": {}}),
+    (("instance",), MISSING),
+    (("config", "seed"), MISSING),
+    (("config", "mc_samples"), MISSING),
+    (("objective", "value"), MISSING),
 ])
 def test_evaluate_malformed_report_exits_2(tmp_path, capsys, path, value):
     inst = tmp_path / "cycle.json"
@@ -211,12 +218,17 @@ def test_evaluate_malformed_report_exits_2(tmp_path, capsys, path, value):
     node = doc
     for p in parents:
         node = node[p]
-    node[key] = value
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
     rep.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["evaluate", "--in", str(rep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if value is MISSING:
+        assert f"report is missing the {'.'.join(path)!r} field" in err
 
 
 def test_sweep_concavity_csv(tmp_path):

@@ -102,7 +102,7 @@ def _uniform_wide(work: Path) -> list[str]:
     return ["wide.json", "wide-report.json", "er.json", "er-report.json"]
 
 
-def _graph_mixed_widths(work: Path) -> list[str]:
+def _write_mixed_widths(work: Path) -> Path:
     # Sets of widths 1, 2, 3 and 8+ (8, 9, 8), at least two of each.  Mean 6
     # sits more than 10 deviations above the zero means under the uniform split,
     # so the sets holding variable 0 have one live member; the log-approx
@@ -113,6 +113,11 @@ def _graph_mixed_widths(work: Path) -> list[str]:
     inst = work / "mixed.json"
     inst.write_text(json.dumps({"n": len(means), "means": means, "sets": sets}) + "\n",
                     encoding="utf-8")
+    return inst
+
+
+def _graph_mixed_widths(work: Path) -> list[str]:
+    inst = _write_mixed_widths(work)
     assert run(["solve", "uniform", "--in", str(inst),
                 "--out", str(work / "uniform-report.json")]) == 0
     assert run(["solve", "log-approx", "--in", str(inst), "--seed", "6", "--mc-samples", "100000",
@@ -120,6 +125,33 @@ def _graph_mixed_widths(work: Path) -> list[str]:
     assert run(["evaluate", "--in", str(work / "la-report.json"),
                 "--out", str(work / "la-eval.json")]) == 0
     return ["mixed.json", "uniform-report.json", "la-report.json", "la-eval.json"]
+
+
+def _evaluate_methods(work: Path) -> list[str]:
+    # A report's config.method is how a method other than auto reaches the
+    # estimators from the command line.  Copies of a uniform report on the
+    # mixed-width instance are evaluated under quadrature and Monte Carlo, and
+    # one whose allocation has a single nonzero deviation under closed_form.
+    inst = _write_mixed_widths(work)
+    assert run(["solve", "uniform", "--in", str(inst),
+                "--out", str(work / "uniform-report.json")]) == 0
+    base = json.loads((work / "uniform-report.json").read_text(encoding="utf-8"))
+    one_live = [0.0] * base["instance"]["n"]
+    one_live[4] = 1.0
+    cases = [("quadrature", None, []), ("monte_carlo", None, ["--mc-samples", "20000"]),
+             ("closed_form", one_live, [])]
+    outputs = []
+    for method, stddevs, flags in cases:
+        doc = json.loads(json.dumps(base))
+        doc["config"]["method"] = method
+        if stddevs is not None:
+            doc["allocation"]["stddevs"] = stddevs
+        rep = work / f"{method}-report.json"
+        rep.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert run(["evaluate", "--in", str(rep), *flags,
+                    "--out", str(work / f"{method}-eval.json")]) == 0
+        outputs.append(f"{method}-eval.json")
+    return outputs
 
 
 def _evaluate(work: Path) -> list[str]:
@@ -175,6 +207,7 @@ CASES = {
     "uniform_wide": _uniform_wide,
     "graph_mixed_widths": _graph_mixed_widths,
     "evaluate": _evaluate,
+    "evaluate_methods": _evaluate_methods,
     "verify_submodular_g": _verify,
     "verify_all": _verify_all,
     "brute_force": _brute_force,

@@ -3,7 +3,6 @@ Monte Carlo calibration, and the module invariants."""
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,8 +362,13 @@ class TestQuadrature:
 
         monkeypatch.setattr(oracle, "expected_max_batch", fake_batch)
         with pytest.raises(QuadratureError) as exc:
-            oracle._quadrature_expected_max([0.0], [1.0], tol=1e-9)
+            expected_max_independent(GaussianVector([0.0], [1.0]),
+                                     EstimatorConfig(method="quadrature"))
         assert exc.value.estimate == 1.3125
+        # One vector is not a set of a graph: no "set j:" prefix, no chained cause.
+        assert re.match(r"set \d+:", str(exc.value)) is None
+        assert str(exc.value).startswith("quadrature did not reach tolerance 1e-09")
+        assert exc.value.__cause__ is None
 
 
 class TestParallelMap:
@@ -747,6 +751,40 @@ def _reference_quadrature(means, stddevs, tol):
         f"quadrature did not reach tolerance {tol:g} after bounded refinement", estimate=prev)
 
 
+def _reference_closed_form(means, stddevs):
+    """The exact closed forms, chosen per vector from its width and live members."""
+    live = [i for i, s in enumerate(stddevs) if s > 0]
+    if len(means) == 1:
+        return means[0]
+    if not live:
+        return max(means)
+    if len(means) == 2:
+        return expected_max_pair(means[0], stddevs[0], means[1], stddevs[1])
+    if len(live) == 1:
+        i = live[0]
+        return expected_max_with_floor(means[i], stddevs[i],
+                                       max(mu for j, mu in enumerate(means) if j != i))
+    raise ValueError("closed form requires n <= 2 or at most one non-degenerate coordinate")
+
+
+def _reference_set_estimate(v, cfg, seed):
+    """One vector's estimate, each method written out on its own; Monte
+    Carlo draws from ``seed``."""
+    method = cfg.method
+    if method == "auto":
+        live = sum(1 for s in v.stddevs if s > 0)
+        method = "closed_form" if (v.n <= 2 or live <= 1) else "quadrature"
+    if method == "closed_form":
+        return Estimate(_reference_closed_form(v.means, v.stddevs), 0.0, "closed_form")
+    if method == "quadrature":
+        val = _reference_quadrature(v.means, v.stddevs, cfg.quadrature_tolerance)
+        return Estimate(val, 0.0, "quadrature")
+    means, stddevs = np.asarray(v.means), np.asarray(v.stddevs)
+    return oracle._mc_estimate(
+        seed, cfg.mc_samples, v.n,
+        lambda z: row_max(np.multiply(z.T, stddevs[:, None], order="C"), range(v.n), means))
+
+
 def _reference_graph_objective(inst, alloc, cfg):
     """``graph_objective`` as one estimate per set, in set order."""
     value = 0.0
@@ -754,21 +792,10 @@ def _reference_graph_objective(inst, alloc, cfg):
     methods = set()
     for j, members in enumerate(inst.sets):
         v = GaussianVector([inst.means[i] for i in members], [alloc.stddevs[i] for i in members])
-        method = cfg.method
-        if method == "auto":
-            live = sum(1 for s in v.stddevs if s > 0)
-            method = "closed_form" if (v.n <= 2 or live <= 1) else "quadrature"
-        if method == "quadrature":
-            try:
-                val = _reference_quadrature(v.means, v.stddevs, cfg.quadrature_tolerance)
-            except QuadratureError as e:
-                raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
-            est = Estimate(val, 0.0, "quadrature")
-        else:
-            sub_cfg = cfg
-            if cfg.method in ("monte_carlo", "auto"):
-                sub_cfg = replace(cfg, seed=oracle.derive_seed(cfg.seed, f"set:{j}"))
-            est = expected_max_independent(v, sub_cfg)
+        try:
+            est = _reference_set_estimate(v, cfg, oracle.derive_seed(cfg.seed, f"set:{j}"))
+        except QuadratureError as e:
+            raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
         value += est.value
         var_sum += est.half_width**2
         methods.add(est.method_used)
@@ -866,3 +893,31 @@ class TestGraphObjectiveBatched:
         assert np.float64(got.value.estimate).view(np.int64) == np.float64(
             want.value.estimate).view(np.int64)
         assert isinstance(got.value.__cause__, QuadratureError)
+
+
+class TestOneSetEvaluator:
+    """``expected_max_independent`` keeps the bits of each method written out alone."""
+
+    VECTORS = {
+        "n1": ((0.7,), (0.5,)),
+        "n2_one_live": ((0.2, 0.6), (0.0, 0.8)),
+        "n2_two_live": ((0.2, 0.6), (0.3, 0.8)),
+        "n3_one_live": ((0.1, 0.4, -0.3), (0.0, 0.9, 0.0)),
+        "neg_zero_mean": ((-0.0, 0.0, -0.0), (0.0, 0.0, 0.0)),
+        "negative_means": ((-1.5, -0.2, -3.0), (0.4, 0.0, 1.1)),
+        "five_live": ((0.0, 0.3, -0.1, 0.5, 0.2), (0.5, 0.4, 0.3, 0.2, 0.6)),
+    }
+
+    @pytest.mark.parametrize("vec", sorted(VECTORS))
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature", "monte_carlo"])
+    def test_matches_reference_bits(self, method, vec):
+        cfg = EstimatorConfig(method=method, mc_samples=2000, seed=3)
+        v = GaussianVector(*self.VECTORS[vec])
+        try:
+            want = _reference_set_estimate(v, cfg, cfg.seed)
+        except ValueError as e:
+            assert method == "closed_form"
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                expected_max_independent(v, cfg)
+            return
+        assert _bits(expected_max_independent(v, cfg)) == _bits(want)
