@@ -10,8 +10,10 @@ Monte Carlo comparisons inside argmax loops reuse one standard-normal
 sample matrix per solve (common random numbers), which keeps comparison
 variance far below the gaps being resolved; objective values placed in a
 report are always re-estimated independently of the selection pass.  Both
-greedy solvers run one such engine, which after each pick re-scores only
-the sets that contain the picked variable.
+greedy solvers run one such engine when a mean is nonzero, which after
+each pick re-scores only the sets that contain the picked variable.  With
+every mean zero they run an exact greedy instead, on quadrature tables of
+a set's value by how many of its members are picked, and draw no samples.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .oracle import (
     CovarianceSpec,
     Estimate,
     EstimatorConfig,
+    _nonconvergence,
+    _quadrature_rows,
     derive_seed,
     expected_max_batch,
     graph_objective,
@@ -301,6 +305,77 @@ def _crn_greedy(seed: int, samples: int, means: np.ndarray, sdev: float, sets, p
     return chosen, totals
 
 
+def _count_tables(widths, tol: float) -> tuple[list[float], dict[int, float]]:
+    """Zero-mean set values by how many members hold a unit deviation.
+
+    Returns ``a`` with a[h] = E max(0, Z_1, ..., Z_h) for h below the widest
+    set, and ``b`` with b[w] = E max(Z_1, ..., Z_w) per width, Z_i iid N(0, 1).
+    Every row is as wide as the widest set and refined by one
+    ``_quadrature_rows`` call: row h of ``a`` holds h unit deviations and a
+    zero, row w of ``b`` w unit deviations, and the other coordinates sit at
+    -inf, where they are never the maximum.  A row that does not converge
+    within ``tol`` raises.
+    """
+    wmax = max(widths)
+    sizes = sorted(set(widths))
+    units = np.array([*range(wmax), *sizes])  # unit deviations per row
+    members = units + (np.arange(len(units)) < wmax)  # a's rows add the zero
+    col = np.arange(wmax)
+    values, failed = _quadrature_rows(np.where(col < members[:, None], 0.0, -np.inf),
+                                      (col < units[:, None]).astype(float), tol)
+    if len(failed):
+        raise _nonconvergence(tol, values[failed[0]])
+    values = values.tolist()
+    return values[:wmax], dict(zip(sizes, values[wmax:]))
+
+
+def _table_greedy(sets, n: int, picks: int, tol: float,
+                  stop_without_gain: bool = False) -> tuple[list[int], list[float]]:
+    """``_crn_greedy`` at sdev 1 on zero means, scored exactly by ``_count_tables``.
+
+    With every mean zero an unassigned variable is a point mass at 0, so set
+    j with h_j of its w_j members assigned is worth a[h_j] while one is free
+    and b[w_j] once none is.  A candidate's gain is the ``math.fsum`` over
+    its sets of v(h_j + 1) - v(h_j), so candidates whose sets are in the same
+    states tie exactly; ties go to the lowest index.  Sets of one member are
+    worth 0 whatever their deviation and are left out.  Returns the picks and
+    the ``fsum`` of the set values before the first pick and after each one.
+    """
+    sets = [s for s in sets if len(s) >= 2]
+    widths = [len(s) for s in sets]
+    a, b = _count_tables(widths, tol) if sets else ([], {})
+    value = {w: a[:w] + [b[w]] for w in b}  # by members assigned, 0..w
+    step = {w: [v[h + 1] - v[h] for h in range(w)] for w, v in value.items()}
+    count = [0] * len(sets)
+    inc = [step[w][0] for w in widths]  # set j's gain from its next assignment
+    by_var: list[list[int]] = [[] for _ in range(n)]
+    for j, members in enumerate(sets):
+        for i in members:
+            by_var[i].append(j)
+    gain = [math.fsum([inc[j] for j in js]) for js in by_var]
+    free = list(range(n))
+    chosen: list[int] = []
+    totals = [math.fsum(value[w][0] for w in widths)]
+    for _ in range(picks):
+        if not free:
+            break
+        best_i = max(free, key=gain.__getitem__)  # the first of equal maxima
+        if stop_without_gain and gain[best_i] <= 0.0:
+            break
+        chosen.append(best_i)
+        free.remove(best_i)
+        touched = set()
+        for j in by_var[best_i]:
+            count[j] += 1
+            if count[j] < widths[j]:
+                inc[j] = step[widths[j]][count[j]]
+            touched.update(sets[j])
+        for i in touched:
+            gain[i] = math.fsum([inc[j] for j in by_var[i]])
+        totals.append(math.fsum(value[w][h] for w, h in zip(widths, count)))
+    return chosen, totals
+
+
 def uniform_allocation(inst: Instance) -> AllocationVector:
     """sigma_i = 1/sqrt(n) for every variable (the full budget, evenly)."""
     s = 1.0 / math.sqrt(inst.n)
@@ -486,31 +561,25 @@ def ptas_correlated(
                    eps=eps, grid_step=grid_step)
 
 
-def _greedy_levels(seed: int, samples: int, means: np.ndarray, sets,
-                   n: int) -> list[tuple[float, list[int], float]]:
-    """``(sdev, chosen, total)`` of the CRN greedy at sdev 2^-k, k = 0..log2(n).
+def _greedy_levels(means: np.ndarray, sets, n: int, cfg: EstimatorConfig,
+                   samples: int) -> list[tuple[float, list[int], float]]:
+    """``(sdev, chosen, total)`` of the greedy at sdev 2^-k, k = 0..log2(n).
 
     Level k assigns sdev 2^-k to min(4^k, n) variables.  With nonzero means
-    each level runs its own greedy.  With every mean zero (of either sign)
-    each term is ``2^-k * z_i``, the sdev-1 term scaled by an exact power of
-    two, and every later step of the greedy keeps its bits under that
-    scaling: max, the floors max(G, d) with d in {+-0, -inf}, the additions
-    of ``np.add.reduce``, the division by the sample count, ``math.fsum``,
-    the running updates of the total and the ``>`` comparisons are all
-    exact or correctly rounded, and rounding commutes with a power of two
-    unless a term underflows, which needs |z| < 2^(k - 1022).  So one sdev-1
-    greedy serves every level: level k takes its first min(4^k, n) picks,
-    with the same ties, and its total times 2^-k, bit for bit what a level-k
-    greedy returns.
+    each level runs its own CRN greedy on ``samples`` draws.  With every mean
+    zero (of either sign) E max(0, 2^-k Z_1, ..., 2^-k Z_h) = 2^-k a[h], so
+    the levels share the exact table greedy at sdev 1 and its ties: level k
+    takes its first min(4^k, n) picks and its total times 2^-k.
     """
     kmax = int(math.floor(math.log2(n)))
     levels = []
     if means.any():
+        seed = derive_seed(cfg.seed, "crn")
         for k in range(kmax + 1):
             chosen, totals = _crn_greedy(seed, samples, means, 2.0 ** (-k), sets, min(4**k, n))
             levels.append((2.0 ** (-k), chosen, totals[-1]))
     else:
-        unit, totals = _crn_greedy(seed, samples, means, 1.0, sets, min(4**kmax, n))
+        unit, totals = _table_greedy(sets, n, min(4**kmax, n), cfg.quadrature_tolerance)
         for k in range(kmax + 1):
             chosen = unit[: min(4**k, n)]
             levels.append((2.0 ** (-k), chosen, totals[len(chosen)] * 2.0 ** (-k)))
@@ -529,22 +598,21 @@ def log_approx_graph(
     dropped from the working objective.  For each k up to log2(n), up to
     min(4^k, n) variables greedily receive variance 4^-k (each step picks
     the zero-variance variable whose assignment maximizes the objective,
-    ties to the lowest index); the best round wins, the first on ties.  Each
-    round runs the CRN greedy engine on the same sample matrix, drawn from
-    the solve's seed, and re-scores only the sets the last pick touched.
-    When every mean is zero, as in the Erdos-Renyi and complete-k families,
-    the rounds are one greedy at sdev 1 scaled by 2^-k, so that greedy runs
-    once and each round reads a prefix of its picks and its scaled totals,
-    with the bits of separate runs (``_greedy_levels``).  The reported
-    objective re-includes the singleton sets.
+    ties to the lowest index); the best round wins, the first on ties.  With
+    a nonzero mean each round runs the CRN greedy engine on the same sample
+    matrix, drawn from the solve's seed, and re-scores only the sets the
+    last pick touched.  When every mean is zero, as in the Erdos-Renyi and
+    complete-k families, one exact count-table greedy at sdev 1 serves every
+    round: round k reads a prefix of its picks and its total times 2^-k
+    (``_greedy_levels``), and the allocation does not depend on the seed.
+    The reported objective re-includes the singleton sets.
     """
     t0 = time.perf_counter()
     n = inst.n
     work_sets = [s for s in inst.sets if len(s) >= 2]
     best_sigma = np.zeros(n)
     if work_sets:
-        levels = _greedy_levels(derive_seed(cfg.seed, "crn"), argmax_samples,
-                                inst.means_array(), work_sets, n)
+        levels = _greedy_levels(inst.means_array(), work_sets, n, cfg, argmax_samples)
         best_val = -math.inf
         for sdev, chosen, total in levels:
             if total > best_val:
@@ -566,9 +634,10 @@ def greedy_fixed_variance(
     """Greedy subset selection at a fixed variance level.
 
     Repeatedly adds the index with the largest marginal objective gain
-    (evaluated under common random numbers by the engine ``log_approx_graph``
-    uses, ties to the lowest index) until the cardinality is reached or the
-    best gain is non-positive.
+    (evaluated by the engine ``log_approx_graph`` uses: common random numbers
+    with a nonzero mean, the exact count tables with every mean zero; ties
+    to the lowest index) until the cardinality is reached or the best gain
+    is non-positive.
     """
     if not variance_level > 0:
         raise ValueError("variance_level must be positive")
@@ -578,8 +647,13 @@ def greedy_fixed_variance(
         raise ValueError("cardinality * variance_level exceeds the unit budget")
 
     sdev = math.sqrt(variance_level)
-    chosen, _ = _crn_greedy(derive_seed(cfg.seed, "crn"), argmax_samples, inst.means_array(),
-                            sdev, inst.sets, cardinality, stop_without_gain=True)
+    means = inst.means_array()
+    if means.any():
+        chosen, _ = _crn_greedy(derive_seed(cfg.seed, "crn"), argmax_samples, means,
+                                sdev, inst.sets, cardinality, stop_without_gain=True)
+    else:  # gains at sdev are the sdev-1 gains scaled: same picks, same stop
+        chosen, _ = _table_greedy(inst.sets, inst.n, cardinality, cfg.quadrature_tolerance,
+                                  stop_without_gain=True)
     sigma = np.zeros(inst.n)
     sigma[chosen] = sdev
     estimate = graph_objective(inst, AllocationVector(sigma), cfg)

@@ -106,6 +106,24 @@ def test_byte_identical_reproducibility(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_zero_mean_log_approx_does_not_depend_on_seed(tmp_path):
+    # Zero means take the exact count-table greedy, which draws no samples, and
+    # the report scores the allocation by quadrature and closed forms.
+    inst = tmp_path / "er.json"
+    assert run(["generate", "erdos-renyi", "--n", "24", "--m", "72", "--p", "0.5",
+                "--seed", "2", "--out", str(inst)]) == 0
+    docs = []
+    for seed in (0, 1, 7):
+        rep = tmp_path / f"report-{seed}.json"
+        assert run(["solve", "log-approx", "--in", str(inst), "--seed", str(seed),
+                    "--out", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert doc.pop("seed") == doc["config"].pop("seed") == seed
+        assert doc["objective"]["half_width"] == 0.0
+        docs.append(doc)
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+
+
 def test_verify_single_claim_ok(capsys):
     assert run(["verify", "--claim", "max_inequalities", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -3,13 +3,12 @@
 import dataclasses
 import itertools
 import math
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from varalloc import solvers
+from varalloc import oracle, solvers
 from varalloc.instances import (
     AllocationVector,
     Instance,
@@ -20,20 +19,24 @@ from varalloc.instances import (
 from varalloc.oracle import (
     CovarianceSpec,
     EstimatorConfig,
+    QuadratureError,
     derive_seed,
     expected_max_batch,
+    expected_max_pair,
     graph_objective,
 )
 from varalloc.solvers import (
     BudgetError,
-    _crn_greedy,
     _count_grid,
+    _count_tables,
+    _crn_greedy,
     _crn_matrix,
     _enumerate_grid,
     _enumerate_maximal,
     _greedy_levels,
     _grid_limit,
     _psd_candidates,
+    _table_greedy,
     brute_force_grid,
     greedy_fixed_variance,
     log_approx_graph,
@@ -605,29 +608,87 @@ class TestCrnGreedyEngine:
                 assert sel == set(chosen)
 
     def test_log_approx_memory_is_bounded(self):
-        # The CRN terms (n rows), one running maximum per set (m) and a few
-        # buffers of 32,768 samples each: nothing may scale with n * m.
-        inst = erdos_renyi_instance(24, 72, 0.5, 7)
-        tracemalloc.start()
-        try:
-            log_approx_graph(inst, EstimatorConfig(seed=7))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (inst.n + inst.m + 8) * 32_768 * 8
+        # With a nonzero mean: the CRN terms (n rows), one running maximum per
+        # set (m) and a few buffers of 32,768 samples each; nothing may scale
+        # with n * m.  With zero means no sample is drawn, and the count
+        # tables' quadrature slabs stay below eight such rows.
+        sets = erdos_renyi_instance(24, 72, 0.5, 7).sets
+        peaks = []
+        for means in ((0.0,) * 24, (0.0,) * 23 + (0.5,)):
+            tracemalloc.start()
+            try:
+                log_approx_graph(Instance(24, means, sets), EstimatorConfig(seed=7))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 8 * 32_768 * 8
+        assert peaks[1] <= (24 + len(sets) + 8) * 32_768 * 8
 
 
-def per_level_greedy(seed, samples, means, sets, n):
-    """One greedy per variance level at that level's sdev: the plain loop."""
+TIE_TOL = 1e-9
+
+
+def reference_exact_greedy(sets, n, sdev, picks, stop_without_gain=False):
+    """Zero-mean greedy scored from scratch on full set rows.
+
+    Each candidate's objective is the ``math.fsum`` over every set of its
+    ``expected_max_batch`` value on the set's row: zero means, ``sdev`` on
+    the assigned members and on the candidate, zero elsewhere.  Equal rows
+    are evaluated once, in one call per width.  Objectives within
+    ``TIE_TOL`` of the best tie, and ties go to the lowest index.  Returns
+    the picks and the final objective.
+    """
+    sets = [tuple(s) for s in sets]
+    taken = np.zeros(n, dtype=bool)
+    memo = {}
+
+    def row(members, extra=-1):
+        return np.array([sdev if taken[i] or i == extra else 0.0 for i in members])
+
+    def values(rows):
+        by_width = {}
+        for r in rows:
+            if r.tobytes() not in memo:
+                by_width.setdefault(len(r), {})[r.tobytes()] = r
+        for w, todo in by_width.items():
+            vals = expected_max_batch(np.zeros(w), np.array(list(todo.values())))
+            memo.update(zip(todo, vals.tolist()))
+        return [memo[r.tobytes()] for r in rows]
+
+    total = math.fsum(values([row(s) for s in sets]))
+    chosen = []
+    for _ in range(picks):
+        cands = np.flatnonzero(~taken).tolist()
+        base = values([row(s) for s in sets])
+        swaps = [[(j, row(s, i)) for j, s in enumerate(sets) if i in s] for i in cands]
+        values([r for swap in swaps for _, r in swap])
+        objs = []
+        for swap in swaps:
+            vals = list(base)
+            for j, r in swap:
+                vals[j] = memo[r.tobytes()]
+            objs.append(math.fsum(vals))
+        if not cands or (stop_without_gain and max(objs) - total <= TIE_TOL):
+            break
+        best = next(i for i, obj in zip(cands, objs) if obj >= max(objs) - TIE_TOL)
+        chosen.append(best)
+        taken[best] = True
+        total = math.fsum(values([row(s) for s in sets]))
+    return chosen, total
+
+
+def per_level_greedy(sets, n):
+    """The exact reference greedy run separately at each level's sdev 2^-k."""
     levels = []
     for k in range(int(math.floor(math.log2(n))) + 1):
-        chosen, totals = _crn_greedy(seed, samples, means, 2.0 ** (-k), sets, min(4**k, n))
-        levels.append((2.0 ** (-k), chosen, totals[-1]))
+        chosen, total = reference_exact_greedy(sets, n, 2.0 ** (-k), min(4**k, n))
+        levels.append((2.0 ** (-k), chosen, total))
     return levels
 
 
-def _bits(levels):
-    return [struct.pack("<d", total) for _, _, total in levels]
+def assert_levels_match(got, want):
+    assert [lv[:2] for lv in got] == [lv[:2] for lv in want]
+    assert [lv[2] for lv in got] == pytest.approx([lv[2] for lv in want], rel=1e-12)
 
 
 class TestGreedyLevels:
@@ -638,21 +699,17 @@ class TestGreedyLevels:
     def test_zero_means_match_per_level_greedy(self, n, m, p):
         sets = [s for s in erdos_renyi_instance(n, m, p, n).sets if len(s) >= 2]
         signs = np.random.default_rng(n).random(n) < 0.5
-        for means in (np.zeros(n), np.full(n, -0.0), np.where(signs, -0.0, 0.0)):
-            for samples in (REF_SAMPLES, 1000):
-                got = _greedy_levels(n, samples, means, sets, n)
-                want = per_level_greedy(n, samples, means, sets, n)
-                assert [lv[:2] for lv in got] == [lv[:2] for lv in want]
-                assert _bits(got) == _bits(want)
+        runs = [_greedy_levels(means, sets, n, CFG, REF_SAMPLES)
+                for means in (np.zeros(n), np.full(n, -0.0), np.where(signs, -0.0, 0.0))]
+        got = runs[0]
+        assert runs[1] == got and runs[2] == got  # the sign of a zero mean is moot
+        assert_levels_match(got, per_level_greedy(sets, n))
         assert [len(chosen) for _, chosen, _ in got] == [min(4**k, n) for k in range(len(got))]
 
     def test_complete_k_and_zero_mean_cycle(self):
         for inst in (complete_k_subsets_instance(8, 3), cycle_instance(12, 0.0)):
-            means = inst.means_array()
-            got = _greedy_levels(3, REF_SAMPLES, means, inst.sets, inst.n)
-            want = per_level_greedy(3, REF_SAMPLES, means, inst.sets, inst.n)
-            assert [lv[:2] for lv in got] == [lv[:2] for lv in want]
-            assert _bits(got) == _bits(want)
+            got = _greedy_levels(inst.means_array(), inst.sets, inst.n, CFG, REF_SAMPLES)
+            assert_levels_match(got, per_level_greedy(inst.sets, inst.n))
 
     @pytest.mark.parametrize("n", [5, 10, 17])
     def test_greedy_runs_once_only_with_zero_means(self, monkeypatch, n):
@@ -662,11 +719,89 @@ class TestGreedyLevels:
             calls.append(args[3])
             return _crn_greedy(*args, **kwargs)
 
+        def counted_tables(*args, **kwargs):
+            calls.append("table")
+            return _table_greedy(*args, **kwargs)
+
+        def no_samples(*args):
+            raise AssertionError("zero means drew a CRN sample matrix")
+
         monkeypatch.setattr(solvers, "_crn_greedy", counted)
+        monkeypatch.setattr(solvers, "_table_greedy", counted_tables)
         sets = erdos_renyi_instance(n, 2 * n, 0.4, 1).sets
-        log_approx_graph(Instance(n, (0.0,) * n, sets), CFG, argmax_samples=REF_SAMPLES)
-        assert calls == [1.0]
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_crn_matrix", no_samples)
+            log_approx_graph(Instance(n, (0.0,) * n, sets), CFG, argmax_samples=REF_SAMPLES)
+        assert calls == ["table"]
         calls.clear()
         means = (0.0,) * (n - 1) + (0.5,)
         log_approx_graph(Instance(n, means, sets), CFG, argmax_samples=REF_SAMPLES)
         assert calls == [2.0 ** (-k) for k in range(int(math.floor(math.log2(n))) + 1)]
+
+
+class TestTableGreedy:
+    """The zero-mean count-table greedy against the exact reference."""
+
+    @pytest.mark.parametrize("n, m, p, seeds", [(24, 72, 0.5, range(1, 6)),
+                                                (64, 192, 0.3, range(1, 2))])
+    def test_picks_match_exact_reference(self, n, m, p, seeds):
+        for seed in seeds:
+            sets = [s for s in erdos_renyi_instance(n, m, p, seed).sets if len(s) >= 2]
+            chosen, totals = _table_greedy(sets, n, n, CFG.quadrature_tolerance)
+            want, total = reference_exact_greedy(sets, n, 1.0, n)
+            assert chosen == want
+            assert totals[-1] == pytest.approx(total, rel=1e-12)
+
+    def test_fixed_variance_matches_exact_reference(self):
+        for inst, seed in _reference_instances():
+            if inst.means_array().any():
+                continue
+            for level, card in ((0.25, 4), (0.1, 10)):
+                sel, _ = greedy_fixed_variance(inst, level, card, EstimatorConfig(seed=seed))
+                chosen, _ = reference_exact_greedy(inst.sets, inst.n, math.sqrt(level), card,
+                                                   stop_without_gain=True)
+                assert sel == set(chosen)
+
+    def test_singletons_gain_nothing(self):
+        # Variable 0 is only in a singleton: worth 0 at any deviation, so the
+        # greedy stops after the pair's two members.
+        inst = Instance(3, (0.0,) * 3, [(0,), (1, 2), (0,)])
+        sel, _ = greedy_fixed_variance(inst, 1.0 / 3.0, 3, CFG)
+        assert sel == {1, 2}
+        chosen, totals = _table_greedy(inst.sets, 3, 3, CFG.quadrature_tolerance)
+        assert chosen == [1, 2, 0] and totals[3] == totals[2]
+
+
+class TestCountTables:
+    def test_closed_forms(self):
+        a, b = _count_tables([2, 3, 5], CFG.quadrature_tolerance)
+        assert len(a) == 5 and sorted(b) == [2, 3, 5]
+        assert a[0] == 0.0
+        assert a[1] == pytest.approx(PHI0, abs=1e-12)
+        assert b[2] == pytest.approx(expected_max_pair(0.0, 1.0, 0.0, 1.0), abs=1e-12)
+        assert b[2] == pytest.approx(INV_SQRT_PI, abs=1e-12)
+        # E max(0, M) = E M + int_0^inf P(M < -t) dt for M = max(Z_1, Z_2), and
+        # int_0^inf Phi(-t)^2 dt = (sqrt 2 - 1) / (2 sqrt pi).
+        assert a[2] == pytest.approx((1.0 + math.sqrt(2.0)) * INV_SQRT_PI / 2.0, abs=1e-12)
+        _, b1 = _count_tables([1], CFG.quadrature_tolerance)
+        assert b1[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_increasing_with_decreasing_increments(self):
+        a, b = _count_tables(range(2, 41), CFG.quadrature_tolerance)
+        steps = np.diff(a)
+        assert len(a) == 40 and np.all(steps > 0) and np.all(np.diff(steps) < 0)
+        # Without the floor at 0 the maximum is smaller, and still increasing.
+        assert all(b[w] < a[w] for w in range(2, 40))
+        assert np.all(np.diff([b[w] for w in range(2, 41)]) > 0)
+
+    def test_unconverged_row_raises(self, monkeypatch):
+        real = oracle.expected_max_batch
+
+        def drifting(means, stddevs, *, subdiv=1):
+            return real(means, stddevs, subdiv=subdiv) + 1e-6 * subdiv
+
+        monkeypatch.setattr(oracle, "expected_max_batch", drifting)
+        with pytest.raises(QuadratureError) as exc:
+            _count_tables([3], CFG.quadrature_tolerance)
+        assert str(exc.value).startswith("quadrature did not reach tolerance 1e-09")
+        assert exc.value.estimate == pytest.approx(1e-6 * 16, abs=1e-12)  # a[0] at subdiv 16
