@@ -337,13 +337,12 @@ def _table_greedy(sets, n: int, picks: int, tol: float,
     j with h_j of its w_j members assigned is worth a[h_j] while one is free
     and b[w_j] once none is.  A candidate's gain is the ``math.fsum`` over
     its sets of v(h_j + 1) - v(h_j), so candidates whose sets are in the same
-    states tie exactly; ties go to the lowest index.  Sets of one member are
-    worth 0 whatever their deviation and are left out.  Returns the picks and
-    the ``fsum`` of the set values before the first pick and after each one.
+    states tie exactly; ties go to the lowest index.  ``sets`` is non-empty
+    and each set has two or more members.  Returns the picks and the
+    ``fsum`` of the set values before the first pick and after each one.
     """
-    sets = [s for s in sets if len(s) >= 2]
     widths = [len(s) for s in sets]
-    a, b = _count_tables(widths, tol) if sets else ([], {})
+    a, b = _count_tables(widths, tol)
     value = {w: a[:w] + [b[w]] for w in b}  # by members assigned, 0..w
     step = {w: [v[h + 1] - v[h] for h in range(w)] for w, v in value.items()}
     count = [0] * len(sets)
@@ -561,65 +560,60 @@ def ptas_correlated(
                    eps=eps, grid_step=grid_step)
 
 
-def _greedy_levels(means: np.ndarray, sets, n: int, cfg: EstimatorConfig,
-                   samples: int) -> list[tuple[float, list[int], float]]:
-    """``(sdev, chosen, total)`` of the greedy at sdev 2^-k, k = 0..log2(n).
+def _greedy_runs(means: np.ndarray, sets, n: int, runs, cfg: EstimatorConfig,
+                 stop_without_gain: bool = False) -> list[tuple[list[int], float]]:
+    """``(chosen, total)`` of the greedy for each ``(sdev, picks)`` run.
 
-    Level k assigns sdev 2^-k to min(4^k, n) variables.  With nonzero means
-    each level runs its own CRN greedy on ``samples`` draws.  With every mean
-    zero (of either sign) E max(0, 2^-k Z_1, ..., 2^-k Z_h) = 2^-k a[h], so
-    the levels share the exact table greedy at sdev 1 and its ties: level k
-    takes its first min(4^k, n) picks and its total times 2^-k.
+    Size-1 sets are worth their mean whatever the allocation, so both engines
+    work on the other sets; with none left nothing is picked.  With a nonzero
+    mean each run is its own CRN greedy on ``_CRN_SAMPLES_GREEDY`` draws from
+    the solve's seed.  With every mean zero (of either sign)
+    E max(0, s Z_1, ..., s Z_h) = s a[h], so the runs share the exact table
+    greedy at sdev 1 and its ties: each takes a prefix of its picks and its
+    total times sdev.
     """
-    kmax = int(math.floor(math.log2(n)))
-    levels = []
+    sets = [s for s in sets if len(s) >= 2]
+    if not sets:
+        return [([], 0.0) for _ in runs]
     if means.any():
         seed = derive_seed(cfg.seed, "crn")
-        for k in range(kmax + 1):
-            chosen, totals = _crn_greedy(seed, samples, means, 2.0 ** (-k), sets, min(4**k, n))
-            levels.append((2.0 ** (-k), chosen, totals[-1]))
-    else:
-        unit, totals = _table_greedy(sets, n, min(4**kmax, n), cfg.quadrature_tolerance)
-        for k in range(kmax + 1):
-            chosen = unit[: min(4**k, n)]
-            levels.append((2.0 ** (-k), chosen, totals[len(chosen)] * 2.0 ** (-k)))
-    return levels
+        out = []
+        for sdev, picks in runs:
+            chosen, totals = _crn_greedy(seed, _CRN_SAMPLES_GREEDY, means, sdev, sets, picks,
+                                         stop_without_gain)
+            out.append((chosen, totals[-1]))
+        return out
+    unit, totals = _table_greedy(sets, n, max(picks for _, picks in runs),
+                                 cfg.quadrature_tolerance, stop_without_gain)
+    return [(unit[:picks], totals[min(picks, len(unit))] * sdev) for sdev, picks in runs]
 
 
-def log_approx_graph(
-    inst: Instance,
-    cfg: EstimatorConfig,
-    *,
-    argmax_samples: int = _CRN_SAMPLES_GREEDY,
-) -> SolveReport:
+def log_approx_graph(inst: Instance, cfg: EstimatorConfig) -> SolveReport:
     """Logarithmic-factor greedy for the multi-set objective.
 
-    Size-1 sets contribute their mean no matter the allocation, so they are
-    dropped from the working objective.  For each k up to log2(n), up to
-    min(4^k, n) variables greedily receive variance 4^-k (each step picks
-    the zero-variance variable whose assignment maximizes the objective,
-    ties to the lowest index); the best round wins, the first on ties.  With
-    a nonzero mean each round runs the CRN greedy engine on the same sample
-    matrix, drawn from the solve's seed, and re-scores only the sets the
-    last pick touched.  When every mean is zero, as in the Erdos-Renyi and
-    complete-k families, one exact count-table greedy at sdev 1 serves every
-    round: round k reads a prefix of its picks and its total times 2^-k
-    (``_greedy_levels``), and the allocation does not depend on the seed.
-    The reported objective re-includes the singleton sets.
+    For each k up to log2(n), up to min(4^k, n) variables greedily receive
+    variance 4^-k (each step picks the zero-variance variable whose
+    assignment maximizes the objective, ties to the lowest index); the best
+    round wins, the first on ties.  ``_greedy_runs`` runs the rounds without
+    the size-1 sets, which contribute their mean no matter the allocation.
+    With a nonzero mean each round runs the CRN greedy engine on the same
+    sample matrix, drawn from the solve's seed, and re-scores only the sets
+    the last pick touched.  When every mean is zero, as in the Erdos-Renyi
+    and complete-k families, one exact count-table greedy at sdev 1 serves
+    every round, and the allocation does not depend on the seed.  The
+    reported objective re-includes the singleton sets.
     """
     t0 = time.perf_counter()
     n = inst.n
-    work_sets = [s for s in inst.sets if len(s) >= 2]
-    best_sigma = np.zeros(n)
-    if work_sets:
-        levels = _greedy_levels(inst.means_array(), work_sets, n, cfg, argmax_samples)
-        best_val = -math.inf
-        for sdev, chosen, total in levels:
-            if total > best_val:
-                best_val = total
-                best_sigma = np.zeros(n)
-                best_sigma[chosen] = sdev
-        assert float(np.square(best_sigma).sum()) <= 1.0 + BUDGET_TOL
+    levels = [(2.0 ** (-k), min(4**k, n)) for k in range(int(math.floor(math.log2(n))) + 1)]
+    runs = _greedy_runs(inst.means_array(), inst.sets, n, levels, cfg)
+    best_val, best_sigma = -math.inf, np.zeros(n)
+    for (sdev, _), (chosen, total) in zip(levels, runs):
+        if total > best_val:
+            best_val = total
+            best_sigma = np.zeros(n)
+            best_sigma[chosen] = sdev
+    assert float(np.square(best_sigma).sum()) <= 1.0 + BUDGET_TOL
     return _report("log_approx_graph", inst, AllocationVector(best_sigma), cfg, t0)
 
 
@@ -628,8 +622,6 @@ def greedy_fixed_variance(
     variance_level: float,
     cardinality: int,
     cfg: EstimatorConfig,
-    *,
-    argmax_samples: int = _CRN_SAMPLES_GREEDY,
 ) -> tuple[set[int], Estimate]:
     """Greedy subset selection at a fixed variance level.
 
@@ -637,7 +629,8 @@ def greedy_fixed_variance(
     (evaluated by the engine ``log_approx_graph`` uses: common random numbers
     with a nonzero mean, the exact count tables with every mean zero; ties
     to the lowest index) until the cardinality is reached or the best gain
-    is non-positive.
+    is non-positive.  A variable only in size-1 sets gains nothing and is
+    never picked.
     """
     if not variance_level > 0:
         raise ValueError("variance_level must be positive")
@@ -647,13 +640,8 @@ def greedy_fixed_variance(
         raise ValueError("cardinality * variance_level exceeds the unit budget")
 
     sdev = math.sqrt(variance_level)
-    means = inst.means_array()
-    if means.any():
-        chosen, _ = _crn_greedy(derive_seed(cfg.seed, "crn"), argmax_samples, means,
-                                sdev, inst.sets, cardinality, stop_without_gain=True)
-    else:  # gains at sdev are the sdev-1 gains scaled: same picks, same stop
-        chosen, _ = _table_greedy(inst.sets, inst.n, cardinality, cfg.quadrature_tolerance,
-                                  stop_without_gain=True)
+    [(chosen, _)] = _greedy_runs(inst.means_array(), inst.sets, inst.n, [(sdev, cardinality)],
+                                 cfg, stop_without_gain=True)
     sigma = np.zeros(inst.n)
     sigma[chosen] = sdev
     estimate = graph_objective(inst, AllocationVector(sigma), cfg)

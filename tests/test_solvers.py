@@ -33,7 +33,7 @@ from varalloc.solvers import (
     _crn_matrix,
     _enumerate_grid,
     _enumerate_maximal,
-    _greedy_levels,
+    _greedy_runs,
     _grid_limit,
     _psd_candidates,
     _table_greedy,
@@ -537,6 +537,41 @@ def _reference_instances():
             yield Instance(10, [float(x) for x in means], sets), 40 + rep
 
 
+def reference_log_approx(inst, seed):
+    """The allocation of the best reference round: the exact greedy per level
+    with every mean zero, the 2,048-sample CRN greedy otherwise."""
+    work = [s for s in inst.sets if len(s) >= 2]
+    if inst.means_array().any():
+        z = _crn_matrix(derive_seed(seed, "crn"), REF_SAMPLES, inst.n)
+        levels = [(2.0 ** (-k), *reference_crn_greedy(inst.means, work, z, 2.0 ** (-k),
+                                                       min(4**k, inst.n)))
+                  for k in range(int(math.floor(math.log2(inst.n))) + 1)]
+    else:
+        levels = per_level_greedy(work, inst.n)
+    best_val, best_sigma = -math.inf, None
+    for sdev, chosen, total in levels:
+        if total > best_val:
+            best_val, best_sigma = total, np.zeros(inst.n)
+            best_sigma[chosen] = sdev
+    return tuple(best_sigma)
+
+
+def reference_fixed_variance(inst, seed, sdev, card):
+    """The reference picks of ``greedy_fixed_variance`` on the sets of two or
+    more members: exact with every mean zero, 2,048-sample CRN otherwise."""
+    work = [s for s in inst.sets if len(s) >= 2]
+    if not inst.means_array().any():
+        return set(reference_exact_greedy(work, inst.n, sdev, card, stop_without_gain=True)[0])
+    z = _crn_matrix(derive_seed(seed, "crn"), REF_SAMPLES, inst.n)
+    return set(reference_crn_greedy(inst.means, work, z, sdev, card, stop_without_gain=True)[0])
+
+
+@pytest.fixture
+def ref_samples(monkeypatch):
+    """The CRN greedy on the references' 2,048 samples instead of 32,768."""
+    monkeypatch.setattr(solvers, "_CRN_SAMPLES_GREEDY", REF_SAMPLES)
+
+
 def assert_every_prefix_matches_reference(seed, means, sets, z, sdev, picks):
     """The engine's picks and its total after each one equal the reference's."""
     chosen, totals = _crn_greedy(seed, z.shape[0], means, sdev, sets, picks)
@@ -554,20 +589,10 @@ class TestCrnGreedyEngine:
                 assert_every_prefix_matches_reference(seed, means, inst.sets, z, 2.0 ** (-k),
                                                       min(4**k, inst.n))
 
-    def test_log_approx_picks_the_reference_level(self):
+    def test_log_approx_picks_the_reference_level(self, ref_samples):
         for inst, seed in _reference_instances():
-            cfg = EstimatorConfig(seed=seed)
-            z = _crn_matrix(derive_seed(seed, "crn"), REF_SAMPLES, inst.n)
-            work = [s for s in inst.sets if len(s) >= 2]
-            best_val, best_sigma = -math.inf, None
-            for k in range(4):
-                chosen, total = reference_crn_greedy(
-                    inst.means, work, z, 2.0 ** (-k), min(4**k, inst.n))
-                if total > best_val:
-                    best_val, best_sigma = total, np.zeros(inst.n)
-                    best_sigma[chosen] = 2.0 ** (-k)
-            rep = log_approx_graph(inst, cfg, argmax_samples=REF_SAMPLES)
-            assert rep.allocation.stddevs == tuple(best_sigma)
+            rep = log_approx_graph(inst, EstimatorConfig(seed=seed))
+            assert rep.allocation.stddevs == reference_log_approx(inst, seed)
 
     def test_unique_top_mean_holder(self):
         # Variable 0 holds the unique top mean of both sets; its own floor is
@@ -578,34 +603,38 @@ class TestCrnGreedyEngine:
         for sdev in (4.0, 2.0, 1.0):
             assert_every_prefix_matches_reference(5, means, inst.sets, z, sdev, 3)
 
-    def test_fixed_variance_stops_without_gain(self):
+    def test_fixed_variance_stops_without_gain(self, ref_samples):
         # Variables 1 and 2 sit below a mean of 9 at sdev 0.5: their gain is
         # exactly zero, so at most variable 0 is chosen of the four allowed.
         inst = Instance(3, (9.0, 0.0, 0.0), [(0, 1, 2)])
-        sel, _ = greedy_fixed_variance(inst, 0.25, 4, CFG, argmax_samples=REF_SAMPLES)
-        z = _crn_matrix(derive_seed(CFG.seed, "crn"), REF_SAMPLES, 3)
-        chosen, _ = reference_crn_greedy(inst.means, inst.sets, z, 0.5, 4,
-                                         stop_without_gain=True)
-        assert sel == set(chosen) and len(sel) <= 1
+        sel, _ = greedy_fixed_variance(inst, 0.25, 4, CFG)
+        assert sel == reference_fixed_variance(inst, CFG.seed, 0.5, 4) and len(sel) <= 1
 
-    def test_fixed_variance_runs_out_of_candidates(self):
-        inst = Instance(2, (0.0, 0.0), [(0, 1)])
-        sel, _ = greedy_fixed_variance(inst, 0.25, 4, CFG, argmax_samples=REF_SAMPLES)
-        z = _crn_matrix(derive_seed(CFG.seed, "crn"), REF_SAMPLES, 2)
-        chosen, _ = reference_crn_greedy(inst.means, inst.sets, z, 0.5, 4,
-                                         stop_without_gain=True)
-        assert sel == set(chosen) == {0, 1}
+    def test_fixed_variance_runs_out_of_candidates(self, ref_samples):
+        # Both engines: the exact one with zero means, the CRN one with a mean of 0.5.
+        for means in ((0.0, 0.0), (0.5, 0.0)):
+            inst = Instance(2, means, [(0, 1)])
+            sel, _ = greedy_fixed_variance(inst, 0.25, 4, CFG)
+            assert sel == reference_fixed_variance(inst, CFG.seed, 0.5, 4) == {0, 1}
 
-    def test_fixed_variance_matches_reference(self):
+    def test_fixed_variance_matches_reference(self, ref_samples):
         for inst, seed in _reference_instances():
-            cfg = EstimatorConfig(seed=seed)
-            z = _crn_matrix(derive_seed(seed, "crn"), REF_SAMPLES, inst.n)
             for level, card in ((0.25, 4), (0.1, 10)):
-                sel, _ = greedy_fixed_variance(inst, level, card, cfg,
-                                               argmax_samples=REF_SAMPLES)
-                chosen, _ = reference_crn_greedy(inst.means, inst.sets, z, math.sqrt(level),
-                                                 card, stop_without_gain=True)
-                assert sel == set(chosen)
+                sel, _ = greedy_fixed_variance(inst, level, card, EstimatorConfig(seed=seed))
+                assert sel == reference_fixed_variance(inst, seed, math.sqrt(level), card)
+
+    def test_fixed_variance_ignores_singleton_sets(self):
+        # Variable 0 is only in a size-1 set, so its true gain is 0 at any
+        # deviation; a sampled gain sdev * mean(z_0) must not select it.
+        inst = Instance(3, (0.5,) * 3, [(0,), (1, 2)])
+        for seed in range(20):
+            sel, _ = greedy_fixed_variance(inst, 1.0 / 3.0, 3, EstimatorConfig(seed=seed))
+            assert sel == {1, 2}
+        for means in ((0.0,) * 3, (1.5, 0.25, 2.0)):
+            inst = Instance(3, means, [(0,), (1,), (2,), (1,)])
+            for seed in range(5):
+                sel, _ = greedy_fixed_variance(inst, 1.0 / 3.0, 3, EstimatorConfig(seed=seed))
+                assert sel == set()
 
     def test_log_approx_memory_is_bounded(self):
         # With a nonzero mean: the CRN terms (n rows), one running maximum per
@@ -691,6 +720,13 @@ def assert_levels_match(got, want):
     assert [lv[2] for lv in got] == pytest.approx([lv[2] for lv in want], rel=1e-12)
 
 
+def greedy_levels(means, sets, n):
+    """``(sdev, chosen, total)`` of ``_greedy_runs`` on log_approx_graph's levels."""
+    levels = [(2.0 ** (-k), min(4**k, n)) for k in range(int(math.floor(math.log2(n))) + 1)]
+    runs = _greedy_runs(means, sets, n, levels, CFG)
+    return [(sdev, chosen, total) for (sdev, _), (chosen, total) in zip(levels, runs)]
+
+
 class TestGreedyLevels:
     # n = 10 and 17 clamp 4^k to n on their last two levels; n = 16 meets it.
     CASES = [(7, 12, 0.4), (10, 16, 0.35), (16, 30, 0.3), (17, 24, 0.25)]
@@ -699,7 +735,7 @@ class TestGreedyLevels:
     def test_zero_means_match_per_level_greedy(self, n, m, p):
         sets = [s for s in erdos_renyi_instance(n, m, p, n).sets if len(s) >= 2]
         signs = np.random.default_rng(n).random(n) < 0.5
-        runs = [_greedy_levels(means, sets, n, CFG, REF_SAMPLES)
+        runs = [greedy_levels(means, sets, n)
                 for means in (np.zeros(n), np.full(n, -0.0), np.where(signs, -0.0, 0.0))]
         got = runs[0]
         assert runs[1] == got and runs[2] == got  # the sign of a zero mean is moot
@@ -708,11 +744,11 @@ class TestGreedyLevels:
 
     def test_complete_k_and_zero_mean_cycle(self):
         for inst in (complete_k_subsets_instance(8, 3), cycle_instance(12, 0.0)):
-            got = _greedy_levels(inst.means_array(), inst.sets, inst.n, CFG, REF_SAMPLES)
+            got = greedy_levels(inst.means_array(), inst.sets, inst.n)
             assert_levels_match(got, per_level_greedy(inst.sets, inst.n))
 
     @pytest.mark.parametrize("n", [5, 10, 17])
-    def test_greedy_runs_once_only_with_zero_means(self, monkeypatch, n):
+    def test_greedy_runs_once_only_with_zero_means(self, monkeypatch, ref_samples, n):
         calls = []
 
         def counted(*args, **kwargs):
@@ -731,11 +767,11 @@ class TestGreedyLevels:
         sets = erdos_renyi_instance(n, 2 * n, 0.4, 1).sets
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_crn_matrix", no_samples)
-            log_approx_graph(Instance(n, (0.0,) * n, sets), CFG, argmax_samples=REF_SAMPLES)
+            log_approx_graph(Instance(n, (0.0,) * n, sets), CFG)
         assert calls == ["table"]
         calls.clear()
         means = (0.0,) * (n - 1) + (0.5,)
-        log_approx_graph(Instance(n, means, sets), CFG, argmax_samples=REF_SAMPLES)
+        log_approx_graph(Instance(n, means, sets), CFG)
         assert calls == [2.0 ** (-k) for k in range(int(math.floor(math.log2(n))) + 1)]
 
 
@@ -768,8 +804,30 @@ class TestTableGreedy:
         inst = Instance(3, (0.0,) * 3, [(0,), (1, 2), (0,)])
         sel, _ = greedy_fixed_variance(inst, 1.0 / 3.0, 3, CFG)
         assert sel == {1, 2}
-        chosen, totals = _table_greedy(inst.sets, 3, 3, CFG.quadrature_tolerance)
-        assert chosen == [1, 2, 0] and totals[3] == totals[2]
+        (_, total2), (chosen, total3) = _greedy_runs(inst.means_array(), inst.sets, 3,
+                                                     [(1.0, 2), (1.0, 3)], CFG)
+        assert chosen == [1, 2, 0] and total3 == total2
+
+    def test_equal_states_tie_in_any_set_order(self):
+        # Variables 0 and 1 go first (most sets); then 2 and 3 each lie in four
+        # sets in the states (width, picked) (8, 0), (11, 0), (3, 1), (12, 2),
+        # listed in different orders.  A plain sum of their gains in set order
+        # ranks 3 first by one ulp; the fsum ties them, and 2 wins.
+        sets, nxt = [], 4
+
+        def add(width, *members):
+            nonlocal nxt
+            sets.append((*members, *range(nxt, nxt + width - len(members))))
+            nxt += width - len(members)
+
+        for width, members in [(8, (2,)), (11, (2,)), (3, (0, 2)), (12, (0, 1, 2)),
+                               (8, (3,)), (11, (3,)), (12, (0, 1, 3)), (3, (0, 3))]:
+            add(width, *members)
+        for d in (0, 1):
+            for _ in range(10):
+                add(2, d)
+        chosen, _ = _table_greedy(sets, nxt, 3, CFG.quadrature_tolerance)
+        assert chosen == [0, 1, 2]
 
 
 class TestCountTables:
