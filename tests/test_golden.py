@@ -57,6 +57,18 @@ def _ptas_corr_pair(work: Path) -> list[str]:
     return ["report.json"]
 
 
+def _ptas_corr_multichunk(work: Path) -> list[str]:
+    # The default 2,000,000 samples: eight Monte Carlo chunks of 2^18, the
+    # last of 164,992, in the solve's re-estimate and again in evaluate.  Four
+    # means and supports of three, so the candidate loop takes a floor.
+    inst = _write_instance(work / "in.json", [0.54, 0.52, 0.21, 0.4])
+    rep = str(work / "report.json")
+    assert run(["solve", "ptas-corr", "--in", inst, "--eps", "0.6", "--grid-step", "0.2",
+                "--out", rep]) == 0
+    assert run(["evaluate", "--in", rep, "--out", str(work / "eval.json")]) == 0
+    return ["report.json", "eval.json"]
+
+
 def _log_approx(work: Path) -> list[str]:
     inst = str(work / "er.json")
     assert run(["generate", "erdos-renyi", "--n", "6", "--m", "10", "--p", "0.4",
@@ -201,6 +213,7 @@ CASES = {
     "ptas_ind_n3": _ptas_ind_n3,
     "ptas_corr_n3": _ptas_corr_n3,
     "ptas_corr_pair": _ptas_corr_pair,
+    "ptas_corr_multichunk": _ptas_corr_multichunk,
     "log_approx": _log_approx,
     "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,
