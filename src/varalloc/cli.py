@@ -124,9 +124,17 @@ def _required(doc: dict, what: str, kind):
     return _typed(doc[key], kind, what)
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a number within float range, else a ValueError."""
+    try:
+        return float(_typed(value, (int, float), what))
+    except OverflowError:
+        raise ValueError(f"report field {what!r} is out of float range") from None
+
+
 def _numbers(value, what: str) -> list:
-    """``value`` if it is a list of numbers, else a ValueError."""
-    return [_typed(x, (int, float), what) for x in _typed(value, list, what)]
+    """``value`` as a list of floats if it is a list of numbers, else a ValueError."""
+    return [_number(x, what) for x in _typed(value, list, what)]
 
 
 def _report_doc(report: solvers.SolveReport, inst: Instance, cfg: EstimatorConfig) -> dict:
@@ -198,11 +206,10 @@ def _cmd_evaluate(args) -> int:
     inst_doc, alloc_doc, conf = (_required(doc, key, dict)
                                  for key in ("instance", "allocation", "config"))
     inst = parse_instance(json.dumps(inst_doc))
-    number = (int, float)
     cfg = EstimatorConfig(
         method=conf.get("method", "auto"),
-        quadrature_tolerance=_typed(conf.get("quadrature_tolerance", 1e-9), number,
-                                    "config.quadrature_tolerance"),
+        quadrature_tolerance=_number(conf.get("quadrature_tolerance", 1e-9),
+                                     "config.quadrature_tolerance"),
         mc_samples=(args.mc_samples if args.mc_samples is not None
                     else _required(conf, "config.mc_samples", int)),
         seed=args.seed if args.seed is not None else _required(conf, "config.seed", int),
@@ -225,9 +232,9 @@ def _cmd_evaluate(args) -> int:
     }
     if reported is not None:
         _typed(reported, dict, "objective")
-        half_width = _typed(reported.get("half_width", 0.0), number, "objective.half_width")
-        tol = est.half_width + float(half_width) + 1e-6
-        value = _required(reported, "objective.value", number)
+        half_width = _number(reported.get("half_width", 0.0), "objective.half_width")
+        tol = est.half_width + half_width + 1e-6
+        value = _number(_required(reported, "objective.value", (int, float)), "objective.value")
         out["matches_reported"] = bool(abs(est.value - value) <= tol)
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return 0

@@ -203,6 +203,10 @@ def parse_instance(data: bytes | str) -> Instance:
     for i, mu in enumerate(means):
         if isinstance(mu, bool) or not isinstance(mu, (int, float)):
             raise InstanceFormatError(f"means[{i}] must be a number")
+        try:
+            mu = float(mu)
+        except OverflowError:
+            raise InstanceFormatError(f"means[{i}] is out of float range") from None
         if not math.isfinite(mu):
             raise InstanceFormatError(f"means[{i}] is not finite")
         if mu < 0:

@@ -32,6 +32,7 @@ from .oracle import (
     EstimatorConfig,
     _nonconvergence,
     _quadrature_rows,
+    _sample_tiles,
     derive_seed,
     expected_max_batch,
     graph_objective,
@@ -485,6 +486,20 @@ def _psd_candidates(diag, caps, pairs, grid_step: float):
         yield subs[keep], vecs[keep] * np.sqrt(np.clip(w[keep], 0.0, None))[:, None, :]
 
 
+def _crn_mean(factor, z_sup, mu_sup, floor, top: np.ndarray) -> float:
+    """Sample mean of max(floor, max_i y[i] + mu_sup[i]) for the block y = factor @ z_sup.
+
+    Tile by tile of ``_sample_tiles``: each tile's maxima fill their slice of
+    ``top`` (one buffer per solve, as long as ``z_sup``), and the mean runs
+    over all of ``top`` at once.  A tile's product has the bits of the same
+    columns of the whole-block product, so the value does not depend on the
+    tile size.
+    """
+    for t in _sample_tiles(top.size):
+        row_max(factor @ z_sup[:, t], range(len(mu_sup)), mu_sup, floor=floor, out=top[t])
+    return float(top.mean())
+
+
 def ptas_correlated(
     inst: Instance,
     eps: float,
@@ -503,7 +518,8 @@ def ptas_correlated(
     ``eigh`` calls over fixed-size chunks, so memory stays bounded; the
     survivors' eigen-factors are compared under common random numbers, in
     enumeration order with ties to the first, and the winner re-estimated
-    independently.
+    independently.  ``_crn_mean`` scores a candidate in cache-sized tiles of
+    the shared sample matrix, with the bits of the whole-block score.
 
     ``grid_step`` defaults to eps^3.  The smoothness argument behind the
     approximation guarantee asks for the much finer eps^8.5; that value is
@@ -537,6 +553,7 @@ def ptas_correlated(
 
     means = inst.means_array()
     z = _crn_matrix(derive_seed(cfg.seed, "crn"), _CRN_SAMPLES_GRID, inst.n)
+    top = np.empty(_CRN_SAMPLES_GRID)
     best_val = -math.inf
     best_matrix = np.zeros((inst.n, inst.n))
     for support in itertools.combinations(range(inst.n), s):
@@ -549,8 +566,7 @@ def ptas_correlated(
         for diag, caps in grid:
             for subs, factors in _psd_candidates(diag, caps, pairs, grid_step):
                 for sub, factor in zip(subs, factors):
-                    top = row_max(factor @ z_sup, range(s), mu_sup, floor=floor)
-                    val = float(top.mean())
+                    val = _crn_mean(factor, z_sup, mu_sup, floor, top)
                     if val > best_val:
                         best_val = val
                         best_matrix = np.zeros((inst.n, inst.n))

@@ -207,6 +207,27 @@ def test_extreme_inputs_fail_cleanly(tmp_path, capsys, argv, code):
         assert "needs at least" in err
 
 
+def test_numbers_beyond_float_range_exit_2(tmp_path, capsys):
+    # json reads a 401-digit literal as an int, which float() cannot hold.
+    huge = 10**400
+    inst = tmp_path / "huge.json"
+    inst.write_text(json.dumps({"n": 1, "means": [huge], "sets": [[0]]}) + "\n")
+    assert run(["solve", "uniform", "--in", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "means[0] is out of float range" in err
+    cycle, rep = tmp_path / "cycle.json", tmp_path / "report.json"
+    assert run(["generate", "cycle", "--n", "4", "--mu", "0", "--out", str(cycle)]) == 0
+    assert run(["solve", "uniform", "--in", str(cycle), "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    doc["allocation"]["stddevs"][0] = huge
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--in", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "'allocation.stddevs' is out of float range" in err
+
+
 MISSING = object()  # the field is deleted from the report
 
 

@@ -158,6 +158,12 @@ class TestSerialization:
             parse_instance(json.dumps(doc))
         assert fragment in str(exc.value)
 
+    def test_integer_beyond_float_range(self):
+        # json reads a 401-digit literal as an int, which float() cannot hold.
+        doc = '{"n": 1, "means": [1' + "0" * 400 + '], "sets": [[0]]}'
+        with pytest.raises(InstanceFormatError, match=r"means\[0\] is out of float range"):
+            parse_instance(doc)
+
     def test_invalid_json(self):
         with pytest.raises(InstanceFormatError):
             parse_instance(b"{not json")

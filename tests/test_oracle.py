@@ -639,6 +639,29 @@ class TestMonteCarloAccumulator:
         got = graph_objective_correlated(inst, spec, self.CFG)
         assert got == _reference_mc_joint(spec, self.CFG, per_sample_total)
 
+    @pytest.mark.parametrize("tile", [1_000, 4_096, 2**18])
+    def test_estimates_do_not_depend_on_the_tile(self, monkeypatch, tile):
+        # 300,000 samples are chunks of 262,144 and 37,856: tiles of 1,000
+        # leave a short last tile in each, and 2^18 holds every chunk whole.
+        inst = Instance(4, [0.1, 0.0, 0.4, 0.2], [(0, 1), (1, 2, 3), (3,), (0, 2)])
+        calls = [
+            lambda: expected_max_correlated(
+                CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]]),
+                self.CFG),
+            lambda: expected_max_correlated(
+                CovarianceSpec([0, 0.2], [[0.5, 0.5], [0.5, 0.5]]), self.CFG),  # rank 1
+            lambda: graph_objective_correlated(
+                inst, CovarianceSpec(inst.means, np.diag([0.4, 0.3, 0.2, 0.1]) + 0.05), self.CFG),
+            lambda: expected_max_independent(GaussianVector((0, 0.5, -1), (1, 0.0, 2)), self.CFG),
+        ]
+
+        def bits(est):
+            return est.value.hex(), est.half_width.hex(), est.method_used
+
+        want = [bits(f()) for f in calls]
+        monkeypatch.setattr(oracle, "_SAMPLE_TILE", tile)
+        assert [bits(f()) for f in calls] == want
+
 
 class TestCorrelated:
     def test_perfectly_correlated_is_zero(self):

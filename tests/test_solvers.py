@@ -280,6 +280,18 @@ class TestBudgetCheckedFirst:
             assert _count_grid(n_coords, limit) == len(_enumerate_grid(n_coords, limit))
 
 
+def record_crn_means(patch) -> list:
+    """Patch ``solvers._crn_mean`` to record every candidate's value, in order."""
+    values, crn_mean = [], solvers._crn_mean
+
+    def spy(*args, **kwargs):
+        values.append(crn_mean(*args, **kwargs))
+        return values[-1]
+
+    patch.setattr(solvers, "_crn_mean", spy)
+    return values
+
+
 class TestPtasCorrelated:
     def test_finds_anti_correlation(self):
         rep = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
@@ -354,14 +366,7 @@ class TestPtasCorrelated:
     ])
     def test_matches_sample_major_reference(self, monkeypatch, means, eps, step):
         inst = single_set_instance(means)
-        values, row_max = [], solvers.row_max
-
-        def spy(*args, **kwargs):
-            top = row_max(*args, **kwargs)
-            values.append(float(top.mean()))
-            return top
-
-        monkeypatch.setattr(solvers, "row_max", spy)
+        values = record_crn_means(monkeypatch)
         rep = ptas_correlated(inst, eps, step, CFG)
 
         # The sample-major layout: (samples, s) blocks ``z[:, sup] @ factor.T``
@@ -390,6 +395,22 @@ class TestPtasCorrelated:
                             best[np.ix_(sup, sup)] = sub
         assert len(want) > 10 and values == want
         assert np.array_equal(rep.allocation.matrix, best)
+
+    @pytest.mark.parametrize("tile", [1_000, 4_096, 2**18])
+    def test_does_not_depend_on_the_tile(self, monkeypatch, tile):
+        # Candidates score 65,536 CRN samples, the winner 300,000 Monte Carlo
+        # samples (chunks of 262,144 and 37,856); s = 2 < n takes the floor.
+        inst = single_set_instance([0.3, 0.1, 0.5])
+        cfg = EstimatorConfig(seed=4, mc_samples=300_000)
+
+        def solve():
+            with monkeypatch.context() as patch:
+                values = record_crn_means(patch)
+                return report_fields(ptas_correlated(inst, 0.8, 0.25, cfg)), values
+
+        want = solve()
+        monkeypatch.setattr(oracle, "_SAMPLE_TILE", tile)
+        assert solve() == want
 
     def test_determinism(self):
         a = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
@@ -787,16 +808,6 @@ class TestTableGreedy:
             want, total = reference_exact_greedy(sets, n, 1.0, n)
             assert chosen == want
             assert totals[-1] == pytest.approx(total, rel=1e-12)
-
-    def test_fixed_variance_matches_exact_reference(self):
-        for inst, seed in _reference_instances():
-            if inst.means_array().any():
-                continue
-            for level, card in ((0.25, 4), (0.1, 10)):
-                sel, _ = greedy_fixed_variance(inst, level, card, EstimatorConfig(seed=seed))
-                chosen, _ = reference_exact_greedy(inst.sets, inst.n, math.sqrt(level), card,
-                                                   stop_without_gain=True)
-                assert sel == set(chosen)
 
     def test_singletons_gain_nothing(self):
         # Variable 0 is only in a singleton: worth 0 at any deviation, so the
