@@ -116,12 +116,17 @@ def _typed(value, kind, what: str):
     return value
 
 
-def _required(doc: dict, what: str, kind):
-    """``_typed`` report field ``what``: a dotted name ending in a key of ``doc``."""
+def _field(doc: dict, what: str):
+    """Report field ``what``, a dotted name ending in a key of ``doc``, else a ValueError."""
     key = what.rpartition(".")[2]
     if key not in doc:
         raise ValueError(f"report is missing the {what!r} field")
-    return _typed(doc[key], kind, what)
+    return doc[key]
+
+
+def _required(doc: dict, what: str, kind):
+    """``_typed`` report field ``what``: a dotted name ending in a key of ``doc``."""
+    return _typed(_field(doc, what), kind, what)
 
 
 def _number(value, what: str) -> float:
@@ -234,7 +239,7 @@ def _cmd_evaluate(args) -> int:
         _typed(reported, dict, "objective")
         half_width = _number(reported.get("half_width", 0.0), "objective.half_width")
         tol = est.half_width + half_width + 1e-6
-        value = _number(_required(reported, "objective.value", (int, float)), "objective.value")
+        value = _number(_field(reported, "objective.value"), "objective.value")
         out["matches_reported"] = bool(abs(est.value - value) <= tol)
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return 0

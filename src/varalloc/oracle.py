@@ -26,12 +26,12 @@ bounds the neglected tails by sum_i s_i * (phi(10) - 10 Phi(-10)) < 1e-22.
 Monte Carlo: chunked sampling with per-chunk generators derived from
 (seed, chunk_index), so estimates are bit-reproducible and independent of
 any internal parallelism; confidence intervals are normal-approximation
-95% half-widths (1.96 s / sqrt(N)).  A chunk larger than one tile of
-``_SAMPLE_TILE`` samples is drawn, transformed and reduced tile by tile, so
-the rows a tile touches stay in cache.  The bits do not move: the tiles
-read the chunk's one normal stream in order, each sample's entries are the
-same dot products, a maximum is exact, and the sums run over the whole
-chunk's statistics at once, in the same order.
+95% half-widths (1.96 s / sqrt(N)).  A chunk is drawn, transformed and
+reduced in tiles of at most ``_SAMPLE_TILE`` samples, so the rows a tile
+touches stay in cache.  The bits do not move: the tiles read the chunk's one
+normal stream in order, each sample's entries are the same dot products, a
+maximum is exact, and the sums run over the whole chunk's statistics at
+once, in the same order.
 
 Parallelism: ``_pmap`` runs independent quadrature slabs and verifier
 trials on the calling thread plus one pool thread per further CPU of the
@@ -531,12 +531,12 @@ def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
 
     Chunk ``k`` draws a (count, width) block of standard normals from
     ``_chunk_rng(seed, k)``; ``stat_of`` maps a block to one statistic per
-    sample.  A chunk of more than ``_SAMPLE_TILE`` samples is drawn from its
-    generator tile by tile, which continues the one stream exactly as a
+    sample.  The chunk is drawn from its generator in tiles of at most
+    ``_SAMPLE_TILE`` samples, which continues the one stream exactly as a
     single (count, width) draw would, and each tile's statistics fill their
-    slice of one chunk-long buffer; a smaller chunk is one block.  Sums and
-    sums of squares run over the whole chunk and accumulate in chunk order,
-    so the tile size does not change a bit.
+    slice of one chunk-long buffer.  Sums and sums of squares run over the
+    whole chunk and accumulate in chunk order, so the tile size does not
+    change a bit.
     """
     s1 = 0.0
     s2 = 0.0
@@ -545,12 +545,9 @@ def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
     while done < total:
         count = min(_MC_CHUNK, total - done)
         rng = _chunk_rng(seed, chunk)
-        if count <= _SAMPLE_TILE:
-            stat = stat_of(rng.standard_normal((count, width)))
-        else:
-            stat = np.empty(count)
-            for t in _sample_tiles(count):
-                stat[t] = stat_of(rng.standard_normal((t.stop - t.start, width)))
+        stat = np.empty(count)
+        for t in _sample_tiles(count):
+            stat[t] = stat_of(rng.standard_normal((t.stop - t.start, width)))
         s1 += float(stat.sum())
         s2 += float(np.square(stat).sum())
         done += count
@@ -560,7 +557,7 @@ def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
     return Estimate(mean, Z95 * math.sqrt(var / total), "monte_carlo")
 
 
-def row_max(y: np.ndarray, cols, shift=None, floor=None, out=None) -> np.ndarray:
+def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
     """Per-sample maximum of ``y[c] + shift[c]`` over the rows ``c`` in ``cols``.
 
     ``y`` is a coordinate-major sample block: row ``c`` holds every sample of
@@ -569,16 +566,10 @@ def row_max(y: np.ndarray, cols, shift=None, floor=None, out=None) -> np.ndarray
     bit, to ``(y + shift[:, None])[cols].max(axis=0)``: the additions are the
     same elementwise additions and a maximum is exact.  Every operand is a
     contiguous row, so this is many times faster than ``max(axis=0)`` over a
-    short axis and than broadcasting ``shift`` over the whole block.  The
-    maxima go to ``out`` when given (one float64 per sample), else to a new
-    array.
+    short axis and than broadcasting ``shift`` over the whole block.
     """
     first, *rest = cols
-    stat = np.empty_like(y[first]) if out is None else out
-    if shift is None:
-        stat[...] = y[first]
-    else:
-        np.add(y[first], shift[first], out=stat)
+    stat = y[first].copy() if shift is None else y[first] + shift[first]
     if floor is not None:
         np.maximum(stat, floor, out=stat)
     tmp = None if shift is None else np.empty_like(stat)

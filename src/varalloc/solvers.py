@@ -496,7 +496,7 @@ def _crn_mean(factor, z_sup, mu_sup, floor, top: np.ndarray) -> float:
     tile size.
     """
     for t in _sample_tiles(top.size):
-        row_max(factor @ z_sup[:, t], range(len(mu_sup)), mu_sup, floor=floor, out=top[t])
+        top[t] = row_max(factor @ z_sup[:, t], range(len(mu_sup)), mu_sup, floor=floor)
     return float(top.mean())
 
 
