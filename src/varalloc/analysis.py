@@ -500,16 +500,16 @@ def sweep_csv(table: SweepTable) -> str:
 
 
 # Registry used by the command-line verify runner.
-ALL_CHECKS = {
+ALL_CHECKS = {  # in sorted order: the order of --claim's choices in help and errors
+    "correlation_gap": lambda seed, mc_samples: verify_correlation_gap(
+        mc_samples=mc_samples, seed=seed
+    ),
     "eps_contribution": lambda seed, mc_samples: verify_eps_contribution(
         (0.5, 0.25, 0.125, 0.0625), seed=seed
     ),
     "lipschitz": lambda seed, mc_samples: verify_lipschitz(seed=seed),
     "max_floor_bound": lambda seed, mc_samples: verify_max_floor_bound(seed=seed),
-    "var2approx": lambda seed, mc_samples: verify_var2approx(seed=seed),
-    "correlation_gap": lambda seed, mc_samples: verify_correlation_gap(
-        mc_samples=mc_samples, seed=seed
-    ),
-    "submodular_g": lambda seed, mc_samples: verify_submodular_g(),
     "max_inequalities": lambda seed, mc_samples: verify_max_inequalities(seed=seed),
+    "submodular_g": lambda seed, mc_samples: verify_submodular_g(),
+    "var2approx": lambda seed, mc_samples: verify_var2approx(seed=seed),
 }

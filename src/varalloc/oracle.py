@@ -579,6 +579,30 @@ def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
     return stat
 
 
+def _first_of_key(means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
+    """For each row of one width, the index of the first row with its quadrature key.
+
+    A row's key is its zero-deviation columns sorted by their bytes, followed
+    by its positive-deviation columns in index order.  Two rows share a key
+    exactly when they have the same multiset of (mean, deviation) columns,
+    byte for byte, and the same positive-deviation columns in the same order.
+    ``expected_max_batch`` then gives them the same bits: ``lo`` and ``hi``
+    are maxima and the edges are sorted, so they depend on the multiset alone
+    (a -0.0 or +0.0 edge or ``lo`` changes no node, weight or sum), and the
+    live columns are packed in index order.
+    """
+    pairs = np.stack([means, stddevs], axis=2).view(np.uint64)
+    live = stddevs > 0
+    # lexsort is stable, so live columns, tied on every key, keep index order.
+    order = np.lexsort((np.where(live, 0, pairs[..., 1]), np.where(live, 0, pairs[..., 0]), live),
+                       axis=1)
+    keys = np.take_along_axis(pairs, order[..., None], axis=1).tobytes()
+    size = len(keys) // len(pairs)
+    first = {}
+    return np.array([first.setdefault(keys[i:i + size], i // size)
+                     for i in range(0, len(keys), size)])
+
+
 def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorConfig,
                    seed_of) -> tuple[list, dict]:
     """E[max_{i in S_j} X_i] per set, from float arrays over all independent variables.
@@ -586,7 +610,10 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
     ``auto`` takes the closed forms (on Python floats, so -0.0 passes
     through) for at most two members or at most one nonzero deviation, and
     quadrature otherwise.  Quadrature sets of one width are refined together
-    by ``_quadrature_rows``; Monte Carlo set j draws from ``seed_of(j)``.
+    by ``_quadrature_rows``, one row per key of ``_first_of_key``: every set
+    whose row has the same zero-deviation columns up to order and the same
+    positive-deviation columns in the same order gets, bit for bit, the value
+    of refining its own row.  Monte Carlo set j draws from ``seed_of(j)``.
     Returns the estimates in set order and a map from each set quadrature
     left unconverged to its best estimate.
     """
@@ -609,12 +636,18 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
                 lambda z: row_max(np.multiply(z.T, s[:, None], order="C"), range(len(m)), m))
     failed = {}
     for group in by_width.values():
-        values, open_rows = _quadrature_rows(np.array([m for _, m, _ in group]),
-                                             np.array([s for _, _, s in group]),
-                                             cfg.quadrature_tolerance)
-        for (j, _, _), x in zip(group, values):
-            estimates[j] = Estimate(float(x), 0.0, "quadrature")
-        failed.update((group[r][0], values[r]) for r in open_rows)
+        m_rows = np.array([m for _, m, _ in group])
+        s_rows = np.array([s for _, _, s in group])
+        first = _first_of_key(m_rows, s_rows)
+        todo = np.unique(first)
+        values = np.empty(len(group))
+        values[todo], open_rows = _quadrature_rows(m_rows[todo], s_rows[todo],
+                                                   cfg.quadrature_tolerance)
+        unconverged = set(todo[open_rows].tolist())
+        for (j, _, _), r in zip(group, first.tolist()):
+            estimates[j] = Estimate(float(values[r]), 0.0, "quadrature")
+            if r in unconverged:
+                failed[j] = values[r]
     return estimates, failed
 
 
@@ -684,8 +717,9 @@ def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfi
 
     Sets go through the evaluator of ``expected_max_independent``, so each
     gets the bits of that call.  Sets that take quadrature are refined
-    together, one ``expected_max_batch`` call per refinement level for all
-    open sets of one width.  Values add up in set order.  A set that does not converge
+    together, one ``expected_max_batch`` call per refinement level for the
+    open rows of one width, and sets whose rows share a quadrature key share
+    one row.  Values add up in set order.  A set that does not converge
     raises ``QuadratureError("set j: ...")``, naming the lowest such j.
     Monte Carlo sets draw from independent per-set streams, so confidence
     half-widths combine in quadrature.

@@ -114,6 +114,17 @@ def _uniform_wide(work: Path) -> list[str]:
     return ["wide.json", "wide-report.json", "er.json", "er-report.json"]
 
 
+def _uniform_complete_k(work: Path) -> list[str]:
+    # All 70 sets of 4 out of 8 under one deviation: every set has the same
+    # row, so quadrature scores one row and all 70 sets share its value.
+    inst = str(work / "k.json")
+    assert run(["generate", "complete-k", "--n", "8", "--k", "4", "--out", inst]) == 0
+    rep = str(work / "report.json")
+    assert run(["solve", "uniform", "--in", inst, "--out", rep]) == 0
+    assert run(["evaluate", "--in", rep, "--out", str(work / "eval.json")]) == 0
+    return ["k.json", "report.json", "eval.json"]
+
+
 def _write_mixed_widths(work: Path) -> Path:
     # Sets of widths 1, 2, 3 and 8+ (8, 9, 8), at least two of each.  Mean 6
     # sits more than 10 deviations above the zero means under the uniform split,
@@ -218,6 +229,7 @@ CASES = {
     "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,
     "uniform_wide": _uniform_wide,
+    "uniform_complete_k": _uniform_complete_k,
     "graph_mixed_widths": _graph_mixed_widths,
     "evaluate": _evaluate,
     "evaluate_methods": _evaluate_methods,

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from varalloc.instances import AllocationVector, Instance, cycle_instance
+from varalloc import solvers
+from varalloc.instances import (
+    AllocationVector,
+    Instance,
+    complete_k_subsets_instance,
+    cycle_instance,
+)
 from varalloc.oracle import (
     CovarianceSpec,
     Estimate,
@@ -916,6 +922,124 @@ class TestGraphObjectiveBatched:
         assert np.float64(got.value.estimate).view(np.int64) == np.float64(
             want.value.estimate).view(np.int64)
         assert isinstance(got.value.__cause__, QuadratureError)
+
+
+def _spy_batch_calls(monkeypatch) -> list:
+    """(rows, subdiv) of every later ``oracle.expected_max_batch`` call."""
+    calls = []
+    real = oracle.expected_max_batch
+
+    def counting(means, stddevs, *, subdiv=1):
+        calls.append((np.shape(stddevs)[0], subdiv))
+        return real(means, stddevs, subdiv=subdiv)
+
+    monkeypatch.setattr(oracle, "expected_max_batch", counting)
+    return calls
+
+
+def _rearranged(rng, means, stddevs):
+    """The row with its zero-deviation columns shuffled into new positions and
+    its positive-deviation columns kept in their order."""
+    width = len(means)
+    live = np.flatnonzero(stddevs > 0)
+    slots = np.sort(rng.choice(width, len(live), replace=False))
+    order = np.empty(width, dtype=int)
+    order[slots] = live
+    order[np.setdiff1d(np.arange(width), slots)] = rng.permutation(np.flatnonzero(stddevs == 0))
+    return means[order], stddevs[order]
+
+
+class TestQuadratureKey:
+    """Rows that share a quadrature key get the same bits, and rows that do
+    not are scored as their own rows."""
+
+    @pytest.mark.parametrize("subdiv", [1, 2])
+    def test_rearranged_rows_keep_their_bits(self, subdiv):
+        # Means of -0.0 and 0.0, repeated columns, and live columns far
+        # below a point mass (dead below lo, mean 3 against means near 0).
+        rng = np.random.default_rng(19 + subdiv)
+        for width in range(3, 9):
+            rows = 60
+            means = rng.choice([-0.0, 0.0, 0.25, 0.5, 3.0, -1.0], (rows, width),
+                               p=[0.2, 0.2, 0.2, 0.2, 0.05, 0.15])
+            sigs = rng.choice([0.0, 0.125, 0.25, 0.5], (rows, width), p=[0.4, 0.2, 0.2, 0.2])
+            sigs[:, 0] = 0.5  # at least two live columns: a quadrature row
+            sigs[:, -1] = 0.25
+            moved = [_rearranged(rng, m, s) for m, s in zip(means, sigs)]
+            m2 = np.array([m for m, _ in moved])
+            s2 = np.array([s for _, s in moved])
+            assert not np.array_equal(np.signbit(m2), np.signbit(means))
+            want = expected_max_batch(means, sigs, subdiv=subdiv).view(np.int64)
+            got = expected_max_batch(m2, s2, subdiv=subdiv).view(np.int64)
+            assert np.array_equal(got, want)
+            one = [expected_max_batch(m, s, subdiv=subdiv).view(np.int64)[0] for m, s in moved]
+            assert np.array_equal(one, want)
+            # Every rearranged row shares the key of its original.
+            first = oracle._first_of_key(np.concatenate([means, m2]), np.concatenate([sigs, s2]))
+            assert np.array_equal(first[rows:], first[:rows])
+
+    def test_live_order_is_part_of_the_key(self, monkeypatch):
+        # Sets 0 and 1 hold the same (mean, deviation) columns, with the
+        # live ones in a different order; set 2 is set 0 with its point mass
+        # moved, so it shares set 0's key.
+        inst = Instance(9, [0.1, 0.4, 0.2, 0.4, 0.1, 0.2, 0.2, 0.1, 0.4],
+                        [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+        alloc = AllocationVector([0.3, 0.4, 0.0, 0.4, 0.3, 0.0, 0.0, 0.3, 0.4])
+        first = oracle._first_of_key(
+            np.array([[0.1, 0.4, 0.2], [0.4, 0.1, 0.2], [0.2, 0.1, 0.4]]),
+            np.array([[0.3, 0.4, 0.0], [0.4, 0.3, 0.0], [0.0, 0.3, 0.4]]))
+        assert first.tolist() == [0, 1, 0]
+        calls = _spy_batch_calls(monkeypatch)
+        cfg = EstimatorConfig()
+        got = graph_objective(inst, alloc, cfg)
+        assert calls[0] == (2, 1)
+        # Each set as its own one-row refinement.
+        want = sum(_reference_quadrature([inst.means[i] for i in members],
+                                         [alloc.stddevs[i] for i in members],
+                                         cfg.quadrature_tolerance)
+                   for members in inst.sets)
+        assert _bits(got) == _bits(Estimate(want, 0.0, "quadrature"))
+
+
+class TestSharedKeysInGraphObjective:
+    """``graph_objective`` scores one row per key and keeps the bits of
+    ``expected_max_independent`` on every set."""
+
+    @pytest.mark.parametrize("solver", ["uniform", "log_approx_graph"])
+    def test_complete_k_matches_per_set_estimates(self, solver, monkeypatch):
+        inst = complete_k_subsets_instance(8, 4)
+        cfg = EstimatorConfig()
+        alloc = getattr(solvers, solver)(inst, cfg).allocation
+        value = 0.0
+        for members in inst.sets:
+            v = GaussianVector([inst.means[i] for i in members], [alloc.stddevs[i] for i in members])
+            value += expected_max_independent(v, cfg).value
+        calls = _spy_batch_calls(monkeypatch)
+        assert graph_objective(inst, alloc, cfg).value.hex() == value.hex()
+        # Uniform: all 70 sets share one row.  Log-approx puts 0.5 on four
+        # variables: sets with 2, 3 or 4 of them take quadrature, one row each.
+        assert calls[0] == ({"uniform": 1, "log_approx_graph": 3}[solver], 1)
+
+    def test_lowest_failing_set_is_named_when_its_key_is_shared(self):
+        # At a tolerance of 1e-300 two refinement levels must agree bit for
+        # bit.  Set 0 (zero means, equal deviations) does; sets 1 and 3
+        # share a key (set 3 moves the point mass) and never do.
+        fails = ([0.14, 0.72, 0.28, 0.13], [0.12, 0.19, 0.0, 0.37])
+        inst = Instance(11, [0.0, 0.0, 0.0, *fails[0], 0.28, 0.14, 0.72, 0.13],
+                        [(0, 1, 2), (3, 4, 5, 6), (0, 7), (7, 8, 9, 10)])
+        alloc = AllocationVector([0.3] * 3 + fails[1] + [0.0, 0.12, 0.19, 0.37])
+        first = oracle._first_of_key(
+            np.array([fails[0], [0.28, 0.14, 0.72, 0.13]]),
+            np.array([fails[1], [0.0, 0.12, 0.19, 0.37]]))
+        assert first.tolist() == [0, 0]
+        cfg = EstimatorConfig(quadrature_tolerance=1e-300)
+        with pytest.raises(QuadratureError) as want:
+            _reference_graph_objective(inst, alloc, cfg)
+        with pytest.raises(QuadratureError) as got:
+            graph_objective(inst, alloc, cfg)
+        assert str(got.value).startswith("set 1: quadrature did not reach tolerance 1e-300")
+        assert str(got.value) == str(want.value)
+        assert got.value.estimate.hex() == want.value.estimate.hex()
 
 
 class TestOneSetEvaluator:
