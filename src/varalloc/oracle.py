@@ -42,6 +42,7 @@ bits for any worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -94,7 +95,7 @@ _MC_CHUNK = 1 << 18
 # 2-core VM the correlated PTAS candidate loop (n = 3) ran fastest at 2^14,
 # 5-10% faster than at 2^13 or 2^15.
 _SAMPLE_TILE = 1 << 14
-_RANK_TOL = 1e-10  # psd_factor's zero-eigenvalue cut, relative to the largest
+_RANK_TOL = 1e-10  # psd_factor's zero-eigenvalue cut, times max(largest eigenvalue, 1)
 
 # Quadrature nodes in flight inside expected_max_batch, across all threads:
 # each node-sized float64 temporary, summed over the slabs evaluated at once,
@@ -388,16 +389,16 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     to ~1e-12 since panel spacing follows each coordinate's standard
     deviation.
 
-    Within a slab, a column whose entries all have a zero deviation or
-    mu + 10 s at or below the lower limit (factor exactly 1.0 on every node)
-    is skipped, and a column equal byte for byte to the previous one reuses
-    its factor, so the result has the bits of the product over every column.
-    Each row's live columns are packed to the left in index order, padded
-    with exact 1.0 factors, and nodes and products are built for the
-    positive-width panels only, their contributions scattered back into
-    their slots of a zero array: a zero-width panel's contributions are
-    zeros, and every row is summed over its full length in the same order,
-    so the result keeps its bits.
+    A row's value is a function of the multiset of its (mean, deviation)
+    columns, compared as bytes.  The limits are maxima and the panel edges
+    are sorted (a -0.0 or +0.0 edge or lower limit changes no node, weight
+    or sum).  A column with a zero deviation or mu + 10 s at or below the
+    lower limit has a factor of exactly 1.0 on every node and is dropped;
+    each row's other columns are packed to the left, sorted by the bytes of
+    (s, mu), and one equal byte for byte to the previous column of the slab
+    reuses its factor.  Only positive-width panels get nodes, and their
+    contributions are scattered back into a zero array, so every row sums
+    its full length in the same order.
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
@@ -411,6 +412,14 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
         lambda start: _expected_max_slab(means[start:start + slab],
                                          stddevs[start:start + slab], subdiv),
         range(0, ncand, slab)))
+
+
+@functools.cache
+def _panel_parts(subdiv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``subdiv`` equal parts of a panel starts and ends, as shares of
+    its width from either edge; cached, as ``linspace`` is about 8% of a one-row call."""
+    frac = np.linspace(0.0, 1.0, subdiv + 1)
+    return frac[:-1], 1.0 - frac[1:]
 
 
 def _expected_max_slab(means, stddevs, subdiv):
@@ -431,31 +440,29 @@ def _expected_max_slab(means, stddevs, subdiv):
     # Survival function of the maximum: 1 - prod_i F_i(t).  A factor is
     # exactly 1 on every node (t >= lo) for a degenerate entry, a unit step
     # at or below lo, and where mu + 10 s <= lo puts z >= 10 (ndtr is 1.0).
-    # Such entries get z = +inf; multiplying by 1.0 is exact, so a row's
-    # product is that of its live entries in index order, wherever they sit.
+    # Each row's other (live) entries are packed to the left, sorted by the
+    # bytes of (s, mu), so the product depends on the multiset of columns and
+    # not on their order; the padding keeps z = +inf, an exact 1.0 factor.
     live = (stddevs > 0) & (means + _TAIL_SIGMAS * stddevs > lo[:, None])
     m_eff = np.where(live, means, -np.inf)
     s_eff = np.where(live, stddevs, 1.0)
-    # Each row's live entries are packed to the left in index order; the
-    # padding keeps z = +inf.
     most = int(live.sum(axis=1).max())
-    order = np.argsort(~live, axis=1, kind="stable")[:, :most]
+    order = np.lexsort((m_eff.view(np.uint64), s_eff.view(np.uint64), ~live), axis=1)[:, :most]
     m_eff = np.take_along_axis(m_eff, order, axis=1)
     s_eff = np.take_along_axis(s_eff, order, axis=1)
 
     # A zero-width panel's nodes have weight 0.0 and contribute exact zeros,
     # so only positive-width panels get nodes: each becomes one row of
-    # nodes, and ``owner`` is the row it came from.
+    # nodes, and ``owner`` is the row it came from.  Each is split into
+    # ``subdiv`` equal parts; at subdiv 1 the offsets are exact zeros.
     wide = b > a
     owner = np.nonzero(wide)[0]
-    a, b = a[wide][:, None], b[wide][:, None]
+    a, b = a[wide], b[wide]
     m_eff, s_eff = m_eff[owner], s_eff[owner]
-    span = a.shape[1] * subdiv * _GL_POINTS
-    if subdiv > 1:
-        frac = np.linspace(0.0, 1.0, subdiv + 1)
-        width = b - a
-        a, b = (a[:, :, None] + width[:, :, None] * frac[:-1],
-                b[:, :, None] - width[:, :, None] * (1.0 - frac[1:]))
+    span = subdiv * _GL_POINTS
+    start, end = _panel_parts(subdiv)
+    width = (b - a)[:, None]
+    a, b = a[:, None] + width * start, b[:, None] - width * end
 
     half = 0.5 * (b - a)
     t = (a[..., None] + half[..., None] * (_GL_NODES + 1.0)).reshape(len(a), span)
@@ -582,25 +589,15 @@ def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
 def _first_of_key(means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
     """For each row of one width, the index of the first row with its quadrature key.
 
-    A row's key is its zero-deviation columns sorted by their bytes, followed
-    by its positive-deviation columns in index order.  Two rows share a key
-    exactly when they have the same multiset of (mean, deviation) columns,
-    byte for byte, and the same positive-deviation columns in the same order.
-    ``expected_max_batch`` then gives them the same bits: ``lo`` and ``hi``
-    are maxima and the edges are sorted, so they depend on the multiset alone
-    (a -0.0 or +0.0 edge or ``lo`` changes no node, weight or sum), and the
-    live columns are packed in index order.
+    A row's key is the multiset of its (mean, deviation) columns, compared as
+    bytes, and ``expected_max_batch`` gives every row of one key the same
+    bits: a row's value is a function of that multiset alone.
     """
     pairs = np.stack([means, stddevs], axis=2).view(np.uint64)
-    live = stddevs > 0
-    # lexsort is stable, so live columns, tied on every key, keep index order.
-    order = np.lexsort((np.where(live, 0, pairs[..., 1]), np.where(live, 0, pairs[..., 0]), live),
-                       axis=1)
-    keys = np.take_along_axis(pairs, order[..., None], axis=1).tobytes()
-    size = len(keys) // len(pairs)
+    order = np.lexsort((pairs[..., 0], pairs[..., 1]), axis=1)
+    keys = np.take_along_axis(pairs, order[..., None], axis=1).reshape(len(pairs), -1)
     first = {}
-    return np.array([first.setdefault(keys[i:i + size], i // size)
-                     for i in range(0, len(keys), size)])
+    return np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)])
 
 
 def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorConfig,
@@ -611,11 +608,10 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
     through) for at most two members or at most one nonzero deviation, and
     quadrature otherwise.  Quadrature sets of one width are refined together
     by ``_quadrature_rows``, one row per key of ``_first_of_key``: every set
-    whose row has the same zero-deviation columns up to order and the same
-    positive-deviation columns in the same order gets, bit for bit, the value
-    of refining its own row.  Monte Carlo set j draws from ``seed_of(j)``.
-    Returns the estimates in set order and a map from each set quadrature
-    left unconverged to its best estimate.
+    whose row has the same multiset of (mean, deviation) columns gets, bit
+    for bit, the value of refining its own row.  Monte Carlo set j draws from
+    ``seed_of(j)``.  Returns the estimates in set order and a map from each
+    set quadrature left unconverged to its best estimate.
     """
     estimates = [None] * len(sets)
     by_width = {}  # quadrature sets as (j, means, stddevs), grouped by width
@@ -667,10 +663,11 @@ def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimat
 def psd_factor(matrix: np.ndarray) -> np.ndarray:
     """Symmetric factor L with L L^T = matrix, tolerating rank deficiency.
 
-    Eigenvalues below -1e-9 raise; eigenvalues within ``_RANK_TOL`` of zero
-    (relative to the largest) are treated as exact zeros, so PSD-but-singular
-    matrices such as perfectly correlated blocks sample correctly.  Returns
-    an (n, r) factor with r the numerical rank.
+    Eigenvalues below -1e-9 raise; eigenvalues at or below ``_RANK_TOL *
+    max(largest, 1)``, an absolute 1e-10 under the unit variance budget, are
+    treated as exact zeros, so PSD-but-singular matrices such as perfectly
+    correlated blocks sample correctly.  Returns an (n, r) factor with r the
+    numerical rank.
     """
     sym = 0.5 * (matrix + matrix.T)
     w, vecs = np.linalg.eigh(sym)
@@ -718,11 +715,11 @@ def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfi
     Sets go through the evaluator of ``expected_max_independent``, so each
     gets the bits of that call.  Sets that take quadrature are refined
     together, one ``expected_max_batch`` call per refinement level for the
-    open rows of one width, and sets whose rows share a quadrature key share
-    one row.  Values add up in set order.  A set that does not converge
-    raises ``QuadratureError("set j: ...")``, naming the lowest such j.
-    Monte Carlo sets draw from independent per-set streams, so confidence
-    half-widths combine in quadrature.
+    open rows of one width, and sets whose rows hold the same multiset of
+    (mean, deviation) columns share one row.  Values add up in set order.
+    A set that does not converge raises ``QuadratureError("set j: ...")``,
+    naming the lowest such j.  Monte Carlo sets draw from independent
+    per-set streams, so confidence half-widths combine in quadrature.
     """
     if len(alloc.stddevs) != inst.n:
         raise ValueError(f"allocation has length {len(alloc.stddevs)}, expected {inst.n}")

@@ -1,6 +1,7 @@
 """Estimator tests: closed forms, quadrature vs an independent scipy oracle,
 Monte Carlo calibration, and the module invariants."""
 
+import json
 import math
 import re
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from varalloc import solvers
+from varalloc import cli, solvers
 from varalloc.instances import (
     AllocationVector,
     Instance,
@@ -67,11 +68,15 @@ def scipy_expected_max(means, stddevs):
 
 def _full_product_expected_max(means, stddevs, subdiv):
     """Reference for ``expected_max_batch``: the same panels as one slab, and
-    the survival product taken over every coordinate with ``ndtr`` on every
-    node (a degenerate coordinate contributes 1.0)."""
+    the survival product taken over every coordinate, in the order of the
+    bytes of (deviation, mean), with ``ndtr`` on every node (a degenerate
+    coordinate contributes 1.0)."""
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
+    order = np.lexsort((means.view(np.uint64), stddevs.view(np.uint64)), axis=1)
+    means = np.take_along_axis(means, order, axis=1)
+    stddevs = np.take_along_axis(stddevs, order, axis=1)
     lo = (means - 10.0 * stddevs).max(axis=1)
     hi = (means + 10.0 * stddevs).max(axis=1)
     bps = (means[:, None, :] + stddevs[:, None, :] * oracle._KNOTS[:, None]).reshape(ncand, -1)
@@ -706,6 +711,12 @@ class TestCorrelated:
         with pytest.raises(FactorizationError):
             psd_factor(np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    def test_psd_factor_rank_cut_is_absolute_under_the_budget(self):
+        # The cut is 1e-10 * max(largest eigenvalue, 1): 1e-10 whenever the
+        # largest eigenvalue is at most 1, not a share of it.
+        assert psd_factor(np.diag([0.01, 5e-11])).shape == (2, 1)
+        assert psd_factor(np.diag([1e-11, 0.0])).shape == (2, 0)
+
     def test_seed_determinism(self):
         spec = CovarianceSpec([0, 1], [[0.4, 0.1], [0.1, 0.6]])
         cfg = EstimatorConfig(mc_samples=50_000, seed=9)
@@ -938,20 +949,14 @@ def _spy_batch_calls(monkeypatch) -> list:
 
 
 def _rearranged(rng, means, stddevs):
-    """The row with its zero-deviation columns shuffled into new positions and
-    its positive-deviation columns kept in their order."""
-    width = len(means)
-    live = np.flatnonzero(stddevs > 0)
-    slots = np.sort(rng.choice(width, len(live), replace=False))
-    order = np.empty(width, dtype=int)
-    order[slots] = live
-    order[np.setdiff1d(np.arange(width), slots)] = rng.permutation(np.flatnonzero(stddevs == 0))
+    """The row with its columns in a random order."""
+    order = rng.permutation(len(means))
     return means[order], stddevs[order]
 
 
 class TestQuadratureKey:
-    """Rows that share a quadrature key get the same bits, and rows that do
-    not are scored as their own rows."""
+    """A row's bits and its quadrature key depend only on the multiset of its
+    (mean, deviation) columns."""
 
     @pytest.mark.parametrize("subdiv", [1, 2])
     def test_rearranged_rows_keep_their_bits(self, subdiv):
@@ -969,6 +974,7 @@ class TestQuadratureKey:
             m2 = np.array([m for m, _ in moved])
             s2 = np.array([s for _, s in moved])
             assert not np.array_equal(np.signbit(m2), np.signbit(means))
+            assert not np.array_equal(s2[s2 > 0], sigs[sigs > 0])  # live columns move too
             want = expected_max_batch(means, sigs, subdiv=subdiv).view(np.int64)
             got = expected_max_batch(m2, s2, subdiv=subdiv).view(np.int64)
             assert np.array_equal(got, want)
@@ -978,27 +984,41 @@ class TestQuadratureKey:
             first = oracle._first_of_key(np.concatenate([means, m2]), np.concatenate([sigs, s2]))
             assert np.array_equal(first[rows:], first[:rows])
 
-    def test_live_order_is_part_of_the_key(self, monkeypatch):
+    def test_rows_with_one_multiset_share_a_key(self, monkeypatch):
         # Sets 0 and 1 hold the same (mean, deviation) columns, with the
         # live ones in a different order; set 2 is set 0 with its point mass
-        # moved, so it shares set 0's key.
+        # moved.  All three share one key and one refined row.
         inst = Instance(9, [0.1, 0.4, 0.2, 0.4, 0.1, 0.2, 0.2, 0.1, 0.4],
                         [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
         alloc = AllocationVector([0.3, 0.4, 0.0, 0.4, 0.3, 0.0, 0.0, 0.3, 0.4])
         first = oracle._first_of_key(
             np.array([[0.1, 0.4, 0.2], [0.4, 0.1, 0.2], [0.2, 0.1, 0.4]]),
             np.array([[0.3, 0.4, 0.0], [0.4, 0.3, 0.0], [0.0, 0.3, 0.4]]))
-        assert first.tolist() == [0, 1, 0]
+        assert first.tolist() == [0, 0, 0]
         calls = _spy_batch_calls(monkeypatch)
         cfg = EstimatorConfig()
         got = graph_objective(inst, alloc, cfg)
-        assert calls[0] == (2, 1)
+        assert calls[0] == (1, 1)
         # Each set as its own one-row refinement.
         want = sum(_reference_quadrature([inst.means[i] for i in members],
                                          [alloc.stddevs[i] for i in members],
                                          cfg.quadrature_tolerance)
                    for members in inst.sets)
         assert _bits(got) == _bits(Estimate(want, 0.0, "quadrature"))
+
+    def test_relabelled_variables_keep_the_objective_bits(self, tmp_path):
+        # One set of four means, listed forwards and in reverse.
+        values = []
+        for means in ([0.78, 0.31, 0.27, 0.86], [0.86, 0.27, 0.31, 0.78]):
+            inst = Instance(4, means, [(0, 1, 2, 3)])
+            direct = graph_objective(inst, AllocationVector([0.5] * 4), EstimatorConfig())
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps({"n": 4, "means": means, "sets": [[0, 1, 2, 3]]}))
+            out = tmp_path / "rep.json"
+            assert cli.run(["solve", "uniform", "--in", str(path), "--out", str(out)]) == 0
+            values.append((direct.value.hex(), json.loads(out.read_text())["objective"]["value"]))
+        assert values[0][0] == values[1][0]
+        assert values[0][1].hex() == values[1][1].hex()
 
 
 class TestSharedKeysInGraphObjective:
