@@ -1,13 +1,29 @@
-"""Golden outputs: fixed-seed CLI invocations must keep their exact bytes.
+"""Golden outputs: fixed-seed CLI invocations must keep their bytes and values.
 
-Each case runs ``varalloc.cli.run`` on inputs written from a fixed seed and
-compares the SHA-256 of every output file with ``golden/sha256.json``.
-Speedups and refactors must leave these hashes unchanged; a change that is
-meant to alter an output re-records them with ``python tests/test_golden.py``
-and says why.
+Each case runs ``varalloc.cli.run`` on inputs written from a fixed seed, once
+per test session, and checks its output files against two layers:
+
+- hashes: the SHA-256 of every file equals ``golden/sha256.json``;
+- values: every parsed file agrees with ``golden/values.json`` field by field.
+  Discrete fields (strings, integers, allocations, matrices, means, trials,
+  CSV parameters) and Monte Carlo values match exactly; Monte Carlo values
+  follow a seed and an allocation, and an allocation that changes fails on
+  its own fields.  Each file's ``tolerances`` map a field path (keys and
+  list indices joined by dots) to a rule: ``{"rel": r}`` for a value derived
+  from quadrature or a closed form, or ``{"half_widths": k}`` for a Monte
+  Carlo estimate that may become deterministic (half-width 0 and a method
+  other than ``monte_carlo``) within k of its recorded half-width.
+
+Speedups and refactors must leave the hashes unchanged.  A change that is
+meant to alter an output re-records only the hashes, with ``python
+tests/test_golden.py``, says why, and must still pass the values layer.
+``python tests/test_golden.py --values`` records the values layer as well,
+which needs a stated reason of its own.
 """
 
+import csv
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -67,6 +83,31 @@ def _ptas_corr_multichunk(work: Path) -> list[str]:
                 "--out", rep]) == 0
     assert run(["evaluate", "--in", rep, "--out", str(work / "eval.json")]) == 0
     return ["report.json", "eval.json"]
+
+
+def _correlated_mc(work: Path) -> list[str]:
+    # Hand-written correlated reports at the default 2,000,000 samples, eight
+    # Monte Carlo chunks: a rank-3 matrix under auto on one set of four (the
+    # fourth variable is a constant), and a rank-1 matrix under monte_carlo
+    # on two overlapping sets.
+    cases = {
+        "rank3": ([0.54, 0.52, 0.21, 0.4], [[0, 1, 2, 3]], "auto",
+                  [[0.4, 0.1, 0.0, 0.0], [0.1, 0.3, -0.1, 0.0], [0.0, -0.1, 0.3, 0.0],
+                   [0.0, 0.0, 0.0, 0.0]]),
+        "rank1": ([0.1, 0.3, 0.0], [[0, 1], [1, 2]], "monte_carlo",
+                  [[0.16, -0.2, 0.12], [-0.2, 0.25, -0.15], [0.12, -0.15, 0.09]]),
+    }
+    outputs = []
+    for name, (means, sets, method, matrix) in cases.items():
+        doc = {"instance": {"n": len(means), "means": means, "sets": sets},
+               "allocation": {"matrix": matrix},
+               "config": {"method": method, "quadrature_tolerance": 1e-9,
+                          "mc_samples": 2_000_000, "seed": 3}}
+        rep = work / f"{name}-report.json"
+        rep.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert run(["evaluate", "--in", str(rep), "--out", str(work / f"{name}-eval.json")]) == 0
+        outputs.append(f"{name}-eval.json")
+    return outputs
 
 
 def _log_approx(work: Path) -> list[str]:
@@ -225,6 +266,7 @@ CASES = {
     "ptas_corr_n3": _ptas_corr_n3,
     "ptas_corr_pair": _ptas_corr_pair,
     "ptas_corr_multichunk": _ptas_corr_multichunk,
+    "correlated_mc": _correlated_mc,
     "log_approx": _log_approx,
     "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,
@@ -241,25 +283,146 @@ CASES = {
 }
 
 
-def _digests(name: str, work: Path) -> dict[str, str]:
-    files = CASES[name](work)
-    return {f: hashlib.sha256((work / f).read_bytes()).hexdigest() for f in files}
+VALUES = Path(__file__).parent / "golden" / "values.json"
+
+# verify claims whose worst_margin comes from Monte Carlo, and sweep
+# statistics computed by quadrature.
+_MC_CLAIMS = {"correlation_gap"}
+_QUADRATURE_STATISTICS = {"independent", "concavity_margin"}
+_REL = {"rel": 1e-12}
+
+
+def _parse(path: Path):
+    """A JSON file's document, or a CSV file's rows with numeric cells as floats."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".csv":
+        return json.loads(text)
+
+    def cell(x):
+        try:
+            return float(x)
+        except ValueError:
+            return x
+
+    return [{k: cell(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+
+
+def _default_tolerances(doc, path=()) -> dict[str, dict]:
+    """Relative tolerances for the fields of ``doc`` that quadrature or a closed form gives."""
+    rules = {}
+    if isinstance(doc, list):
+        for i, x in enumerate(doc):
+            rules.update(_default_tolerances(x, (*path, i)))
+    elif isinstance(doc, dict):
+        if {"value", "half_width", "method"} <= doc.keys():  # an estimate
+            deterministic = doc["method"] != "monte_carlo" and doc["half_width"] == 0
+            quadrature = deterministic and isinstance(doc["value"], float)
+        else:
+            quadrature = (doc.get("claim") not in _MC_CLAIMS if "claim" in doc
+                          else doc.get("statistic") in _QUADRATURE_STATISTICS)
+        for key in ("value", "worst_margin"):
+            if quadrature and isinstance(doc.get(key), float):
+                rules[".".join(map(str, (*path, key)))] = _REL
+        for k, x in doc.items():
+            rules.update(_default_tolerances(x, (*path, k)))
+    return rules
+
+
+def _value_errors(old, new, rules, path=()) -> list[str]:
+    """Where ``new`` departs from ``old`` under ``rules``; exact where no rule applies."""
+    where = ".".join(map(str, path))
+    rule = rules.get(where, {})
+    if "half_widths" in rule and old != new:
+        ok = (isinstance(new, dict) and new.keys() == old.keys() and new["half_width"] == 0
+              and new["method"] != "monte_carlo"
+              and abs(new["value"] - old["value"]) <= rule["half_widths"] * old["half_width"])
+        return [] if ok else [f"{where}: {new!r} is not {old!r} made deterministic"]
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [e for k in old for e in _value_errors(old[k], new[k], rules, (*path, k))]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [e for i, (a, b) in enumerate(zip(old, new))
+                for e in _value_errors(a, b, rules, (*path, i))]
+    if "rel" in rule and type(old) is float and type(new) is float:
+        ok = abs(new - old) <= rule["rel"] * abs(old)
+    else:
+        ok = type(old) is type(new) and old == new
+    return [] if ok else [f"{where}: {new!r} != {old!r}"]
+
+
+def _outputs(name: str, work: Path) -> dict[str, Path]:
+    return {f: work / f for f in CASES[name](work)}
+
+
+def _digests(outputs: dict[str, Path]) -> dict[str, str]:
+    return {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in outputs.items()}
+
+
+def _values(outputs: dict[str, Path]) -> dict[str, dict]:
+    return {f: {"doc": (doc := _parse(p)), "tolerances": _default_tolerances(doc)}
+            for f, p in outputs.items()}
+
+
+@pytest.fixture(scope="module")
+def case_outputs(tmp_path_factory):
+    """Each case's output files, made once for both layers."""
+    made = {}
+
+    def outputs(name: str) -> dict[str, Path]:
+        if name not in made:
+            made[name] = _outputs(name, tmp_path_factory.mktemp(name))
+        return made[name]
+
+    return outputs
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_sha256(name, tmp_path):
+def test_golden_sha256(name, case_outputs):
     want = json.loads(FIXTURE.read_text(encoding="utf-8"))[name]
-    assert _digests(name, tmp_path) == want
+    assert _digests(case_outputs(name)) == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_values(name, case_outputs):
+    want = json.loads(VALUES.read_text(encoding="utf-8"))[name]
+    outputs = case_outputs(name)
+    assert sorted(outputs) == sorted(want)
+    errors = [f"{f}: {e}" for f, rec in want.items()
+              for e in _value_errors(rec["doc"], _parse(outputs[f]), rec["tolerances"])]
+    assert not errors, "\n".join(errors)
+
+
+def test_value_rules():
+    est = {"value": 1.0, "half_width": 0.01, "method": "monte_carlo"}
+    moved = {"value": 1.025, "half_width": 0.0, "method": "closed_form"}
+    assert _value_errors(est, est, {}) == []
+    assert _value_errors(est, moved, {}) != []
+    assert _value_errors({"o": est}, {"o": moved}, {"o": {"half_widths": 3}}) == []
+    assert _value_errors({"o": est}, {"o": {**moved, "value": 1.04}}, {"o": {"half_widths": 3}})
+    assert _value_errors({"o": est}, {"o": {**est, "value": 1.001}}, {"o": {"half_widths": 3}})
+    assert _value_errors([0.5], [0.5 * (1 + 5e-13)], {"0": _REL}) == []
+    assert _value_errors([0.5], [0.5 * (1 + 5e-12)], {"0": _REL}) != []
+    assert _value_errors([1], [1.0], {}) != []  # an integer field stays an integer
+    assert _default_tolerances([{"claim": "lipschitz", "worst_margin": 0.3},
+                                {"claim": "correlation_gap", "worst_margin": 0.3}]) == {
+        "0.worst_margin": _REL}
+    assert _default_tolerances({"objective": {"value": 1.0, "half_width": 0.0,
+                                              "method": "quadrature"}, "eps": 0.5}) == {
+        "objective.value": _REL}
 
 
 if __name__ == "__main__":
-    # Re-record the fixture from the current program.
+    # Re-record the hashes from the current program; with --values, the values too.
     import tempfile
 
-    record = {}
+    hashes, values = {}, {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            record[case] = _digests(case, Path(tmp))
+            outputs = _outputs(case, Path(tmp))
+            hashes[case] = _digests(outputs)
+            values[case] = _values(outputs)
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    FIXTURE.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {FIXTURE}\n")
+    if "--values" in sys.argv[1:]:
+        VALUES.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        sys.stdout.write(f"wrote {VALUES}\n")
