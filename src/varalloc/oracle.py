@@ -2,7 +2,10 @@
 
 This module is the objective function used by every solver and verifier: it
 evaluates E[max_i X_i] for independent and jointly Gaussian vectors to
-controlled accuracy.  Three routes are provided.
+controlled accuracy.  Three routes are provided: closed forms, quadrature
+and Monte Carlo.  Independent vectors take the first two under ``auto``.  A
+covariance matrix Sigma = L L^T takes them when its factor has rank r <= 2,
+and Monte Carlo otherwise.
 
 Closed forms (exact):
 
@@ -22,6 +25,16 @@ mu_i and contributes the exact constant factor (never a perturbation),
 because solvers routinely set most deviations to exactly 0.  Truncating the
 upper limit at max_i(mu_i + 10 s_i) and choosing c = max_i(mu_i - 10 s_i)
 bounds the neglected tails by sum_i s_i * (phi(10) - 10 Phi(-10)) < 1e-22.
+
+Low-rank covariance (exact): with X = mu + L z, max_i X_i is the upper
+envelope of the lines mu_i + L_i z.  At r = 1 line i is on top over one
+interval [lo_i, hi_i] of z, so E[max_i X_i] is the closed form
+sum_i mu_i (Phi(hi_i) - Phi(lo_i)) + L_i (phi(lo_i) - phi(hi_i)); a constant
+is a line of slope 0, and of parallel lines only the highest counts.  At
+r = 2 that closed form, taken along z_2, is integrated over z_1 by
+composite Gauss-Legendre panels on [-10, 10], with edges where the inner
+value has a kink or a jump in its second derivative, refined like the
+quadrature above.  Both have half-width 0.
 
 Monte Carlo: chunked sampling with per-chunk generators derived from
 (seed, chunk_index), so estimates are bit-reproducible and independent of
@@ -44,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import threading
@@ -422,6 +436,19 @@ def _panel_parts(subdiv: int) -> tuple[np.ndarray, np.ndarray]:
     return frac[:-1], 1.0 - frac[1:]
 
 
+def _panel_nodes(a: np.ndarray, b: np.ndarray, subdiv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 10-point rule on panels [a, b], each split into
+    ``subdiv`` equal parts, as (panels, subdiv * 10) arrays."""
+    span = subdiv * _GL_POINTS
+    start, end = _panel_parts(subdiv)
+    width = (b - a)[:, None]
+    a, b = a[:, None] + width * start, b[:, None] - width * end
+    half = 0.5 * (b - a)
+    t = (a[..., None] + half[..., None] * (_GL_NODES + 1.0)).reshape(len(a), span)
+    wt = (half[..., None] * _GL_WEIGHTS).reshape(len(a), span)
+    return t, wt
+
+
 def _expected_max_slab(means, stddevs, subdiv):
     ncand = stddevs.shape[0]
     lo = (means - _TAIL_SIGMAS * stddevs).max(axis=1)
@@ -459,14 +486,7 @@ def _expected_max_slab(means, stddevs, subdiv):
     owner = np.nonzero(wide)[0]
     a, b = a[wide], b[wide]
     m_eff, s_eff = m_eff[owner], s_eff[owner]
-    span = subdiv * _GL_POINTS
-    start, end = _panel_parts(subdiv)
-    width = (b - a)[:, None]
-    a, b = a[:, None] + width * start, b[:, None] - width * end
-
-    half = 0.5 * (b - a)
-    t = (a[..., None] + half[..., None] * (_GL_NODES + 1.0)).reshape(len(a), span)
-    wt = (half[..., None] * _GL_WEIGHTS).reshape(len(a), span)
+    t, wt = _panel_nodes(a, b, subdiv)
 
     prod = np.ones_like(t)
     key = None
@@ -478,7 +498,7 @@ def _expected_max_slab(means, stddevs, subdiv):
         prod *= factor
     # Back into row order, so each row sums the same operands in the same
     # order as with every panel.
-    terms = np.zeros(wide.shape + (span,))
+    terms = np.zeros(wide.shape + t.shape[1:])
     terms[wide] = (1.0 - prod) * wt
     return lo + terms.reshape(ncand, -1).sum(axis=1)
 
@@ -680,18 +700,15 @@ def psd_factor(matrix: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(w[keep])
 
 
-def _mc_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets) -> Estimate:
-    """Monte Carlo mean of sum_j max_{i in S_j} X_i on joint draws X ~ N(mu, Sigma).
+def _mc_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets, L: np.ndarray) -> Estimate:
+    """Monte Carlo mean of sum_j max_{i in S_j} X_i on joint draws X = mu + L z.
 
-    Each tile's centred samples are the coordinate-major block ``L @ z.T``
-    (n, count); each entry is the same length-r dot product as in
-    ``z @ L.T`` and as in the product over the whole chunk, and the
-    short-first product packs far better in BLAS.  Set maxima add up in set
-    order, starting from the first set's.
+    ``L`` is ``psd_factor(c.matrix)``.  Each tile's centred samples are the
+    coordinate-major block ``L @ z.T`` (n, count); each entry is the same
+    length-r dot product as in ``z @ L.T`` and as in the product over the
+    whole chunk, and the short-first product packs far better in BLAS.  Set
+    maxima add up in set order, starting from the first set's.
     """
-    if cfg.method not in ("auto", "monte_carlo"):
-        raise ValueError(f"correlated estimation is Monte Carlo only, got {cfg.method!r}")
-    L = psd_factor(c.matrix)
 
     def total(z):
         y = L @ z.T
@@ -704,9 +721,167 @@ def _mc_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets) -> Estimate:
     return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], total)
 
 
+def _segments(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line ``c[..., i] + b[i] z`` is the maximum over the lines, as (lo, hi).
+
+    Line i is the maximum exactly on [lo, hi]: lo is its largest crossing
+    with a line of smaller slope, hi its smallest crossing with a line of
+    larger slope, and it never is when a line of equal slope lies higher, or
+    as high with a lower index.  Lines that never are, or only at one point,
+    get lo = hi = 0.0, where every term below is an exact zero.
+    """
+    db = b[:, None] - b[None, :]  # [i, k] = b_i - b_k
+    dc = c[..., None, :] - c[..., :, None]  # [..., i, k] = c_k - c_i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = dc / db  # where lines i and k cross; masked below where db == 0
+    lo = np.where(db > 0, x, -np.inf).max(axis=-1)
+    hi = np.where(db < 0, x, np.inf).min(axis=-1)
+    earlier = np.tri(len(b), k=-1, dtype=bool)  # [i, k]: k < i
+    beaten = ((db == 0) & ((dc > 0) | ((dc == 0) & earlier))).any(axis=-1)
+    live = (lo < hi) & ~beaten
+    return np.where(live, lo, 0.0), np.where(live, hi, 0.0)
+
+
+def _envelope_mean(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E max_i (c[..., i] + b[i] Z), Z ~ N(0, 1), for each row of intercepts ``c``.
+
+    The maximum is the upper envelope of the lines, so with line i on top
+    over [lo_i, hi_i] (``_segments``) the value is
+    sum_i c_i (Phi(hi_i) - Phi(lo_i)) + b_i (phi(lo_i) - phi(hi_i)).
+    """
+    lo, hi = _segments(c, b)
+    return (c * (ndtr(hi) - ndtr(lo)) + b * (_norm_pdf(lo) - _norm_pdf(hi))).sum(axis=-1)
+
+
+def _rank2_kinks(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Points t in (-10, 10) where t -> E max_i (mu_i + a_i t + b_i Z) is not smooth.
+
+    Given the first factor coordinate t, the members are the lines with
+    intercepts mu_i + a_i t and slopes b_i in the second, Z.  Two lines of
+    equal slope cross at one t, and where they lie on the envelope there the
+    value has a kink.  Three lines meet in one point at the t where the
+    determinant of their rows (1, b_i, mu_i + a_i t), linear in t, vanishes;
+    where that point is on the envelope, a segment appears or vanishes and
+    the second derivative jumps.  Candidates are checked in chunks of at most
+    ``_SLAB_NODES`` line values, so memory stays bounded for any width.
+    """
+    w = len(mu)
+    found = [np.empty(0)]
+    i, j = np.triu_indices(w, 1)
+    par = (b[i] == b[j]) & (a[i] != a[j])
+    i, j = i[par], j[par]
+    t = (mu[j] - mu[i]) / (a[i] - a[j])
+    step = max(1, _SLAB_NODES // (w * w))
+    for s in range(0, len(t), step):
+        lo, hi = _segments(mu + np.multiply.outer(t[s:s + step], a), b)
+        live, rows = lo < hi, np.arange(len(lo))
+        found.append(t[s:s + step][live[rows, i[s:s + step]] | live[rows, j[s:s + step]]])
+    triples = itertools.combinations(range(w), 3)
+    while chunk := list(itertools.islice(triples, max(1, _SLAB_NODES // w))):
+        p, q, r = np.array(chunk).T
+
+        def det(c):
+            return (b[q] - b[p]) * (c[r] - c[p]) - (b[r] - b[p]) * (c[q] - c[p])
+
+        d0, d1 = det(mu), det(a)
+        ok = d1 != 0  # so the slopes are not all equal, and p has a partner of another
+        p, q = p[ok], np.where(b[p] != b[r], r, q)[ok]
+        t = -d0[ok] / d1[ok]
+        c = mu + np.multiply.outer(t, a)
+        rows = np.arange(len(t))
+        z = (c[rows, q] - c[rows, p]) / (b[p] - b[q])  # where lines p and q cross
+        top = c[rows, p] + b[p] * z
+        gap = (c + np.multiply.outer(z, b)).max(axis=1) - top
+        found.append(t[gap <= 1e-9 * (1.0 + np.abs(top) + np.abs(z) * np.abs(b).max())])
+    t = np.concatenate(found)
+    return t[np.abs(t) < _TAIL_SIGMAS]
+
+
+def _rank2_level(mu, a, b, edges: np.ndarray, subdiv: int) -> float:
+    """E max_i (mu_i + a_i T + b_i Z) by composite Gauss-Legendre over T on ``edges``.
+
+    Each panel is split into ``subdiv`` equal parts with a 10-point rule, and
+    the inner expectation over Z is ``_envelope_mean`` on chunks of nodes of
+    at most ``_SLAB_NODES`` line pairs.
+    """
+    t, wt = (x.reshape(-1) for x in _panel_nodes(edges[:-1], edges[1:], subdiv))
+    wt *= _norm_pdf(t)
+    step = max(1, _SLAB_NODES // (len(mu) * len(mu)))
+    inner = np.concatenate([_envelope_mean(mu + np.multiply.outer(t[s:s + step], a), b)
+                            for s in range(0, len(t), step)])
+    return float((wt * inner).sum())
+
+
+def _exact_set_maxima(c: CovarianceSpec, L: np.ndarray, sets, tol: float,
+                      name_set: bool) -> Estimate:
+    """sum_j E max_{i in S_j} X_i for X = mu + L z with a factor of rank r <= 2.
+
+    Rank 0 and 1 are closed forms: the envelope value of ``_envelope_mean``
+    with z scalar (at rank 0 one constant line, the largest mean), as is a
+    set with at most one member of nonzero variance at rank 2.  Rank 2
+    integrates the rank-1 value over the first coordinate of z, on the
+    panel knots of quadrature in [-10, 10] plus the kinks of
+    ``_rank2_kinks``, refined through subdiv 1, 2, 4, 8 and 16 until two
+    levels agree within ``tol``.  Sets are evaluated one by one and add up
+    in set order.  A set that never converges raises ``QuadratureError``,
+    prefixed "set j: " when ``name_set``.
+    """
+    rank = L.shape[1]
+    # A zero variance is a constant; its factor row may hold rounding residue.
+    L = np.where(np.diag(c.matrix)[:, None] > 0, L, 0.0) if rank else np.zeros((c.n, 1))
+    value = 0.0
+    for j, members in enumerate(sets):
+        idx = list(members)
+        mu, f = c.means[idx], L[idx]
+        if rank < 2 or np.count_nonzero(f.any(axis=1)) < 2:
+            # One dimension: the factor's column, or the length of the one loaded row.
+            value += float(_envelope_mean(mu, f[:, 0] if rank < 2 else np.hypot(*f.T)))
+            continue
+        a, b = f[:, 0], f[:, 1]
+        edges = np.unique(np.concatenate([_KNOTS, _rank2_kinks(mu, a, b)]))
+        prev = _rank2_level(mu, a, b, edges, 1)
+        for subdiv in (2, 4, 8, 16):
+            val = _rank2_level(mu, a, b, edges, subdiv)
+            if abs(val - prev) <= 0.5 * tol:
+                break
+            prev = val
+        else:
+            e = _nonconvergence(tol, val)
+            if name_set:
+                raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
+            raise e
+        value += val
+    return Estimate(value, 0.0, "quadrature" if rank == 2 else "closed_form")
+
+
+def _correlated_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets,
+                           name_set: bool = False) -> Estimate:
+    """sum_j E max_{i in S_j} X_i for X ~ N(mu, Sigma), routed by the rank of Sigma.
+
+    ``psd_factor``'s cut decides the rank r.  ``auto`` and ``quadrature``
+    take ``_exact_set_maxima`` at r <= 2; ``auto`` and ``monte_carlo`` take
+    ``_mc_set_maxima`` otherwise.  ``quadrature`` at r >= 3 and
+    ``closed_form`` raise ``ValueError``.
+    """
+    if cfg.method == "closed_form":
+        raise ValueError("correlated estimation has no closed form for a whole matrix; "
+                         "use auto, quadrature (rank <= 2) or monte_carlo")
+    L = psd_factor(c.matrix)
+    if cfg.method == "monte_carlo" or (cfg.method == "auto" and L.shape[1] > 2):
+        return _mc_set_maxima(c, cfg, sets, L)
+    if L.shape[1] > 2:
+        raise ValueError(f"correlated quadrature needs a factor of rank <= 2, got {L.shape[1]}")
+    return _exact_set_maxima(c, L, sets, cfg.quadrature_tolerance, name_set)
+
+
 def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
-    """Monte Carlo E[max_i X_i] for X ~ N(mu, Sigma); deterministic given seed."""
-    return _mc_set_maxima(c, cfg, [range(c.n)])
+    """E[max_i X_i] for X ~ N(mu, Sigma): exact at rank <= 2, else seeded Monte Carlo.
+
+    Under ``auto`` a matrix of rank 0 or 1 gets a closed form and one of
+    rank 2 quadrature, with half-width 0; a higher rank, or ``monte_carlo``,
+    gets a Monte Carlo estimate, deterministic given the seed.
+    """
+    return _correlated_set_maxima(c, cfg, [range(c.n)])
 
 
 def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfig) -> Estimate:
@@ -741,7 +916,12 @@ def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfi
 
 
 def graph_objective_correlated(inst: Instance, c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
-    """Sum over sets of per-set maxima, evaluated on shared joint draws."""
+    """Sum over sets of E[max over the member variables] for X ~ N(mu, Sigma).
+
+    Routed as ``expected_max_correlated``: exact per set at rank <= 2, where
+    a set that does not converge raises ``QuadratureError("set j: ...")``;
+    otherwise per-set maxima of shared joint draws.
+    """
     if c.n != inst.n:
         raise ValueError(f"covariance dimension {c.n} does not match instance n={inst.n}")
-    return _mc_set_maxima(c, cfg, inst.sets)
+    return _correlated_set_maxima(c, cfg, inst.sets, name_set=True)

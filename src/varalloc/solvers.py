@@ -517,9 +517,13 @@ def ptas_correlated(
     candidate matrices are built as one stack and filtered for PSD by stacked
     ``eigh`` calls over fixed-size chunks, so memory stays bounded; the
     survivors' eigen-factors are compared under common random numbers, in
-    enumeration order with ties to the first, and the winner re-estimated
-    independently.  ``_crn_mean`` scores a candidate in cache-sized tiles of
-    the shared sample matrix, with the bits of the whole-block score.
+    enumeration order with ties to the first.  ``_crn_mean`` scores a
+    candidate in cache-sized tiles of the shared sample matrix, with the bits
+    of the whole-block score.  The report re-estimates the winner apart from
+    the search, through ``graph_objective_correlated``: exactly (half-width
+    0) when the winner has rank <= 2, as on any support of at most 2, and by
+    a fresh Monte Carlo estimate from the solve's seed at rank 3 or under
+    ``method="monte_carlo"``.
 
     ``grid_step`` defaults to eps^3.  The smoothness argument behind the
     approximation guarantee asks for the much finer eps^8.5; that value is

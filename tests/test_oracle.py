@@ -1,6 +1,7 @@
 """Estimator tests: closed forms, quadrature vs an independent scipy oracle,
 Monte Carlo calibration, and the module invariants."""
 
+import itertools
 import json
 import math
 import re
@@ -675,25 +676,36 @@ class TestMonteCarloAccumulator:
 
 
 class TestCorrelated:
+    # These test the sampler, so they ask for it: under auto a matrix of
+    # rank <= 2 takes the exact route (TestExactCorrelated).
     def test_perfectly_correlated_is_zero(self):
         spec = CovarianceSpec([0, 0], [[0.5, 0.5], [0.5, 0.5]])
-        est = expected_max_correlated(spec, EstimatorConfig(mc_samples=200_000, seed=1))
+        est = expected_max_correlated(
+            spec, EstimatorConfig(method="monte_carlo", mc_samples=200_000, seed=1))
         assert abs(est.value) <= 3 * est.half_width + 1e-9
 
     def test_anti_correlated_closed_form(self):
         spec = CovarianceSpec([0, 0], [[0.5, -0.5], [-0.5, 0.5]])
-        est = expected_max_correlated(spec, EstimatorConfig(mc_samples=400_000, seed=1))
+        est = expected_max_correlated(
+            spec, EstimatorConfig(method="monte_carlo", mc_samples=400_000, seed=1))
         assert est.value == pytest.approx(INV_SQRT_PI, abs=3 * est.half_width)
 
     def test_diagonal_matches_independent(self):
         spec = CovarianceSpec([0, 0], np.diag([0.5, 0.5]))
-        est = expected_max_correlated(spec, EstimatorConfig(mc_samples=400_000, seed=2))
+        est = expected_max_correlated(
+            spec, EstimatorConfig(method="monte_carlo", mc_samples=400_000, seed=2))
         assert est.value == pytest.approx(PHI0, abs=3 * est.half_width)
 
     def test_method_restriction(self):
-        spec = CovarianceSpec([0], [[1.0]])
+        # Quadrature covers ranks 0-2 only, and no method named closed_form
+        # covers a whole matrix.
+        spec = CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]])
+        assert psd_factor(spec.matrix).shape == (3, 3)
         with pytest.raises(ValueError):
             expected_max_correlated(spec, EstimatorConfig(method="quadrature"))
+        with pytest.raises(ValueError):
+            expected_max_correlated(CovarianceSpec([0], [[1.0]]),
+                                    EstimatorConfig(method="closed_form"))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -719,8 +731,190 @@ class TestCorrelated:
 
     def test_seed_determinism(self):
         spec = CovarianceSpec([0, 1], [[0.4, 0.1], [0.1, 0.6]])
-        cfg = EstimatorConfig(mc_samples=50_000, seed=9)
+        cfg = EstimatorConfig(method="monte_carlo", mc_samples=50_000, seed=9)
         assert expected_max_correlated(spec, cfg) == expected_max_correlated(spec, cfg)
+
+
+def _scipy_line_mean(c, b):
+    """E max_i (c_i + b_i Z) by scipy adaptive quadrature, split at every crossing."""
+    cross = [(c[k] - c[i]) / (b[i] - b[k]) for i in range(len(c)) for k in range(i)
+             if b[i] != b[k]]
+    points = sorted({x for x in cross if abs(x) < 12.0}) or None
+    lines = list(zip(c.tolist(), b.tolist()))
+    return quad(lambda z: max(ci + bi * z for ci, bi in lines) * math.exp(-0.5 * z * z),
+                -12.0, 12.0, points=points, epsabs=1e-13, limit=400)[0] / math.sqrt(2 * math.pi)
+
+
+def scipy_expected_max_correlated(means, factor):
+    """Independent oracle: E max_i (mu_i + factor_i . z), z standard normal of rank 1 or 2.
+
+    Rank 2 nests ``_scipy_line_mean`` in a quadrature over the first
+    coordinate, split where two lines of equal second-coordinate slope cross
+    and where any three lines meet, whether or not on the maximum."""
+    mu, f = np.asarray(means, dtype=float), np.asarray(factor, dtype=float)
+    if f.shape[1] == 1:
+        return _scipy_line_mean(mu, f[:, 0])
+    a, b = f[:, 0], f[:, 1]
+    kinks = [(mu[j] - mu[i]) / (a[i] - a[j]) for i, j in itertools.combinations(range(len(mu)), 2)
+             if b[i] == b[j] and a[i] != a[j]]
+    for i, j, k in itertools.combinations(range(len(mu)), 3):
+        rows = lambda c: np.array([[1.0, b[i], c[i]], [1.0, b[j], c[j]], [1.0, b[k], c[k]]])
+        d0, d1 = np.linalg.det(rows(mu)), np.linalg.det(rows(a))
+        if d1 != 0:
+            kinks.append(-d0 / d1)
+    points = sorted({x for x in kinks if abs(x) < 12.0}) or None
+    return quad(lambda t: _scipy_line_mean(mu + a * t, b) * math.exp(-0.5 * t * t),
+                -12.0, 12.0, points=points, epsabs=1e-12, limit=400)[0] / math.sqrt(2 * math.pi)
+
+
+def _random_factor(rng, n, rank):
+    """An (n, rank) factor under the unit budget, with a zero row now and then."""
+    f = rng.normal(size=(n, rank))
+    f[rng.random(n) < 0.25] = 0.0
+    return f / math.sqrt(max(float(np.square(f).sum()), 1.0))
+
+
+def _spec(means, factor):
+    f = np.asarray(factor, dtype=float)
+    return CovarianceSpec(means, f @ f.T)
+
+
+class TestExactCorrelated:
+    """Rank <= 2 covariance matrices: closed forms at rank 0 and 1, one
+    quadrature dimension at rank 2, all with half-width 0."""
+
+    AUTO = EstimatorConfig()
+
+    @pytest.mark.parametrize("m1,s1,m2,s2", [(0.0, 0.7, 0.3, 0.5), (0.2, 1.0, 0.0, 0.0),
+                                             (1.0, 0.3, -1.0, 0.9), (0.0, 0.5, 0.0, 0.5),
+                                             (0.5, 0.2, 0.4, 0.9)])
+    def test_diagonal_pair_matches_clark(self, m1, s1, m2, s2):
+        est = expected_max_correlated(CovarianceSpec([m1, m2], np.diag([s1 * s1, s2 * s2])),
+                                      self.AUTO)
+        assert est.half_width == 0.0
+        assert est.method_used == ("quadrature" if s1 and s2 else "closed_form")
+        assert est.value == pytest.approx(expected_max_pair(m1, s1, m2, s2), abs=1e-13)
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.6, 0.3, 1.0])
+    def test_correlated_pair_matches_clark(self, rho):
+        # Clark: E max(X1, X2) is the pair formula with theta^2 the variance of X1 - X2.
+        m1, s1, m2, s2 = 0.3, 0.6, 0.1, 0.5
+        cov = [[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]]
+        est = expected_max_correlated(CovarianceSpec([m1, m2], cov), self.AUTO)
+        theta = math.sqrt(s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2)
+        assert est.half_width == 0.0
+        assert est.value == pytest.approx(expected_max_pair(m1, theta, m2, 0.0), abs=1e-13)
+
+    def test_one_loaded_variable_with_constants(self):
+        spec = CovarianceSpec([0.2, 0.5, -0.3, 0.45], np.diag([0.64, 0.0, 0.0, 0.0]))
+        est = expected_max_correlated(spec, self.AUTO)
+        assert est.method_used == "closed_form"
+        assert est.value == pytest.approx(expected_max_with_floor(0.2, 0.8, 0.5), abs=1e-13)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_scipy_integration(self, rank):
+        rng = np.random.default_rng(10 + rank)
+        for n in range(rank, 5):
+            for _ in range(3):
+                means = rng.uniform(-0.5, 1.0, n)
+                factor = _random_factor(rng, n, rank)
+                est = expected_max_correlated(_spec(means, factor), self.AUTO)
+                want = scipy_expected_max_correlated(means, factor)
+                assert est.half_width == 0.0
+                assert est.value == pytest.approx(want, abs=1e-10), (means, factor)
+
+    def test_within_three_half_widths_of_monte_carlo(self):
+        # The seeded 2,000,000-sample estimate, on the same matrices.
+        rng = np.random.default_rng(21)
+        for rank, n in ((1, 3), (2, 3), (2, 4), (1, 4)):
+            spec = _spec(rng.uniform(0.0, 1.0, n), _random_factor(rng, n, rank))
+            exact = expected_max_correlated(spec, self.AUTO)
+            mc = expected_max_correlated(spec, EstimatorConfig(method="monte_carlo", seed=rank))
+            assert mc.method_used == "monte_carlo"
+            assert exact.value == pytest.approx(mc.value, abs=3 * mc.half_width)
+
+    def test_rank_zero(self):
+        inst = Instance(4, [0.1, 0.2, 0.7, 0.3], [(0, 1), (1, 2, 3), (3,)])
+        spec = CovarianceSpec(inst.means, np.zeros((4, 4)))
+        assert expected_max_correlated(spec, self.AUTO) == Estimate(0.7, 0.0, "closed_form")
+        est = graph_objective_correlated(inst, spec, EstimatorConfig(method="quadrature"))
+        assert est == Estimate(0.2 + 0.7 + 0.3, 0.0, "closed_form")
+
+    def test_parallel_and_duplicate_rows(self):
+        # Parallel lines: the highest wins everywhere, so E max is its mean;
+        # duplicates tie, and the lowest index takes the segment.
+        spec = _spec([0.1, 0.3, 0.3], [[0.5], [0.5], [0.5]])
+        assert expected_max_correlated(spec, self.AUTO).value == pytest.approx(0.3, abs=1e-15)
+        spec = _spec([0.0, 0.4, 0.4], [[0.6], [0.0], [0.0]])
+        assert expected_max_correlated(spec, self.AUTO).value == pytest.approx(
+            expected_max_with_floor(0.0, 0.6, 0.4), abs=1e-15)
+        # Rank 2 with equal second-coordinate slopes (a kink of the inner
+        # value) and a duplicated row, against scipy and the row dropped.
+        factor = [[0.5, 0.3], [-0.4, 0.3], [0.2, -0.5], [0.2, -0.5]]
+        means = [0.1, 0.2, 0.0, 0.0]
+        est = expected_max_correlated(_spec(means, factor), self.AUTO)
+        assert est.method_used == "quadrature"
+        assert est.value == pytest.approx(scipy_expected_max_correlated(means, factor), abs=1e-10)
+        fewer = expected_max_correlated(_spec(means[:3], factor[:3]), self.AUTO)
+        assert est.value == pytest.approx(fewer.value, abs=1e-13)
+        # Two lines of one slope: the inner value is max(c_1(t), c_2(t)), with
+        # a kink where they cross, and X_1 - X_2 = -0.1 + 0.9 T (Clark, theta 0.9).
+        two = _spec(means[:2], factor[:2])
+        got = oracle._exact_set_maxima(two, np.array(factor[:2]), [range(2)], 1e-9, False)
+        assert got.value == pytest.approx(expected_max_pair(0.1, 0.9, 0.2, 0.0), abs=1e-13)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_invariant_to_flipped_or_rotated_factor_columns(self, rank):
+        rng = np.random.default_rng(30 + rank)
+        for _ in range(4):
+            spec = _spec(rng.uniform(0.0, 1.0, 4), _random_factor(rng, 4, rank))
+            want = expected_max_correlated(spec, self.AUTO).value
+            L = psd_factor(spec.matrix)
+            turns = [np.diag(d) for d in itertools.product((1.0, -1.0), repeat=rank)]
+            if rank == 2:
+                for angle in (0.3, 1.1, 2.5, math.pi / 2):
+                    c, s = math.cos(angle), math.sin(angle)
+                    turns.append(np.array([[c, -s], [s, c]]))
+            for q in turns:
+                got = oracle._exact_set_maxima(spec, L @ q, [range(4)], 1e-9, False)
+                assert got.value == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_overlapping_sets_sum_their_values(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        sets = [(0, 1), (1, 2, 3), (3,), (0, 2, 4), (4, 1)]
+        inst = Instance(5, rng.uniform(0.0, 1.0, 5), sets)
+        spec = _spec(inst.means, _random_factor(rng, 5, rank))
+        est = graph_objective_correlated(inst, spec, self.AUTO)
+        per_set = [graph_objective_correlated(Instance(5, inst.means, [s]), spec, self.AUTO)
+                   for s in sets]
+        assert est.value == sum(e.value for e in per_set)
+        assert est.method_used == ("quadrature" if rank == 2 else "closed_form")
+        assert est.half_width == 0.0
+
+    def test_rank_three_stays_on_the_sampler(self):
+        spec = CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]])
+        cfg = EstimatorConfig(mc_samples=50_000, seed=3)
+        auto = expected_max_correlated(spec, cfg)
+        assert auto.method_used == "monte_carlo"
+        assert auto == expected_max_correlated(
+            spec, EstimatorConfig(method="monte_carlo", mc_samples=50_000, seed=3))
+        with pytest.raises(ValueError):
+            expected_max_correlated(spec, EstimatorConfig(method="quadrature"))
+
+    def test_nonconvergence_raises_with_best_estimate(self, monkeypatch):
+        # Levels made to move by 1e-6 * subdiv never agree within 1e-9.
+        inst = Instance(3, [0.1, 0.3, 0.0], [(2,), (0, 1, 2)])
+        spec = _spec(inst.means, [[0.5, 0.2], [-0.3, 0.4], [0.0, 0.0]])
+        want = expected_max_correlated(spec, self.AUTO).value
+        level = oracle._rank2_level
+        monkeypatch.setattr(oracle, "_rank2_level",
+                            lambda *args: level(*args) + 1e-6 * args[-1])
+        with pytest.raises(QuadratureError) as err:
+            expected_max_correlated(spec, self.AUTO)
+        assert err.value.estimate == pytest.approx(want + 16e-6, abs=1e-12)
+        with pytest.raises(QuadratureError, match="^set 1: "):
+            graph_objective_correlated(inst, spec, self.AUTO)
 
 
 class TestGraphObjective:

@@ -293,8 +293,12 @@ def record_crn_means(patch) -> list:
 
 
 class TestPtasCorrelated:
+    # The report checks re-estimate the winner by Monte Carlo, so that they
+    # keep testing the sampler; under auto a winner of rank <= 2 is exact.
+    MC = EstimatorConfig(method="monte_carlo")
+
     def test_finds_anti_correlation(self):
-        rep = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
+        rep = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, self.MC)
         m = rep.allocation.matrix
         assert m[0, 1] == pytest.approx(-0.5, abs=1e-12)
         assert m[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -305,14 +309,29 @@ class TestPtasCorrelated:
         )
 
     def test_single_variable(self):
-        rep = ptas_correlated(single_set_instance([3.0]), 0.7, 0.5, CFG)
+        rep = ptas_correlated(single_set_instance([3.0]), 0.7, 0.5, self.MC)
         assert rep.objective.value == pytest.approx(3.0, abs=3 * rep.objective.half_width + 1e-9)
 
     def test_mean_dominated_instance(self):
         # All-zero matrix is always feasible, so the objective is at least
         # the best mean.
-        rep = ptas_correlated(single_set_instance([4.0, 0.1]), 0.7, 0.5, CFG)
+        rep = ptas_correlated(single_set_instance([4.0, 0.1]), 0.7, 0.5, self.MC)
         assert rep.objective.value >= 4.0 - 3 * rep.objective.half_width - 1e-9
+
+    def test_exact_report_under_auto(self):
+        # Rank 1: the anti-correlated pair, whose value is 1/sqrt(pi).
+        rep = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
+        assert rep.objective.half_width == 0.0
+        assert rep.objective.method_used == "closed_form"
+        assert rep.objective.value == pytest.approx(INV_SQRT_PI, abs=1e-15)
+        # Rank 2 on a support of two out of four, within 3 half-widths of the
+        # 2,000,000-sample estimate that the report held before.
+        rep = ptas_correlated(single_set_instance([0.54, 0.52, 0.21, 0.4]), 0.6, 0.2, CFG)
+        assert np.linalg.matrix_rank(rep.allocation.matrix) == 2
+        assert rep.objective.half_width == 0.0
+        assert rep.objective.method_used == "quadrature"
+        mc = oracle.expected_max_correlated(rep.allocation, self.MC)
+        assert rep.objective.value == pytest.approx(mc.value, abs=3 * mc.half_width)
 
     def test_default_grid_step_is_eps_cubed(self):
         rep = ptas_correlated(single_set_instance([0.0]), 0.8, None, CFG)
@@ -320,7 +339,7 @@ class TestPtasCorrelated:
 
     def test_dominates_independent_on_zero_mean_pair(self):
         ind = ptas_independent(single_set_instance([0.0, 0.0]), 0.5, CFG)
-        corr = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
+        corr = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, self.MC)
         slack = corr.objective.half_width + ind.objective.half_width
         assert corr.objective.value >= ind.objective.value - slack
 
@@ -401,7 +420,7 @@ class TestPtasCorrelated:
         # Candidates score 65,536 CRN samples, the winner 300,000 Monte Carlo
         # samples (chunks of 262,144 and 37,856); s = 2 < n takes the floor.
         inst = single_set_instance([0.3, 0.1, 0.5])
-        cfg = EstimatorConfig(seed=4, mc_samples=300_000)
+        cfg = EstimatorConfig(method="monte_carlo", seed=4, mc_samples=300_000)
 
         def solve():
             with monkeypatch.context() as patch:
