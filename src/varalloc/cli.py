@@ -22,6 +22,7 @@ import numpy as np
 
 from . import analysis, solvers
 from .instances import (
+    BUDGET_TOL,
     AllocationVector,
     Instance,
     InstanceFormatError,
@@ -230,6 +231,8 @@ def _cmd_evaluate(args) -> int:
         matrix = [_numbers(row, "allocation.matrix")
                   for row in _typed(alloc_doc["matrix"], list, "allocation.matrix")]
         spec = CovarianceSpec(inst.means, np.asarray(matrix, dtype=float))
+        if spec.trace > 1.0 + BUDGET_TOL:
+            raise ValueError(f"report field 'allocation.matrix' has trace {spec.trace!r} > 1")
         est = graph_objective_correlated(inst, spec, cfg)
     else:
         raise ValueError("allocation must contain 'stddevs' or 'matrix'")

@@ -51,7 +51,8 @@ class Instance:
     """Immutable problem instance.
 
     ``means`` has length ``n`` with all entries >= 0; ``sets`` is a non-empty
-    tuple of sorted, duplicate-free index tuples into ``range(n)``.
+    tuple of sorted, duplicate-free index tuples into ``range(n)``.  Set
+    entries are checked in the given order; errors name the field, ``sets[j][k]``.
     """
 
     n: int
@@ -72,14 +73,16 @@ class Instance:
                 raise ValueError(f"means[{i}] is negative")
         norm_sets = []
         for j, s in enumerate(sets):
-            members = sorted(int(i) for i in s)
-            if not members:
+            seen = set()
+            for k, i in enumerate(map(int, s)):
+                if not 0 <= i < n:
+                    raise ValueError(f"sets[{j}][{k}] = {i} outside [0, {n - 1}]")
+                if i in seen:
+                    raise ValueError(f"sets[{j}][{k}] duplicates index {i}")
+                seen.add(i)
+            if not seen:
                 raise ValueError(f"sets[{j}] is empty")
-            if len(set(members)) != len(members):
-                raise ValueError(f"sets[{j}] contains duplicate indices")
-            if members[0] < 0 or members[-1] >= n:
-                raise ValueError(f"sets[{j}] has an index outside [0, {n - 1}]")
-            norm_sets.append(tuple(members))
+            norm_sets.append(tuple(sorted(seen)))
         if not norm_sets:
             raise ValueError("sets must contain at least one set")
         object.__setattr__(self, "n", n)
@@ -180,8 +183,9 @@ def serialize_instance(inst: Instance) -> bytes:
 def parse_instance(data: bytes | str) -> Instance:
     """Inverse of :func:`serialize_instance`; rejects invalid documents.
 
-    Violations are reported with the path of the offending field, e.g.
-    ``means[2]`` or ``sets[0][1]``.
+    It checks what JSON can get wrong (keys, types, lengths, float range) and
+    ``Instance`` the values.  Violations are reported with the path of the
+    offending field, e.g. ``means[2]`` or ``sets[0][1]``.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -204,28 +208,19 @@ def parse_instance(data: bytes | str) -> Instance:
         if isinstance(mu, bool) or not isinstance(mu, (int, float)):
             raise InstanceFormatError(f"means[{i}] must be a number")
         try:
-            mu = float(mu)
+            float(mu)
         except OverflowError:
             raise InstanceFormatError(f"means[{i}] is out of float range") from None
-        if not math.isfinite(mu):
-            raise InstanceFormatError(f"means[{i}] is not finite")
-        if mu < 0:
-            raise InstanceFormatError(f"means[{i}] is negative")
     sets = doc["sets"]
     if not isinstance(sets, list) or not sets:
         raise InstanceFormatError("sets must be a non-empty list")
     for j, s in enumerate(sets):
         if not isinstance(s, list):
             raise InstanceFormatError(f"sets[{j}] must be a list")
-        if not s:
-            raise InstanceFormatError(f"sets[{j}] is empty")
-        seen = set()
         for k, idx in enumerate(s):
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise InstanceFormatError(f"sets[{j}][{k}] must be an integer")
-            if not (0 <= idx < n):
-                raise InstanceFormatError(f"sets[{j}][{k}] = {idx} outside [0, {n - 1}]")
-            if idx in seen:
-                raise InstanceFormatError(f"sets[{j}][{k}] duplicates index {idx}")
-            seen.add(idx)
-    return Instance(n=n, means=means, sets=sets)
+    try:
+        return Instance(n=n, means=means, sets=sets)
+    except ValueError as e:
+        raise InstanceFormatError(str(e)) from e

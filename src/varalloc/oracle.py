@@ -584,12 +584,11 @@ def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
     return Estimate(mean, Z95 * math.sqrt(var / total), "monte_carlo")
 
 
-def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
+def row_max(y: np.ndarray, cols, shift=None) -> np.ndarray:
     """Per-sample maximum of ``y[c] + shift[c]`` over the rows ``c`` in ``cols``.
 
     ``y`` is a coordinate-major sample block: row ``c`` holds every sample of
-    coordinate ``c``.  A chain of ``np.maximum`` over the rows, optionally
-    also against ``floor`` (taken right after the first row).  Equal, bit for
+    coordinate ``c``.  A chain of ``np.maximum`` over the rows.  Equal, bit for
     bit, to ``(y + shift[:, None])[cols].max(axis=0)``: the additions are the
     same elementwise additions and a maximum is exact.  Every operand is a
     contiguous row, so this is many times faster than ``max(axis=0)`` over a
@@ -597,8 +596,6 @@ def row_max(y: np.ndarray, cols, shift=None, floor=None) -> np.ndarray:
     """
     first, *rest = cols
     stat = y[first].copy() if shift is None else y[first] + shift[first]
-    if floor is not None:
-        np.maximum(stat, floor, out=stat)
     tmp = None if shift is None else np.empty_like(stat)
     for c in rest:
         row = y[c] if shift is None else np.add(y[c], shift[c], out=tmp)

@@ -117,17 +117,13 @@ def _ptas_support(inst: Instance, eps: float, cap: int, what: str) -> int:
     return s
 
 
-def _grid_limit(step: float) -> int:
-    # Largest allowed sum of squared multipliers: sum (k_i * step)^2 <= 1.
-    # The epsilon rescues exactly representable boundaries such as 1/step^2.
-    return int(1.0 / (step * step) + 1e-9)
-
-
-def _check_cell(cell: float, budget: int, what: str) -> None:
-    """Refuse a cell too small for 1/cell to be a float: one coordinate alone
-    then takes more than 1e154 values, so the grid is past any budget."""
+def _grid_limit(cell: float, budget: int, what: str) -> int:
+    """The unit budget in cells, int(1/cell) (the epsilon rescues boundaries
+    such as 1/step^2), refusing a cell whose inverse is not a float: one
+    coordinate alone then takes over 1e154 values, past any budget."""
     if not (cell > 0.0 and 1.0 / cell < math.inf):
         raise BudgetError(budget + 1, budget, what, at_least=True)
+    return int(1.0 / cell + 1e-9)
 
 
 def _count_grid(n_coords: int, limit: int) -> int:
@@ -416,8 +412,7 @@ def ptas_independent(
     t0 = time.perf_counter()
     s = _ptas_support(inst, eps, _MAX_SUPPORT_INDEPENDENT, "ptas_independent")
     step = eps**3
-    _check_cell(step * step, node_budget, "ptas_independent grid")
-    limit = _grid_limit(step)
+    limit = _grid_limit(step * step, node_budget, "ptas_independent grid")
     _check_grid_budget(s, limit, math.comb(inst.n, s), node_budget, "ptas_independent grid")
 
     mults = _enumerate_maximal(s, limit)
@@ -452,8 +447,7 @@ def brute_force_grid(
     t0 = time.perf_counter()
     if not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
-    _check_cell(grid_step * grid_step, node_budget, "brute-force grid")
-    limit = _grid_limit(grid_step)
+    limit = _grid_limit(grid_step * grid_step, node_budget, "brute-force grid")
     _check_grid_budget(inst.n, limit, 1, node_budget, "brute-force grid")
 
     sig = _enumerate_grid(inst.n, limit) * grid_step
@@ -463,24 +457,28 @@ def brute_force_grid(
                    grid_step=grid_step)
 
 
-def _psd_candidates(diag, caps, pairs, grid_step: float):
-    """PSD candidate matrices with one gridded diagonal, with their factors.
+def _psd_candidates(diags, caps, grid_step: float):
+    """PSD candidate matrices on every gridded diagonal, with their factors.
 
-    Off-diagonal multipliers run over ``itertools.product`` of
-    ``range(-c, c + 1)`` per pair; each chunk of at most ``_EIGH_CHUNK``
-    matrices is eigen-decomposed by one stacked ``eigh`` call.  Yields
-    ``(matrices, factors)`` stacks of the survivors in product order, where
-    ``factor @ factor.T`` equals the matrix up to rounding.
+    Row d of ``caps`` holds the caps of diagonal ``diags[d]``, one per pair in
+    ``np.triu_indices`` order.  Candidates run in ``diags`` order, then over
+    ``itertools.product`` of ``range(-c, c + 1)`` per pair; each chunk of at
+    most ``_EIGH_CHUNK`` matrices, across diagonals, is eigen-decomposed by one
+    stacked ``eigh`` call.  Yields ``(matrices, factors)`` stacks of the
+    survivors in that order, where ``factor @ factor.T`` is the matrix up to
+    rounding.
     """
-    s = len(diag)
-    base = np.diag(np.asarray(diag, dtype=float) * grid_step)
-    offs = itertools.product(*(range(-c, c + 1) for c in caps))
-    while chunk := list(itertools.islice(offs, _EIGH_CHUNK)):
-        subs = np.empty((len(chunk), s, s))
-        subs[:] = base
-        off = np.asarray(chunk, dtype=float).reshape(len(chunk), -1) * grid_step
-        for p, (i, j) in enumerate(pairs):
-            subs[:, i, j] = subs[:, j, i] = off[:, p]
+    s = diags.shape[1]
+    i, j = np.triu_indices(s, 1)
+    # One row per candidate: the diagonal's levels, then one multiplier per pair.
+    levels = itertools.chain.from_iterable(
+        itertools.product(*([x] for x in diag), *(range(-c, c + 1) for c in cap))
+        for diag, cap in zip(diags.tolist(), caps.tolist()))
+    while chunk := list(itertools.islice(levels, _EIGH_CHUNK)):
+        entries = np.asarray(chunk, dtype=float) * grid_step
+        subs = np.zeros((len(chunk), s, s))
+        subs[:, range(s), range(s)] = entries[:, :s]
+        subs[:, i, j] = subs[:, j, i] = entries[:, s:]
         w, vecs = np.linalg.eigh(subs)
         keep = w[:, 0] >= CovarianceSpec.PSD_TOL
         yield subs[keep], vecs[keep] * np.sqrt(np.clip(w[keep], 0.0, None))[:, None, :]
@@ -489,14 +487,16 @@ def _psd_candidates(diag, caps, pairs, grid_step: float):
 def _crn_mean(factor, z_sup, mu_sup, floor, top: np.ndarray) -> float:
     """Sample mean of max(floor, max_i y[i] + mu_sup[i]) for the block y = factor @ z_sup.
 
-    Tile by tile of ``_sample_tiles``: each tile's maxima fill their slice of
-    ``top`` (one buffer per solve, as long as ``z_sup``), and the mean runs
-    over all of ``top`` at once.  A tile's product has the bits of the same
-    columns of the whole-block product, so the value does not depend on the
-    tile size.
+    Tile by tile of ``_sample_tiles``: each tile's maxima, then the floor
+    unless it is None, fill their slice of ``top`` (one buffer per solve, as
+    long as ``z_sup``), and the mean runs over all of ``top`` at once.  A
+    tile's product has the bits of the same columns of the whole-block
+    product, so the value does not depend on the tile size.
     """
     for t in _sample_tiles(top.size):
-        top[t] = row_max(factor @ z_sup[:, t], range(len(mu_sup)), mu_sup, floor=floor)
+        top[t] = row_max(factor @ z_sup[:, t], range(len(mu_sup)), mu_sup)
+        if floor is not None:
+            np.maximum(top[t], floor, out=top[t])
     return float(top.mean())
 
 
@@ -513,13 +513,13 @@ def ptas_correlated(
     Enumerates supports of ceil(1/eps^2) variables (clamped, desk cap 3);
     on each support, symmetric matrices with entries that are integral
     multiples of ``grid_step`` in [-1, 1], diagonal summing to at most 1,
-    off-diagonals within the Cauchy-Schwarz bound.  For each diagonal, the
-    candidate matrices are built as one stack and filtered for PSD by stacked
-    ``eigh`` calls over fixed-size chunks, so memory stays bounded; the
-    survivors' eigen-factors are compared under common random numbers, in
-    enumeration order with ties to the first.  ``_crn_mean`` scores a
-    candidate in cache-sized tiles of the shared sample matrix, with the bits
-    of the whole-block score.  The report re-estimates the winner apart from
+    off-diagonals within the Cauchy-Schwarz bound.  Per support, one
+    ``_psd_candidates`` stream covers every diagonal in fixed-size chunks,
+    each filtered for PSD by one stacked ``eigh`` call, so memory stays
+    bounded; the survivors' eigen-factors are compared under common random
+    numbers, in enumeration order with ties to the first.  ``_crn_mean``
+    scores a candidate in cache-sized tiles of the shared sample matrix, with
+    the bits of the whole-block score.  The report re-estimates the winner apart from
     the search, through ``graph_objective_correlated``: exactly (half-width
     0) when the winner has rank <= 2, as on any support of at most 2, and by
     a fresh Monte Carlo estimate from the solve's seed at rank 3 or under
@@ -536,24 +536,21 @@ def ptas_correlated(
     elif not (0.0 < grid_step <= 1.0):
         raise ValueError("grid_step must lie in (0, 1]")
 
-    _check_cell(grid_step, node_budget, "ptas_correlated grid")
-    level_cap = int(1.0 / grid_step + 1e-9)
+    level_cap = _grid_limit(grid_step, node_budget, "ptas_correlated grid")
     supports = math.comb(inst.n, s)
     # Each diagonal counts at least one candidate: a lower bound before listing them.
     low = math.comb(level_cap + s, s) * supports
     if low > node_budget:
         raise BudgetError(low, node_budget, "ptas_correlated grid", at_least=True)
-    pairs = list(itertools.combinations(range(s), 2))
     diags = _enumerate_grid(s, level_cap, np.arange(level_cap + 1))
     # Cauchy-Schwarz caps of the off-diagonal multipliers, isqrt(d_i * d_j) per pair.
     squares = np.arange(level_cap + 1, dtype=np.int64) ** 2
-    i, j = np.triu_indices(s, 1)  # the pairs, in order
+    i, j = np.triu_indices(s, 1)  # the pairs, in _psd_candidates' order
     caps = np.searchsorted(squares, diags[:, i] * diags[:, j], side="right") - 1
     # Candidates per diagonal fit in int64; their total is summed in Python ints.
     required = sum(np.prod(2 * caps + 1, axis=1).tolist()) * supports
     if required > node_budget:
         raise BudgetError(required, node_budget, "ptas_correlated grid")
-    grid = list(zip(diags.tolist(), caps.tolist()))
 
     means = inst.means_array()
     z = _crn_matrix(derive_seed(cfg.seed, "crn"), _CRN_SAMPLES_GRID, inst.n)
@@ -567,14 +564,13 @@ def ptas_correlated(
         floor = max((inst.means[i] for i in range(inst.n) if i not in support), default=None)
         z_sup = z[:, sup].T  # a view of the gathered copy: short-first gemm below
         mu_sup = means[sup]
-        for diag, caps in grid:
-            for subs, factors in _psd_candidates(diag, caps, pairs, grid_step):
-                for sub, factor in zip(subs, factors):
-                    val = _crn_mean(factor, z_sup, mu_sup, floor, top)
-                    if val > best_val:
-                        best_val = val
-                        best_matrix = np.zeros((inst.n, inst.n))
-                        best_matrix[np.ix_(sup, sup)] = sub
+        for subs, factors in _psd_candidates(diags, caps, grid_step):
+            for sub, factor in zip(subs, factors):
+                val = _crn_mean(factor, z_sup, mu_sup, floor, top)
+                if val > best_val:
+                    best_val = val
+                    best_matrix = np.zeros((inst.n, inst.n))
+                    best_matrix[np.ix_(sup, sup)] = sub
 
     return _report("ptas_correlated", inst, CovarianceSpec(means, best_matrix), cfg, t0,
                    eps=eps, grid_step=grid_step)

@@ -228,6 +228,23 @@ def test_numbers_beyond_float_range_exit_2(tmp_path, capsys):
     assert "'allocation.stddevs' is out of float range" in err
 
 
+def test_evaluate_refuses_matrix_over_budget(tmp_path, capsys):
+    # The variances of stddevs [sqrt(2), sqrt(2)] as a matrix: trace 4 > 1.
+    inst, rep = tmp_path / "pair.json", tmp_path / "rep.json"
+    inst.write_text('{"n": 2, "means": [0.0, 0.0], "sets": [[0, 1]]}\n')
+    assert run(["solve", "ptas-corr", "--in", str(inst), "--eps", "0.7",
+                "--grid-step", "0.25", "--out", str(rep)]) == 0
+    assert run(["evaluate", "--in", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    doc["allocation"]["matrix"] = [[2, 0], [0, 2]]
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--in", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "'allocation.matrix' has trace 4.0 > 1" in err
+
+
 MISSING = object()  # the field is deleted from the report
 
 

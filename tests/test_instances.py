@@ -37,6 +37,10 @@ class TestInstance:
             (dict(n=2, means=(0.0, 0.0), sets=[(0, 0)]), "sets[0]"),
             (dict(n=2, means=(0.0, 0.0), sets=[(0, 2)]), "sets[0]"),
             (dict(n=2, means=(0.0, 0.0), sets=[]), "at least one"),
+            # Entries are checked in the given order, named by their field path.
+            (dict(n=2, means=(0.0, 0.0), sets=[(1, 0, 1)]), "sets[0][2] duplicates index 1"),
+            (dict(n=2, means=(0.0, 0.0), sets=[(1,), (1, 0, 5)]), "sets[1][2] = 5 outside [0, 1]"),
+            (dict(n=2, means=(0.0, 0.0), sets=[(1, -1, 1)]), "sets[0][1] = -1 outside [0, 1]"),
         ],
     )
     def test_invariants_rejected(self, kwargs, fragment):

@@ -129,7 +129,8 @@ class TestPtasIndependent:
 class TestMaximalGrid:
     @pytest.mark.parametrize("n,eps", [(1, 0.5), (2, 0.5), (3, 0.35), (4, 0.4)])
     def test_ordered_subset_that_dominates_the_grid(self, n, eps):
-        limit = _grid_limit(eps**3)
+        step = eps**3
+        limit = _grid_limit(step * step, 1, "grid")
         grid = _enumerate_grid(n, limit)
         frontier = _enumerate_maximal(n, limit)
         rows = [tuple(r) for r in frontier.tolist()]
@@ -144,8 +145,9 @@ class TestMaximalGrid:
         assert dominated.all()
 
     def test_row_count(self):
-        assert _enumerate_maximal(4, _grid_limit(0.4**3)).shape == (784, 4)
-        assert _enumerate_grid(4, _grid_limit(0.4**3)).shape == (22672, 4)
+        step = 0.4**3
+        assert _enumerate_maximal(4, _grid_limit(step * step, 1, "grid")).shape == (784, 4)
+        assert _enumerate_grid(4, _grid_limit(step * step, 1, "grid")).shape == (22672, 4)
 
     def test_enumeration_memory_near_result_size(self):
         # 1,018,899 rows (23 MiB): the rows are built as arrays, not as a list
@@ -247,7 +249,7 @@ class TestBudgetCheckedFirst:
         assert "needs at least" in str(err) and err.required > err.budget
 
     def test_exact_count_when_the_lower_bound_fits(self):
-        limit = _grid_limit(0.1)
+        limit = _grid_limit(0.1 * 0.1, 1, "grid")
         low = (math.isqrt(limit // 3) + 1) ** 3
         with pytest.raises(BudgetError) as exc:
             brute_force_grid(single_set_instance([0.0] * 3), 0.1, CFG, node_budget=low)
@@ -366,11 +368,67 @@ class TestPtasCorrelated:
                 continue
             want_subs.append(sub)
             want_factors.append(vecs * np.sqrt(np.clip(w, 0.0, None)))
-        chunks = list(_psd_candidates(diag, caps, pairs, step))
+        chunks = list(_psd_candidates(np.array([diag]), np.array([caps]), step))
         subs = np.concatenate([c[0] for c in chunks])
         factors = np.concatenate([c[1] for c in chunks])
         assert np.array_equal(subs, np.array(want_subs))
         assert np.array_equal(factors, np.array(want_factors))
+
+    @pytest.mark.parametrize("s, step", [(2, 0.125), (3, 0.25)])
+    def test_stream_across_diagonals_matches_per_matrix_loop(self, monkeypatch, s, step):
+        # Chunks of 7 straddle diagonals; the stream keeps diagonal order, then
+        # product order, and the bits of each matrix and factor.
+        monkeypatch.setattr(solvers, "_EIGH_CHUNK", 7)
+        cap = round(1 / step)
+        diags = _enumerate_grid(s, cap, np.arange(cap + 1))
+        pairs = list(itertools.combinations(range(s), 2))
+        caps = np.array([[math.isqrt(d[i] * d[j]) for i, j in pairs] for d in diags.tolist()])
+        want_subs, want_factors = [], []
+        for diag, diag_caps in zip(diags.tolist(), caps.tolist()):
+            for off in itertools.product(*(range(-c, c + 1) for c in diag_caps)):
+                sub = np.diag(np.asarray(diag, dtype=float) * step)
+                for (i, j), o in zip(pairs, off):
+                    sub[i, j] = sub[j, i] = o * step
+                w, vecs = np.linalg.eigh(sub)
+                if w[0] >= CovarianceSpec.PSD_TOL:
+                    want_subs.append(sub)
+                    want_factors.append(vecs * np.sqrt(np.clip(w, 0.0, None)))
+        chunks = list(_psd_candidates(diags, caps, step))
+        total = sum(math.prod(2 * c + 1 for c in row) for row in caps.tolist())
+        assert len(chunks) == -(-total // 7)  # full chunks of 7 until the last
+        assert np.array_equal(np.concatenate([c[0] for c in chunks]), np.array(want_subs))
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]), np.array(want_factors))
+
+    def test_one_eigh_call_per_chunk_across_diagonals(self, monkeypatch):
+        # At n = 3 and step 0.2 the 56 diagonals' candidates fit in one chunk:
+        # one stacked eigh call for the search and one for the report's factor.
+        shapes, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        ptas_correlated(single_set_instance([0.3, 0.1, 0.5]), 0.6, 0.2, CFG)
+        assert len(shapes) == 2 and shapes[0][0] > len(_enumerate_grid(3, 5, np.arange(6)))
+
+    @pytest.mark.parametrize("tile", [1_000, 2**14])
+    def test_crn_mean_takes_the_floor_after_the_chain(self, monkeypatch, tile):
+        # The floor of the off-support means enters after each tile's chain; one
+        # floor above every sample gives it everywhere, one below nowhere.
+        monkeypatch.setattr(oracle, "_SAMPLE_TILE", tile)
+        z_sup = np.random.default_rng(6).standard_normal((5_000, 3)).T
+        factor = np.array([[0.5, 0.0, 0.0], [0.3, 0.4, 0.0], [-0.2, 0.1, 0.3]])
+        mu = np.array([0.2, 0.1, 0.4])
+        maxima = oracle.row_max(factor @ z_sup, range(3), mu)
+        top = np.empty(5_000)
+        assert solvers._crn_mean(factor, z_sup, mu, None, top) == float(maxima.mean())
+        assert np.array_equal(top, maxima)
+        above, below = float(maxima.max()) + 0.5, float(maxima.min()) - 0.5
+        value = solvers._crn_mean(factor, z_sup, mu, above, top)
+        assert (top == above).all() and value == float(top.mean())
+        assert solvers._crn_mean(factor, z_sup, mu, below, top) == float(maxima.mean())
+        assert np.array_equal(top, maxima)
 
     def test_column_max_chain_equals_row_max(self):
         x = np.random.default_rng(3).standard_normal((4096, 3))
@@ -401,7 +459,7 @@ class TestPtasCorrelated:
             diags = (d for d in itertools.product(range(cap + 1), repeat=s) if sum(d) <= cap)
             for diag in diags:
                 caps = [math.isqrt(diag[i] * diag[j]) for i, j in pairs]
-                for subs, factors in _psd_candidates(diag, caps, pairs, step):
+                for subs, factors in _psd_candidates(np.array([diag]), np.array([caps]), step):
                     for sub, factor in zip(subs, factors):
                         y = z[:, sup] @ factor.T
                         top = y[:, 0] + means[sup[0]]
