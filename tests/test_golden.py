@@ -25,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -102,6 +103,32 @@ def _correlated_mc(work: Path) -> list[str]:
         doc = {"instance": {"n": len(means), "means": means, "sets": sets},
                "allocation": {"matrix": matrix},
                "config": {"method": method, "quadrature_tolerance": 1e-9,
+                          "mc_samples": 2_000_000, "seed": 3}}
+        rep = work / f"{name}-report.json"
+        rep.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert run(["evaluate", "--in", str(rep), "--out", str(work / f"{name}-eval.json")]) == 0
+        outputs.append(f"{name}-eval.json")
+    return outputs
+
+
+def _correlated_exact_sets(work: Path) -> list[str]:
+    # Hand-written correlated reports on several sets under auto, so the exact
+    # route scores one matrix set by set.  Rank 2: a singleton, a set with one
+    # loaded member (variable 3 is a constant) and overlapping rank-2 sets.
+    # Rank 1: closed forms on every set.  Each matrix is L L^T, each entry a
+    # correctly rounded sum of products.
+    cases = {
+        "rank2": ([0.1, 0.3, 0.0, 0.25, 0.05], [[0, 1, 2], [3], [2, 3], [0, 1, 2, 4], [1, 4]],
+                  [[0.3, 0.1], [-0.2, 0.25], [0.1, -0.3], [0.0, 0.0], [0.2, 0.2]]),
+        "rank1": ([0.1, 0.3, 0.0, 0.2], [[0, 1], [1, 2, 3], [3]],
+                  [[0.4], [-0.3], [0.25], [0.0]]),
+    }
+    outputs = []
+    for name, (means, sets, factor) in cases.items():
+        matrix = [[math.fsum(x * y for x, y in zip(ri, rj)) for rj in factor] for ri in factor]
+        doc = {"instance": {"n": len(means), "means": means, "sets": sets},
+               "allocation": {"matrix": matrix},
+               "config": {"method": "auto", "quadrature_tolerance": 1e-9,
                           "mc_samples": 2_000_000, "seed": 3}}
         rep = work / f"{name}-report.json"
         rep.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -267,6 +294,7 @@ CASES = {
     "ptas_corr_pair": _ptas_corr_pair,
     "ptas_corr_multichunk": _ptas_corr_multichunk,
     "correlated_mc": _correlated_mc,
+    "correlated_exact_sets": _correlated_exact_sets,
     "log_approx": _log_approx,
     "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,
