@@ -134,12 +134,15 @@ def _required(doc: dict, what: str, kind):
     return _typed(_field(doc, what), kind, what)
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a number within float range, else a ValueError."""
+def _number(value, what: str, least: float = -np.inf) -> float:
+    """``value`` as a float if it is a finite number of at least ``least``, else a ValueError."""
     try:
-        return float(_typed(value, (int, float), what))
+        x = float(_typed(value, (int, float), what))
     except OverflowError:
         raise ValueError(f"report field {what!r} is out of float range") from None
+    if not (np.isfinite(x) and x >= least):
+        raise ValueError(f"report field {what!r} has an invalid value {value!r}")
+    return x
 
 
 def _numbers(value, what: str) -> list:
@@ -244,7 +247,7 @@ def _cmd_evaluate(args) -> int:
     }
     if reported is not None:
         _typed(reported, dict, "objective")
-        half_width = _number(reported.get("half_width", 0.0), "objective.half_width")
+        half_width = _number(reported.get("half_width", 0.0), "objective.half_width", 0.0)
         tol = est.half_width + half_width + 1e-6
         value = _number(_field(reported, "objective.value"), "objective.value")
         out["matches_reported"] = bool(abs(est.value - value) <= tol)

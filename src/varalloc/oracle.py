@@ -25,6 +25,8 @@ mu_i and contributes the exact constant factor (never a perturbation),
 because solvers routinely set most deviations to exactly 0.  Truncating the
 upper limit at max_i(mu_i + 10 s_i) and choosing c = max_i(mu_i - 10 s_i)
 bounds the neglected tails by sum_i s_i * (phi(10) - 10 Phi(-10)) < 1e-22.
+One ladder, ``_refine``, splits panels into 1, 2, 4, 8, 16 parts until two
+levels agree within tol / 2; ``_check_converged`` reports rows that never do.
 
 Low-rank covariance (exact): with X = mu + L z, max_i X_i is the upper
 envelope of the lines mu_i + L_i z.  At r = 1 line i is on top over one
@@ -33,8 +35,8 @@ sum_i mu_i (Phi(hi_i) - Phi(lo_i)) + L_i (phi(lo_i) - phi(hi_i)); a constant
 is a line of slope 0, and of parallel lines only the highest counts.  At
 r = 2 that closed form, taken along z_2, is integrated over z_1 by
 composite Gauss-Legendre panels on [-10, 10], with edges where the inner
-value has a kink or a jump in its second derivative, refined like the
-quadrature above.  Both have half-width 0.
+value has a kink or a jump in its second derivative, refined by the same
+ladder, all rank-2 sets of a matrix together.  Both have half-width 0.
 
 Monte Carlo: chunked sampling with per-chunk generators derived from
 (seed, chunk_index), so estimates are bit-reproducible and independent of
@@ -329,8 +331,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ("auto", "closed_form", "quadrature", "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.quadrature_tolerance > 0:
-            raise ValueError("quadrature_tolerance must be positive")
+        if not 0 < self.quadrature_tolerance < math.inf:
+            raise ValueError("quadrature_tolerance must be finite and positive")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be at least 1000")
         if not (0 <= int(self.seed) < 2**64):
@@ -503,34 +505,61 @@ def _expected_max_slab(means, stddevs, subdiv):
     return lo + terms.reshape(ncand, -1).sum(axis=1)
 
 
-def _quadrature_rows(means, stddevs, tol: float):
-    """Refine the panel rule on each row until two successive levels agree within tol.
+def _refine(level, count: int, tol: float) -> tuple[np.ndarray, dict]:
+    """Refine ``count`` rows until two successive levels agree within tol / 2.
 
-    ``means`` and ``stddevs`` have shape (R, n).  Each level (subdiv 1, 2,
-    4, 8, 16) is one ``expected_max_batch`` call over the rows still open,
-    and a row's values do not depend on its batch, so every row gets the
-    bits of refining it alone.  Returns ``(values, failed)``: ``failed``
-    lists, ascending, the rows that never agreed within tol, and their
-    ``values`` are the subdiv-16 estimates.
+    ``level(rows, subdiv)`` returns the values of the index array ``rows``, once per
+    level (subdiv 1, 2, 4, 8, 16) on the rows still open.  A row keeps the value of
+    the level that agreed; ``failed`` maps the others to their subdiv-16 values.
     """
-    prev = expected_max_batch(means, stddevs)
-    values = np.empty(len(prev))
-    open_rows = np.arange(len(prev))
+    values, open_rows = np.empty(count), np.arange(count)
+    if not count:
+        return values, {}
+    prev = level(open_rows, 1)
     for subdiv in (2, 4, 8, 16):
-        val = expected_max_batch(means[open_rows], stddevs[open_rows], subdiv=subdiv)
+        val = level(open_rows, subdiv)
         values[open_rows] = val
         still = ~(np.abs(val - prev) <= 0.5 * tol)
         open_rows, prev = open_rows[still], val[still]
         if not len(open_rows):
             break
-    return values, open_rows
+    return values, dict(zip(open_rows.tolist(), values[open_rows].tolist()))
 
 
-def _nonconvergence(tol: float, estimate: float) -> QuadratureError:
-    return QuadratureError(
-        f"quadrature did not reach tolerance {tol:g} after bounded refinement",
-        estimate=float(estimate),
-    )
+def _first_of_key(means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
+    """For each row of one width, the index of the first row with its quadrature key.
+
+    A row's key is the multiset of its (mean, deviation) columns, compared as
+    bytes, and ``expected_max_batch`` gives every row of one key the same
+    bits: a row's value is a function of that multiset alone.
+    """
+    pairs = np.stack([means, stddevs], axis=2).view(np.uint64)
+    order = np.lexsort((pairs[..., 0], pairs[..., 1]), axis=1)
+    keys = np.take_along_axis(pairs, order[..., None], axis=1).reshape(len(pairs), -1)
+    first = {}
+    return np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)])
+
+
+def _quadrature_rows(means, stddevs, tol: float) -> tuple[np.ndarray, dict]:
+    """``_refine`` on quadrature rows of shape (R, n), one ``expected_max_batch`` per level,
+    for the first row of each key of ``_first_of_key``: the other rows of a key
+    get its values, which are the bits of refining them alone."""
+    todo, key = np.unique(_first_of_key(means, stddevs), return_inverse=True)
+    values, failed = _refine(lambda rows, subdiv: expected_max_batch(
+        means[todo[rows]], stddevs[todo[rows]], subdiv=subdiv), len(todo), tol)
+    return values[key], {r: failed[k] for r, k in enumerate(key.tolist()) if k in failed}
+
+
+def _check_converged(failed: dict, tol: float, name_set: bool = False) -> None:
+    """Raise ``QuadratureError`` for the lowest index in ``failed``, with its best estimate;
+    with ``name_set``, prefixed "set j: " and chained to the plain error."""
+    if failed:
+        j = min(failed)
+        e = QuadratureError(f"quadrature did not reach tolerance {tol:g} after bounded refinement",
+                            estimate=float(failed[j]))
+        if name_set:
+            raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
+        raise e
 
 
 def _closed_form_expected_max(means: list, stddevs: list) -> float:
@@ -603,32 +632,15 @@ def row_max(y: np.ndarray, cols, shift=None) -> np.ndarray:
     return stat
 
 
-def _first_of_key(means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
-    """For each row of one width, the index of the first row with its quadrature key.
-
-    A row's key is the multiset of its (mean, deviation) columns, compared as
-    bytes, and ``expected_max_batch`` gives every row of one key the same
-    bits: a row's value is a function of that multiset alone.
-    """
-    pairs = np.stack([means, stddevs], axis=2).view(np.uint64)
-    order = np.lexsort((pairs[..., 0], pairs[..., 1]), axis=1)
-    keys = np.take_along_axis(pairs, order[..., None], axis=1).reshape(len(pairs), -1)
-    first = {}
-    return np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)])
-
-
 def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorConfig,
                    seed_of) -> tuple[list, dict]:
     """E[max_{i in S_j} X_i] per set, from float arrays over all independent variables.
 
     ``auto`` takes the closed forms (on Python floats, so -0.0 passes
     through) for at most two members or at most one nonzero deviation, and
-    quadrature otherwise.  Quadrature sets of one width are refined together
-    by ``_quadrature_rows``, one row per key of ``_first_of_key``: every set
-    whose row has the same multiset of (mean, deviation) columns gets, bit
-    for bit, the value of refining its own row.  Monte Carlo set j draws from
-    ``seed_of(j)``.  Returns the estimates in set order and a map from each
-    set quadrature left unconverged to its best estimate.
+    quadrature otherwise, where ``_quadrature_rows`` refines the sets of one
+    width together.  Monte Carlo set j draws from ``seed_of(j)``.  Returns
+    the estimates in set order and ``failed`` as in ``_refine``, keyed by set.
     """
     estimates = [None] * len(sets)
     by_width = {}  # quadrature sets as (j, means, stddevs), grouped by width
@@ -649,18 +661,11 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
                 lambda z: row_max(np.multiply(z.T, s[:, None], order="C"), range(len(m)), m))
     failed = {}
     for group in by_width.values():
-        m_rows = np.array([m for _, m, _ in group])
-        s_rows = np.array([s for _, _, s in group])
-        first = _first_of_key(m_rows, s_rows)
-        todo = np.unique(first)
-        values = np.empty(len(group))
-        values[todo], open_rows = _quadrature_rows(m_rows[todo], s_rows[todo],
-                                                   cfg.quadrature_tolerance)
-        unconverged = set(todo[open_rows].tolist())
-        for (j, _, _), r in zip(group, first.tolist()):
-            estimates[j] = Estimate(float(values[r]), 0.0, "quadrature")
-            if r in unconverged:
-                failed[j] = values[r]
+        js, ms, ss = zip(*group)
+        values, unconverged = _quadrature_rows(np.array(ms), np.array(ss), cfg.quadrature_tolerance)
+        for j, value in zip(js, values.tolist()):
+            estimates[j] = Estimate(value, 0.0, "quadrature")
+        failed.update({js[r]: value for r, value in unconverged.items()})
     return estimates, failed
 
 
@@ -672,8 +677,7 @@ def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimat
     """
     (est,), failed = _set_estimates(np.asarray(v.means), np.asarray(v.stddevs),
                                     [range(v.n)], cfg, lambda j: cfg.seed)
-    if failed:
-        raise _nonconvergence(cfg.quadrature_tolerance, failed[0])
+    _check_converged(failed, cfg.quadrature_tolerance)
     return est
 
 
@@ -809,8 +813,8 @@ def _rank2_level(mu, a, b, edges: np.ndarray, subdiv: int) -> float:
     return float((wt * inner).sum())
 
 
-def _exact_set_maxima(c: CovarianceSpec, L: np.ndarray, sets, tol: float,
-                      name_set: bool) -> Estimate:
+def _exact_set_maxima(c: CovarianceSpec, L: np.ndarray, sets,
+                      tol: float) -> tuple[Estimate, dict]:
     """sum_j E max_{i in S_j} X_i for X = mu + L z with a factor of rank r <= 2.
 
     Rank 0 and 1 are closed forms: the envelope value of ``_envelope_mean``
@@ -818,57 +822,51 @@ def _exact_set_maxima(c: CovarianceSpec, L: np.ndarray, sets, tol: float,
     set with at most one member of nonzero variance at rank 2.  Rank 2
     integrates the rank-1 value over the first coordinate of z, on the
     panel knots of quadrature in [-10, 10] plus the kinks of
-    ``_rank2_kinks``, refined through subdiv 1, 2, 4, 8 and 16 until two
-    levels agree within ``tol``.  Sets are evaluated one by one and add up
-    in set order.  A set that never converges raises ``QuadratureError``,
-    prefixed "set j: " when ``name_set``.
+    ``_rank2_kinks``; all rank-2 sets are refined together by ``_refine``.
+    Set values add up in set order.  Returns ``(estimate, failed)``, with
+    ``failed`` as in ``_refine`` but keyed by set.
     """
     rank = L.shape[1]
     # A zero variance is a constant; its factor row may hold rounding residue.
     L = np.where(np.diag(c.matrix)[:, None] > 0, L, 0.0) if rank else np.zeros((c.n, 1))
-    value = 0.0
+    per_set = np.zeros(len(sets))
+    rank2, args = [], []  # the rank-2 sets j and their (mu, a, b, edges)
     for j, members in enumerate(sets):
         idx = list(members)
         mu, f = c.means[idx], L[idx]
         if rank < 2 or np.count_nonzero(f.any(axis=1)) < 2:
             # One dimension: the factor's column, or the length of the one loaded row.
-            value += float(_envelope_mean(mu, f[:, 0] if rank < 2 else np.hypot(*f.T)))
+            per_set[j] = _envelope_mean(mu, f[:, 0] if rank < 2 else np.hypot(*f.T))
             continue
-        a, b = f[:, 0], f[:, 1]
-        edges = np.unique(np.concatenate([_KNOTS, _rank2_kinks(mu, a, b)]))
-        prev = _rank2_level(mu, a, b, edges, 1)
-        for subdiv in (2, 4, 8, 16):
-            val = _rank2_level(mu, a, b, edges, subdiv)
-            if abs(val - prev) <= 0.5 * tol:
-                break
-            prev = val
-        else:
-            e = _nonconvergence(tol, val)
-            if name_set:
-                raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
-            raise e
-        value += val
-    return Estimate(value, 0.0, "quadrature" if rank == 2 else "closed_form")
+        rank2.append(j)
+        args.append((mu, *f.T, np.unique(np.concatenate([_KNOTS, _rank2_kinks(mu, *f.T)]))))
+    values, failed = _refine(lambda rows, subdiv: np.array(
+        [_rank2_level(*args[k], subdiv) for k in rows]), len(args), tol)
+    per_set[rank2] = values
+    value = 0.0
+    for v in per_set.tolist():
+        value += v
+    return (Estimate(value, 0.0, "quadrature" if rank == 2 else "closed_form"),
+            {rank2[k]: v for k, v in failed.items()})
 
 
-def _correlated_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets,
-                           name_set: bool = False) -> Estimate:
+def _correlated_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets) -> tuple[Estimate, dict]:
     """sum_j E max_{i in S_j} X_i for X ~ N(mu, Sigma), routed by the rank of Sigma.
 
     ``psd_factor``'s cut decides the rank r.  ``auto`` and ``quadrature``
     take ``_exact_set_maxima`` at r <= 2; ``auto`` and ``monte_carlo`` take
     ``_mc_set_maxima`` otherwise.  ``quadrature`` at r >= 3 and
-    ``closed_form`` raise ``ValueError``.
+    ``closed_form`` raise ``ValueError``.  Returns ``(estimate, failed)``.
     """
     if cfg.method == "closed_form":
         raise ValueError("correlated estimation has no closed form for a whole matrix; "
                          "use auto, quadrature (rank <= 2) or monte_carlo")
     L = psd_factor(c.matrix)
     if cfg.method == "monte_carlo" or (cfg.method == "auto" and L.shape[1] > 2):
-        return _mc_set_maxima(c, cfg, sets, L)
+        return _mc_set_maxima(c, cfg, sets, L), {}
     if L.shape[1] > 2:
         raise ValueError(f"correlated quadrature needs a factor of rank <= 2, got {L.shape[1]}")
-    return _exact_set_maxima(c, L, sets, cfg.quadrature_tolerance, name_set)
+    return _exact_set_maxima(c, L, sets, cfg.quadrature_tolerance)
 
 
 def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
@@ -878,17 +876,17 @@ def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate
     rank 2 quadrature, with half-width 0; a higher rank, or ``monte_carlo``,
     gets a Monte Carlo estimate, deterministic given the seed.
     """
-    return _correlated_set_maxima(c, cfg, [range(c.n)])
+    est, failed = _correlated_set_maxima(c, cfg, [range(c.n)])
+    _check_converged(failed, cfg.quadrature_tolerance)
+    return est
 
 
 def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfig) -> Estimate:
     """Sum over sets of E[max over the member variables].
 
     Sets go through the evaluator of ``expected_max_independent``, so each
-    gets the bits of that call.  Sets that take quadrature are refined
-    together, one ``expected_max_batch`` call per refinement level for the
-    open rows of one width, and sets whose rows hold the same multiset of
-    (mean, deviation) columns share one row.  Values add up in set order.
+    gets the bits of that call; quadrature sets are refined together by
+    ``_quadrature_rows``.  Values add up in set order.
     A set that does not converge raises ``QuadratureError("set j: ...")``,
     naming the lowest such j.  Monte Carlo sets draw from independent
     per-set streams, so confidence half-widths combine in quadrature.
@@ -897,11 +895,8 @@ def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfi
         raise ValueError(f"allocation has length {len(alloc.stddevs)}, expected {inst.n}")
     estimates, failed = _set_estimates(inst.means_array(), alloc.stddevs_array(), inst.sets,
                                        cfg, lambda j: derive_seed(cfg.seed, f"set:{j}"))
-    if failed:
-        j = min(failed)
-        # Chained to the one-set error that expected_max_independent raises.
-        e = _nonconvergence(cfg.quadrature_tolerance, failed[j])
-        raise QuadratureError(f"set {j}: {e}", estimate=e.estimate) from e
+    # Chained to the one-set error that expected_max_independent raises.
+    _check_converged(failed, cfg.quadrature_tolerance, name_set=True)
     value = 0.0
     var_sum = 0.0
     for est in estimates:
@@ -921,4 +916,6 @@ def graph_objective_correlated(inst: Instance, c: CovarianceSpec, cfg: Estimator
     """
     if c.n != inst.n:
         raise ValueError(f"covariance dimension {c.n} does not match instance n={inst.n}")
-    return _correlated_set_maxima(c, cfg, inst.sets, name_set=True)
+    est, failed = _correlated_set_maxima(c, cfg, inst.sets)
+    _check_converged(failed, cfg.quadrature_tolerance, name_set=True)
+    return est

@@ -30,7 +30,7 @@ from .oracle import (
     CovarianceSpec,
     Estimate,
     EstimatorConfig,
-    _nonconvergence,
+    _check_converged,
     _quadrature_rows,
     _sample_tiles,
     derive_seed,
@@ -307,11 +307,11 @@ def _count_tables(widths, tol: float) -> tuple[list[float], dict[int, float]]:
 
     Returns ``a`` with a[h] = E max(0, Z_1, ..., Z_h) for h below the widest
     set, and ``b`` with b[w] = E max(Z_1, ..., Z_w) per width, Z_i iid N(0, 1).
-    Every row is as wide as the widest set and refined by one
-    ``_quadrature_rows`` call: row h of ``a`` holds h unit deviations and a
-    zero, row w of ``b`` w unit deviations, and the other coordinates sit at
-    -inf, where they are never the maximum.  A row that does not converge
-    within ``tol`` raises.
+    Every row is as wide as the widest set and refined by
+    ``_quadrature_rows``, as sets are: row h of ``a`` holds h unit deviations
+    and a zero, row w of ``b`` w unit deviations, and the other coordinates
+    sit at -inf, where they are never the maximum.  ``_check_converged``
+    raises for the lowest row that does not converge within ``tol``.
     """
     wmax = max(widths)
     sizes = sorted(set(widths))
@@ -320,8 +320,7 @@ def _count_tables(widths, tol: float) -> tuple[list[float], dict[int, float]]:
     col = np.arange(wmax)
     values, failed = _quadrature_rows(np.where(col < members[:, None], 0.0, -np.inf),
                                       (col < units[:, None]).astype(float), tol)
-    if len(failed):
-        raise _nonconvergence(tol, values[failed[0]])
+    _check_converged(failed, tol)
     values = values.tolist()
     return values[:wmax], dict(zip(sizes, values[wmax:]))
 

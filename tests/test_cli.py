@@ -287,6 +287,30 @@ def test_evaluate_malformed_report_exits_2(tmp_path, capsys, path, value):
         assert f"report is missing the {'.'.join(path)!r} field" in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("objective", "half_width", math.inf),
+    ("objective", "half_width", -1.0),
+    ("objective", "value", math.nan),
+    ("config", "quadrature_tolerance", math.inf),
+])
+def test_evaluate_refuses_non_finite_or_negative_numbers(tmp_path, capsys, section, key, value):
+    # json reads Infinity and NaN; a reported value of 123.0 is far from the
+    # recomputed 0.739..., so no bound may be infinite.
+    inst, rep, out = tmp_path / "in.json", tmp_path / "report.json", tmp_path / "eval.json"
+    inst.write_text('{"n": 3, "means": [0.1, 0.4, 0.2], "sets": [[0, 1, 2]]}\n')
+    assert run(["solve", "uniform", "--in", str(inst), "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    doc["objective"]["value"] = 123.0
+    doc[section][key] = value
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--in", str(rep), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"report field '{section}.{key}'" in err
+    assert not out.exists()
+
+
 def test_sweep_concavity_csv(tmp_path):
     out = tmp_path / "concavity.csv"
     assert run([

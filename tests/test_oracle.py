@@ -543,6 +543,8 @@ class TestAutoAndMonteCarlo:
         with pytest.raises(ValueError):
             EstimatorConfig(quadrature_tolerance=0.0)
         with pytest.raises(ValueError):
+            EstimatorConfig(quadrature_tolerance=math.inf)
+        with pytest.raises(ValueError):
             EstimatorConfig(mc_samples=10)
         with pytest.raises(ValueError):
             Estimate(1.0, -0.1, "quadrature")
@@ -859,7 +861,7 @@ class TestExactCorrelated:
         # Two lines of one slope: the inner value is max(c_1(t), c_2(t)), with
         # a kink where they cross, and X_1 - X_2 = -0.1 + 0.9 T (Clark, theta 0.9).
         two = _spec(means[:2], factor[:2])
-        got = oracle._exact_set_maxima(two, np.array(factor[:2]), [range(2)], 1e-9, False)
+        got = oracle._exact_set_maxima(two, np.array(factor[:2]), [range(2)], 1e-9)[0]
         assert got.value == pytest.approx(expected_max_pair(0.1, 0.9, 0.2, 0.0), abs=1e-13)
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -875,7 +877,7 @@ class TestExactCorrelated:
                     c, s = math.cos(angle), math.sin(angle)
                     turns.append(np.array([[c, -s], [s, c]]))
             for q in turns:
-                got = oracle._exact_set_maxima(spec, L @ q, [range(4)], 1e-9, False)
+                got = oracle._exact_set_maxima(spec, L @ q, [range(4)], 1e-9)[0]
                 assert got.value == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -887,7 +889,12 @@ class TestExactCorrelated:
         est = graph_objective_correlated(inst, spec, self.AUTO)
         per_set = [graph_objective_correlated(Instance(5, inst.means, [s]), spec, self.AUTO)
                    for s in sets]
-        assert est.value == sum(e.value for e in per_set)
+        # Set values add left to right from 0.0 (sum() of floats is compensated
+        # from Python 3.12 on).
+        total = 0.0
+        for e in per_set:
+            total += e.value
+        assert est.value == total
         assert est.method_used == ("quadrature" if rank == 2 else "closed_form")
         assert est.half_width == 0.0
 
@@ -914,6 +921,32 @@ class TestExactCorrelated:
         assert err.value.estimate == pytest.approx(want + 16e-6, abs=1e-12)
         with pytest.raises(QuadratureError, match="^set 1: "):
             graph_objective_correlated(inst, spec, self.AUTO)
+        # A closed-form set, then two rank-2 sets: both are refined, and the
+        # graph names the lower with its subdiv-16 estimate.
+        monkeypatch.setattr(oracle, "_rank2_level", level)
+        means = [0.1, 0.3, 0.0, 0.2]
+        inst = Instance(4, means, [(2,), (0, 1, 2), (1, 3)])
+        spec = _spec(means, [[0.5, 0.2], [-0.3, 0.4], [0.0, 0.0], [0.2, -0.3]])
+        whole = expected_max_correlated(spec, self.AUTO).value
+        set1 = graph_objective_correlated(Instance(4, means, [(0, 1, 2)]), spec, self.AUTO).value
+        seen = []
+
+        def drifting(*args):
+            seen.append((len(args[0]), args[-1]))  # (set width, subdiv)
+            return level(*args) + 1e-6 * args[-1]
+
+        monkeypatch.setattr(oracle, "_rank2_level", drifting)
+        with pytest.raises(QuadratureError) as err:
+            graph_objective_correlated(inst, spec, self.AUTO)
+        assert {(3, 16), (2, 16)} <= set(seen)
+        assert str(err.value).startswith("set 1: quadrature did not reach tolerance 1e-09")
+        assert err.value.estimate == pytest.approx(set1 + 16e-6, abs=1e-12)
+        assert isinstance(err.value.__cause__, QuadratureError)
+        with pytest.raises(QuadratureError) as err:
+            expected_max_correlated(spec, self.AUTO)
+        assert str(err.value).startswith("quadrature did not reach tolerance 1e-09")
+        assert err.value.estimate == pytest.approx(whole + 16e-6, abs=1e-12)
+        assert err.value.__cause__ is None
 
 
 class TestGraphObjective:
@@ -1126,6 +1159,35 @@ class TestGraphObjectiveBatched:
         assert np.float64(got.value.estimate).view(np.int64) == np.float64(
             want.value.estimate).view(np.int64)
         assert isinstance(got.value.__cause__, QuadratureError)
+
+
+class TestRefine:
+    """``oracle._refine``: one refinement ladder over the rows still open."""
+
+    def test_levels_take_the_open_rows(self):
+        # Row 0 agrees at subdiv 2 and row 1 at subdiv 8, each within 1e-12 of
+        # the level before; row 2 moves by 1e-6 * subdiv and row 3 is NaN.
+        calls = []
+
+        def level(rows, subdiv):
+            calls.append((subdiv, rows.tolist()))
+            value = {0: 1.0 + 1e-12 * subdiv,
+                     1: 2.0 + (1e-12 * subdiv if subdiv >= 4 else 1e-3 * subdiv),
+                     2: 3.0 + 1e-6 * subdiv,
+                     3: math.nan}
+            return np.array([value[r] for r in rows.tolist()])
+
+        values, failed = oracle._refine(level, 4, 1e-9)
+        assert calls == [(1, [0, 1, 2, 3]), (2, [0, 1, 2, 3]), (4, [1, 2, 3]),
+                         (8, [1, 2, 3]), (16, [2, 3])]
+        assert values[:3].tolist() == [1.0 + 2e-12, 2.0 + 8e-12, 3.0 + 16e-6]
+        assert sorted(failed) == [2, 3]
+        assert failed[2] == 3.0 + 16e-6 and math.isnan(failed[3]) and math.isnan(values[3])
+
+    def test_no_rows(self):
+        calls = []
+        values, failed = oracle._refine(lambda rows, subdiv: calls.append(subdiv), 0, 1e-9)
+        assert len(values) == 0 and failed == {} and calls == []
 
 
 def _spy_batch_calls(monkeypatch) -> list:
