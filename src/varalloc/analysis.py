@@ -233,19 +233,17 @@ def verify_max_floor_bound(
     if lo < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
-    # Row t holds its n_t coordinates followed by zeros; column n_t is then
-    # the point mass at 0 of the floored maximum.
+    # Row t holds its n_t coordinates followed by pad columns (-inf, 0), which
+    # change no bit; on the floored side column n_t is the point mass at 0.
     ns = np.empty(trials, dtype=int)
-    means, sig = np.zeros((trials, hi + 1)), np.zeros((trials, hi + 1))
+    means, sig = np.full((trials, hi + 1), -np.inf), np.zeros((trials, hi + 1))
     for t in range(trials):
         n = ns[t] = int(rng.integers(lo, hi + 1))
         means[t, :n] = rng.uniform(0.0, 1.0, n)
         sig[t, :n] = rng.uniform(0.0, 1.0, n)
-    lhs_all, floor_all = np.empty(trials), np.empty(trials)
-    for n in np.unique(ns):
-        rows = ns == n
-        lhs_all[rows] = expected_max_batch(means[rows, :n], sig[rows, :n])
-        floor_all[rows] = expected_max_batch(means[rows, :n + 1], sig[rows, :n + 1])
+    lhs_all = expected_max_batch(means[:, :hi], sig[:, :hi])
+    means[np.arange(trials), ns] = 0.0
+    floor_all = expected_max_batch(means, sig)
     rhs = (1.0 - 2.0 ** (1 - ns)) * floor_all
     margin = lhs_all - rhs
     return _verdict("max_floor_bound", seed, margin < -_QUAD_SLACK, margin,

@@ -145,6 +145,18 @@ def _number(value, what: str, least: float = -np.inf) -> float:
     return x
 
 
+def _finite(value, what: str) -> None:
+    """A ValueError naming the first non-finite number in ``value``, a parsed JSON value."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"report field {what!r} has an invalid value {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _finite(item, f"{what}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _finite(item, f"{what}[{i}]")
+
+
 def _numbers(value, what: str) -> list:
     """``value`` as a list of floats if it is a list of numbers, else a ValueError."""
     return [_number(x, what) for x in _typed(value, list, what)]
@@ -246,7 +258,7 @@ def _cmd_evaluate(args) -> int:
         "seed": cfg.seed,
     }
     if reported is not None:
-        _typed(reported, dict, "objective")
+        _finite(_typed(reported, dict, "objective"), "objective")  # echoed as standard JSON
         half_width = _number(reported.get("half_width", 0.0), "objective.half_width", 0.0)
         tol = est.half_width + half_width + 1e-6
         value = _number(_field(reported, "objective.value"), "objective.value")

@@ -27,6 +27,11 @@ upper limit at max_i(mu_i + 10 s_i) and choosing c = max_i(mu_i - 10 s_i)
 bounds the neglected tails by sum_i s_i * (phi(10) - 10 Phi(-10)) < 1e-22.
 One ladder, ``_refine``, splits panels into 1, 2, 4, 8, 16 parts until two
 levels agree within tol / 2; ``_check_converged`` reports rows that never do.
+Rows of different widths share one batch: a pad column (mean -inf,
+deviation 0) is never the maximum and changes no bit, so all quadrature
+sets of one objective are refined together, one batch per level.  A batch
+is cut into blocks of rows by the panels each row really has, and a block
+into node chunks by its positive-width panels, so memory stays bounded.
 
 Low-rank covariance (exact): with X = mu + L z, max_i X_i is the upper
 envelope of the lines mu_i + L_i z.  At r = 1 line i is on top over one
@@ -48,9 +53,9 @@ normal stream in order, each sample's entries are the same dot products, a
 maximum is exact, and the sums run over the whole chunk's statistics at
 once, in the same order.
 
-Parallelism: ``_pmap`` runs independent quadrature slabs and verifier
+Parallelism: ``_pmap`` runs independent quadrature blocks and verifier
 trials on the calling thread plus one pool thread per further CPU of the
-affinity mask (numpy and ``ndtr`` release the interpreter lock).  Each slab
+affinity mask (numpy and ``ndtr`` release the interpreter lock).  Each block
 and trial does the same arithmetic on any thread, so results have the same
 bits for any worker count.
 """
@@ -114,10 +119,14 @@ _SAMPLE_TILE = 1 << 14
 _RANK_TOL = 1e-10  # psd_factor's zero-eigenvalue cut, times max(largest eigenvalue, 1)
 
 # Quadrature nodes in flight inside expected_max_batch, across all threads:
-# each node-sized float64 temporary, summed over the slabs evaluated at once,
+# each node-sized float64 temporary, summed over the blocks evaluated at once,
 # stays at 256 KiB whatever the batch size and row width, which keeps the
 # working set in cache.
 _SLAB_NODES = 1 << 15
+# A block holds at most 1 / _BLOCK_SHARE of a worker's node budget in
+# panels, so its panel-level arrays (edges, panel indices) fit beside its
+# node chunks; blocks of half that size were 5-15% slower.
+_BLOCK_SHARE = 4
 
 # Gauss-Legendre rule per quadrature panel: nodes on [-1, 1] and weights.
 _GL_POINTS = 10
@@ -387,47 +396,83 @@ def expected_max_pair(mu1: float, sigma1: float, mu2: float, sigma2: float) -> f
     return float(mu1 * ndtr(z) + mu2 * ndtr(-z) + theta * _norm_pdf(z))
 
 
+def _extent(pad: np.ndarray) -> np.ndarray:
+    """One past the last real (non-pad) column of each row of the (R, n) mask ``pad``."""
+    return pad.shape[1] - np.argmin(pad[:, ::-1], axis=1)
+
+
 def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     """E[max_i X_i] for a batch of independent Gaussian vectors.
 
     ``stddevs`` has shape (C, n); ``means`` is broadcast against it (shape
     (n,) or (C, n)).  Returns a length-C array.  Panels are rebuilt per row,
-    so rows may mix degenerate and non-degenerate coordinates freely.  Rows
-    are evaluated in slabs of at most ``_SLAB_NODES`` (2^15) quadrature
-    nodes in flight across all threads: with W workers (``_pmap``) a slab
-    holds ``_SLAB_NODES // W`` nodes, or one row when a row alone is larger.
-    That bounds memory and keeps each temporary in cache.  A row's value
-    does not depend on the slab, batch or thread it lands in, so one call
-    over many rows returns the bits of one call per row, for any W.
+    so rows may mix degenerate and non-degenerate coordinates freely, and
+    rows of different widths share one call: a pad column, mean -inf and
+    deviation 0, is never the maximum and changes no bit of its row.
 
     Each panel takes a 10-point Gauss-Legendre rule, and ``subdiv`` splits
     every panel evenly; unsplit panels already resolve all CDF transitions
     to ~1e-12 since panel spacing follows each coordinate's standard
     deviation.
 
-    A row's value is a function of the multiset of its (mean, deviation)
-    columns, compared as bytes.  The limits are maxima and the panel edges
-    are sorted (a -0.0 or +0.0 edge or lower limit changes no node, weight
-    or sum).  A column with a zero deviation or mu + 10 s at or below the
+    Memory is bounded by ``_SLAB_NODES`` (2^15) floats per temporary across
+    all threads: with W workers (``_pmap``) each works within
+    ``_SLAB_NODES // W``.  Rows, ordered by their number of real (non-pad)
+    columns, are cut into blocks of at most ``_SLAB_NODES // W //
+    _BLOCK_SHARE`` panels, counted at the block's width w as 15 w + 2 per
+    row; the columns after a block's last real column, padding in all its
+    rows, are trimmed.  Within a block, the positive-width panels get nodes
+    in chunks of at most ``_SLAB_NODES // W`` nodes, and each row sums its
+    own layout in groups of at most ``_SLAB_NODES // W`` floats, both cut at
+    whole rows (one row alone may be larger).  A row's value does not depend
+    on its block, chunk, batch or thread, so one call over many rows returns
+    the bits of one call per row, for any W.
+
+    A row's value is a function of the multiset of its real (mean,
+    deviation) columns, compared as bytes.  The limits are maxima and the
+    panel edges are sorted (a -0.0 or +0.0 edge or lower limit changes no
+    node, weight or sum).  A column with a zero deviation or mu + 10 s at or below the
     lower limit has a factor of exactly 1.0 on every node and is dropped;
     each row's other columns are packed to the left, sorted by the bytes of
-    (s, mu), and one equal byte for byte to the previous column of the slab
-    reuses its factor.  Only positive-width panels get nodes, and their
-    contributions are scattered back into a zero array, so every row sums
-    its full length in the same order.
+    (s, mu), and one equal byte for byte to the previous column of the
+    chunk reuses its factor.  Only positive-width panels get nodes.  A row
+    with k real columns sums its own layout of 15 k + 2 panels, its terms in
+    place and zeros elsewhere, whatever its padding: a pad column's knots
+    clip to the lower limit, so it only adds 15 zero-width panels in front.
     """
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
-    # A row has 15n + 2 panels of _GL_POINTS * subdiv nodes each.
-    row_nodes = (len(_KNOTS) * n + 2) * _GL_POINTS * subdiv
-    slab = max(1, _SLAB_NODES // _workers() // row_nodes)
-    if ncand <= slab:
-        return _expected_max_slab(means, stddevs, subdiv) if ncand else np.empty(0)
-    return np.concatenate(_pmap(
-        lambda start: _expected_max_slab(means[start:start + slab],
-                                         stddevs[start:start + slab], subdiv),
-        range(0, ncand, slab)))
+    pad = means == -np.inf
+    real = n - np.count_nonzero(pad, axis=1)
+    order = None
+    if (real[1:] < real[:-1]).any():  # blocks and row sums take rows of one width together
+        order = np.argsort(real, kind="stable")
+        means, stddevs, pad, real = means[order], stddevs[order], pad[order], real[order]
+    extent = _extent(pad)
+    budget = _SLAB_NODES // _workers()
+    limit = budget // _BLOCK_SHARE
+    blocks, start = [], 0
+    while start < ncand:
+        # A block of r rows at width w has r (15 w + 2) panels, and a row at least 17.
+        width = np.maximum.accumulate(extent[start:start + limit // (len(_KNOTS) + 2) + 1])
+        panels = np.arange(1, len(width) + 1) * (len(_KNOTS) * width + 2)
+        stop = start + max(1, int(np.searchsorted(panels, limit, side="right")))
+        blocks.append((start, stop))
+        start = stop
+
+    def block(rows):
+        r0, r1 = rows
+        w = int(extent[r0:r1].max())
+        return _expected_max_slab(means[r0:r1, :w], stddevs[r0:r1, :w], real[r0:r1], subdiv,
+                                  budget)
+
+    values = np.concatenate(_pmap(block, blocks)) if blocks else np.empty(0)
+    if order is None:
+        return values
+    out = np.empty_like(values)
+    out[order] = values
+    return out
 
 
 @functools.cache
@@ -439,32 +484,78 @@ def _panel_parts(subdiv: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray, subdiv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 10-point rule on panels [a, b], each split into
-    ``subdiv`` equal parts, as (panels, subdiv * 10) arrays."""
-    span = subdiv * _GL_POINTS
+    """Nodes of the 10-point rule on panels [a, b], each split into ``subdiv``
+    equal parts, as a node-major (subdiv * 10, panels) array: row k holds node
+    k of every panel, so elementwise work runs along the panels.  Also returns
+    the parts' half-widths, from which ``_node_weights`` makes the weights."""
     start, end = _panel_parts(subdiv)
-    width = (b - a)[:, None]
-    a, b = a[:, None] + width * start, b[:, None] - width * end
+    width = b - a
+    a, b = a + start[:, None] * width, b - end[:, None] * width
     half = 0.5 * (b - a)
-    t = (a[..., None] + half[..., None] * (_GL_NODES + 1.0)).reshape(len(a), span)
-    wt = (half[..., None] * _GL_WEIGHTS).reshape(len(a), span)
-    return t, wt
+    t = a[:, None] + (_GL_NODES + 1.0)[:, None] * half[:, None]
+    return t.reshape(subdiv * _GL_POINTS, len(width)), half
 
 
-def _expected_max_slab(means, stddevs, subdiv):
-    ncand = stddevs.shape[0]
+def _node_weights(half: np.ndarray) -> np.ndarray:
+    """The weights of ``_panel_nodes``'s nodes, in the same layout."""
+    subdiv, panels = half.shape
+    return (_GL_WEIGHTS[:, None] * half[:, None]).reshape(subdiv * _GL_POINTS, panels)
+
+
+def _row_ranges(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) ranges of rows whose ``cost`` sums to at most ``limit``,
+    or of one row where that row alone costs more."""
+    ends = np.cumsum(cost)
+    ranges, start = [], 0
+    while start < len(cost):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        ranges.append((start, stop))
+        start = stop
+    return ranges
+
+
+def _survival_terms(a, b, owner, m_eff, s_eff, subdiv: int) -> np.ndarray:
+    """(1 - prod_i F_i(t)) w on the nodes t, weights w of panels [a, b], node-major
+    as ``_panel_nodes``; panel p takes the columns of row ``owner[p]`` of ``m_eff``
+    and ``s_eff``.  A column equal, byte for byte, to the previous one reuses its
+    factor.  At most four node-sized arrays are live at once."""
+    t, half = _panel_nodes(a, b, subdiv)
+    prod = np.ones_like(t)
+    key = factor = None
+    for i in range(m_eff.shape[1]):
+        column = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
+        if column != key:
+            key, factor = column, None
+            z = t - m_eff[owner, i]
+            z /= s_eff[owner, i]
+            factor = ndtr(z)
+            del z
+        prod *= factor
+    del t, factor
+    np.subtract(1.0, prod, out=prod)
+    prod *= _node_weights(half)
+    return prod
+
+
+def _expected_max_slab(means, stddevs, real, subdiv: int, budget: int) -> np.ndarray:
+    """``expected_max_batch`` on one block; ``real`` counts each row's non-pad columns."""
+    rows, width = stddevs.shape
+    span = _GL_POINTS * subdiv
+    knots = len(_KNOTS) * width
     lo = (means - _TAIL_SIGMAS * stddevs).max(axis=1)
     hi = (means + _TAIL_SIGMAS * stddevs).max(axis=1)
 
     # Breakpoints: per-coordinate knots plus the origin (the tail-integral
-    # identity splits there), clipped into [lo, hi].
-    bps = (means[:, None, :] + stddevs[:, None, :] * _KNOTS[:, None]).reshape(ncand, -1)
-    bps = np.concatenate([bps, np.zeros((ncand, 1))], axis=1)
-    np.clip(bps, lo[:, None], hi[:, None], out=bps)
-    edges = np.concatenate([lo[:, None], bps, hi[:, None]], axis=1)
+    # identity splits there) and the limits, clipped into [lo, hi], in one
+    # array: a pad column's knots are -inf and clip to lo.
+    edges = np.empty((rows, knots + 3))
+    bps = edges[:, :knots].reshape(rows, len(_KNOTS), width)
+    np.multiply(stddevs[:, None, :], _KNOTS[:, None], out=bps)
+    bps += means[:, None, :]
+    edges[:, knots], edges[:, knots + 1], edges[:, knots + 2] = 0.0, lo, hi
+    np.clip(edges, lo[:, None], hi[:, None], out=edges)
     edges.sort(axis=1)
-    a = edges[:, :-1]
-    b = edges[:, 1:]
 
     # Survival function of the maximum: 1 - prod_i F_i(t).  A factor is
     # exactly 1 on every node (t >= lo) for a degenerate entry, a unit step
@@ -473,36 +564,45 @@ def _expected_max_slab(means, stddevs, subdiv):
     # bytes of (s, mu), so the product depends on the multiset of columns and
     # not on their order; the padding keeps z = +inf, an exact 1.0 factor.
     live = (stddevs > 0) & (means + _TAIL_SIGMAS * stddevs > lo[:, None])
+    nlive = np.count_nonzero(live, axis=1)
     m_eff = np.where(live, means, -np.inf)
     s_eff = np.where(live, stddevs, 1.0)
-    most = int(live.sum(axis=1).max())
-    order = np.lexsort((m_eff.view(np.uint64), s_eff.view(np.uint64), ~live), axis=1)[:, :most]
+    order = np.lexsort((m_eff.view(np.uint64), s_eff.view(np.uint64), ~live),
+                       axis=1)[:, :nlive.max()]
     m_eff = np.take_along_axis(m_eff, order, axis=1)
     s_eff = np.take_along_axis(s_eff, order, axis=1)
 
     # A zero-width panel's nodes have weight 0.0 and contribute exact zeros,
-    # so only positive-width panels get nodes: each becomes one row of
-    # nodes, and ``owner`` is the row it came from.  Each is split into
-    # ``subdiv`` equal parts; at subdiv 1 the offsets are exact zeros.
-    wide = b > a
-    owner = np.nonzero(wide)[0]
-    a, b = a[wide], b[wide]
-    m_eff, s_eff = m_eff[owner], s_eff[owner]
-    t, wt = _panel_nodes(a, b, subdiv)
+    # so only positive-width panels get nodes, in row order; ``owner`` is the
+    # row a panel came from.  Row r's layout, its last 15 real[r] + 2 panels,
+    # starts at ``first[r]`` in the block's layouts laid end to end, and
+    # ``slot`` is each positive-width panel's place there.
+    wide = edges[:, 1:] > edges[:, :-1]
+    owner, col = np.nonzero(wide)
+    a, b = edges[owner, col], edges[owner, col + 1]
+    layout = len(_KNOTS) * real + 2
+    first = np.cumsum(layout) - layout
+    slot = col + (first - len(_KNOTS) * (width - real))[owner]
+    start = np.concatenate([[0], np.cumsum(np.count_nonzero(wide, axis=1))])
 
-    prod = np.ones_like(t)
-    key = None
-    for i in range(most):
-        col = m_eff[:, i].tobytes() + s_eff[:, i].tobytes()
-        if col != key:
-            key = col
-            factor = ndtr((t - m_eff[:, i, None]) / s_eff[:, i, None])
-        prod *= factor
-    # Back into row order, so each row sums the same operands in the same
-    # order as with every panel.
-    terms = np.zeros(wide.shape + t.shape[1:])
-    terms[wide] = (1.0 - prod) * wt
-    return lo + terms.reshape(ncand, -1).sum(axis=1)
+    total = np.empty(rows)
+    for r0, r1 in _row_ranges(np.diff(start) * span, budget):
+        p0, p1, most = start[r0], start[r1], nlive[r0:r1].max()
+        terms = _survival_terms(a[p0:p1], b[p0:p1], owner[p0:p1] - r0,
+                                m_eff[r0:r1, :most], s_eff[r0:r1, :most], subdiv)
+        # Each row sums its own layout with the terms in place, rows of one
+        # width together, at most ``budget`` floats at a time.
+        cuts = [r0, *(r0 + 1 + np.flatnonzero(np.diff(real[r0:r1]))).tolist(), r1]
+        for g0, g1 in zip(cuts[:-1], cuts[1:]):
+            size = int(layout[g0])  # panels per row
+            step = max(1, budget // (size * span))
+            for q0 in range(g0, g1, step):
+                q1 = min(q0 + step, g1)
+                buf = np.zeros(((q1 - q0) * size, span))
+                panels = slice(start[q0], start[q1])
+                buf[slot[panels] - first[q0]] = terms[:, panels.start - p0:panels.stop - p0].T
+                total[q0:q1] = buf.reshape(q1 - q0, -1).sum(axis=1)
+    return lo + total
 
 
 def _refine(level, count: int, tol: float) -> tuple[np.ndarray, dict]:
@@ -527,17 +627,27 @@ def _refine(level, count: int, tol: float) -> tuple[np.ndarray, dict]:
 
 
 def _first_of_key(means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
-    """For each row of one width, the index of the first row with its quadrature key.
+    """For each row, the index of the first row with its quadrature key.
 
     A row's key is the multiset of its (mean, deviation) columns, compared as
     bytes, and ``expected_max_batch`` gives every row of one key the same
-    bits: a row's value is a function of that multiset alone.
+    bits: a row's value is a function of that multiset alone.  Pad columns
+    are columns, so rows with different numbers of real ones never share a
+    key.  A run of rows whose last real columns lie within a factor 2 of
+    each other is keyed on the columns up to the run's last real one; the
+    rest are all pads.
     """
-    pairs = np.stack([means, stddevs], axis=2).view(np.uint64)
-    order = np.lexsort((pairs[..., 0], pairs[..., 1]), axis=1)
-    keys = np.take_along_axis(pairs, order[..., None], axis=1).reshape(len(pairs), -1)
-    first = {}
-    return np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(keys)])
+    extent = _extent(means == -np.inf)
+    cuts = [0, *(1 + np.flatnonzero(np.diff(np.frexp(extent)[1]))).tolist(), len(means)]
+    first, out = {}, []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        w = extent[r0:r1].max()
+        pairs = np.stack([means[r0:r1, :w], stddevs[r0:r1, :w]], axis=2)
+        bits = pairs.view(np.uint64)
+        order = np.lexsort((bits[..., 0], bits[..., 1]), axis=1)
+        keys = pairs.view(np.complex128)[np.arange(r1 - r0)[:, None], order, 0]  # pairs as units
+        out += [first.setdefault(key.tobytes(), i) for i, key in enumerate(keys, r0)]
+    return np.array(out)
 
 
 def _quadrature_rows(means, stddevs, tol: float) -> tuple[np.ndarray, dict]:
@@ -638,12 +748,14 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
 
     ``auto`` takes the closed forms (on Python floats, so -0.0 passes
     through) for at most two members or at most one nonzero deviation, and
-    quadrature otherwise, where ``_quadrature_rows`` refines the sets of one
-    width together.  Monte Carlo set j draws from ``seed_of(j)``.  Returns
-    the estimates in set order and ``failed`` as in ``_refine``, keyed by set.
+    quadrature otherwise.  The quadrature sets are rows of one batch, each
+    left-packed and padded with (-inf, 0) to the widest, which changes no
+    bit, and one ``_quadrature_rows`` call refines them all together.  Monte
+    Carlo set j draws from ``seed_of(j)``.  Returns the estimates in set
+    order and ``failed`` as in ``_refine``, keyed by set.
     """
     estimates = [None] * len(sets)
-    by_width = {}  # quadrature sets as (j, means, stddevs), grouped by width
+    quad = []  # quadrature sets as (j, member indices)
     for j, members in enumerate(sets):
         idx = list(members)
         m, s = means[idx], stddevs[idx]
@@ -654,19 +766,23 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
             estimates[j] = Estimate(_closed_form_expected_max(m.tolist(), s.tolist()),
                                     0.0, "closed_form")
         elif method == "quadrature":
-            by_width.setdefault(len(idx), []).append((j, m, s))
+            quad.append((j, idx))
         else:
             estimates[j] = _mc_estimate(
                 seed_of(j), cfg.mc_samples, len(idx),
                 lambda z: row_max(np.multiply(z.T, s[:, None], order="C"), range(len(m)), m))
-    failed = {}
-    for group in by_width.values():
-        js, ms, ss = zip(*group)
-        values, unconverged = _quadrature_rows(np.array(ms), np.array(ss), cfg.quadrature_tolerance)
-        for j, value in zip(js, values.tolist()):
-            estimates[j] = Estimate(value, 0.0, "quadrature")
-        failed.update({js[r]: value for r, value in unconverged.items()})
-    return estimates, failed
+    if not quad:
+        return estimates, {}
+    quad.sort(key=lambda q: len(q[1]))  # rows of one width together, for keys and blocks
+    widths = np.array([len(idx) for _, idx in quad])
+    real = np.arange(widths[-1]) < widths[:, None]
+    var = np.zeros(real.shape, dtype=int)  # the variable in each real column
+    var[real] = np.concatenate([idx for _, idx in quad])
+    values, failed = _quadrature_rows(np.where(real, means[var], -np.inf),
+                                      np.where(real, stddevs[var], 0.0), cfg.quadrature_tolerance)
+    for (j, _), value in zip(quad, values.tolist()):
+        estimates[j] = Estimate(value, 0.0, "quadrature")
+    return estimates, {quad[r][0]: value for r, value in failed.items()}
 
 
 def expected_max_independent(v: GaussianVector, cfg: EstimatorConfig) -> Estimate:
@@ -805,7 +921,8 @@ def _rank2_level(mu, a, b, edges: np.ndarray, subdiv: int) -> float:
     the inner expectation over Z is ``_envelope_mean`` on chunks of nodes of
     at most ``_SLAB_NODES`` line pairs.
     """
-    t, wt = (x.reshape(-1) for x in _panel_nodes(edges[:-1], edges[1:], subdiv))
+    t, half = _panel_nodes(edges[:-1], edges[1:], subdiv)
+    t, wt = t.T.reshape(-1), _node_weights(half).T.reshape(-1)
     wt *= _norm_pdf(t)
     step = max(1, _SLAB_NODES // (len(mu) * len(mu)))
     inner = np.concatenate([_envelope_mean(mu + np.multiply.outer(t[s:s + step], a), b)

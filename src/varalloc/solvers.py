@@ -310,8 +310,9 @@ def _count_tables(widths, tol: float) -> tuple[list[float], dict[int, float]]:
     Every row is as wide as the widest set and refined by
     ``_quadrature_rows``, as sets are: row h of ``a`` holds h unit deviations
     and a zero, row w of ``b`` w unit deviations, and the other coordinates
-    sit at -inf, where they are never the maximum.  ``_check_converged``
-    raises for the lowest row that does not converge within ``tol``.
+    are pad columns (-inf, 0), which change no bit, so each value has the
+    bits of its unpadded row.  ``_check_converged`` raises for the lowest
+    row that does not converge within ``tol``.
     """
     wmax = max(widths)
     sizes = sorted(set(widths))

@@ -311,6 +311,40 @@ def test_evaluate_refuses_non_finite_or_negative_numbers(tmp_path, capsys, secti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("method", math.nan, "objective.method"),
+    ("note", math.inf, "objective.note"),
+    ("extra", {"bounds": [0.5, -math.inf]}, "objective.extra.bounds[1]"),
+])
+def test_evaluate_refuses_non_finite_numbers_anywhere_in_objective(tmp_path, capsys, key, value,
+                                                                  named):
+    # The objective is echoed into the output, which must stay standard JSON.
+    inst, rep, out = tmp_path / "in.json", tmp_path / "report.json", tmp_path / "eval.json"
+    inst.write_text('{"n": 3, "means": [0.1, 0.4, 0.2], "sets": [[0, 1, 2]]}\n')
+    assert run(["solve", "uniform", "--in", str(inst), "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    doc["objective"][key] = value
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--in", str(rep), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"report field {named!r}" in err
+    assert not out.exists()
+
+
+def test_evaluate_echoes_a_finite_objective_unchanged(tmp_path):
+    inst, rep, out = tmp_path / "in.json", tmp_path / "report.json", tmp_path / "eval.json"
+    inst.write_text('{"n": 3, "means": [0.1, 0.4, 0.2], "sets": [[0, 1, 2]]}\n')
+    assert run(["solve", "uniform", "--in", str(inst), "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    doc["objective"]["note"] = {"bounds": [0.5, -1e300], "tag": None}
+    rep.write_text(json.dumps(doc))
+    assert run(["evaluate", "--in", str(rep), "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text())["reported_objective"]
+    assert json.dumps(echoed) == json.dumps(doc["objective"])
+
+
 def test_sweep_concavity_csv(tmp_path):
     out = tmp_path / "concavity.csv"
     assert run([

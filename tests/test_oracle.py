@@ -289,6 +289,29 @@ class TestQuadrature:
                 one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
                 assert one.view(np.int64)[0] == want.view(np.int64)[r]
 
+    @pytest.mark.parametrize("kind", SLAB_KINDS)
+    def test_pad_columns_change_no_bit(self, kind):
+        # Pad columns (-inf, 0) inserted in front of, between and after the
+        # real ones, the same in every row.
+        means, sigs = _slab_case(kind)
+        n = means.shape[1]
+        at = [0, n // 2, n // 2, n]
+        padded_m = np.insert(means, at, -np.inf, axis=1)
+        padded_s = np.insert(sigs, at, 0.0, axis=1)
+        for subdiv in (1, 2, 4):
+            want = expected_max_batch(means, sigs, subdiv=subdiv)
+            got = expected_max_batch(padded_m, padded_s, subdiv=subdiv)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_pad_neutrality_reaches_the_count_tables(self):
+        # Row h of the a table, h unit deviations and a zero padded to the
+        # widest set, has the bits of its unpadded row.
+        a, _ = solvers._count_tables([3, 5, 9], 1e-9)
+        for h, value in enumerate(a):
+            est = expected_max_independent(GaussianVector([0.0] * (h + 1), [1.0] * h + [0.0]),
+                                           EstimatorConfig(method="quadrature"))
+            assert np.float64(value).view(np.int64) == np.float64(est.value).view(np.int64)
+
     def test_ndtr_is_exactly_one_where_factors_are_skipped(self):
         assert ndtr(np.inf) == 1.0
         assert ndtr(np.nextafter(10.0, 0.0)) == 1.0
@@ -467,6 +490,49 @@ class TestBitsIndependentOfWorkers:
             got[workers] = expected_max_batch(means, sigs)
         assert got[1].shape == (rows,)
         assert np.array_equal(got[1].view(np.int64), got[2].view(np.int64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_widths_give_the_bits_of_one_call_per_row(self, monkeypatch, workers):
+        # 600 rows of 1 to 12 real columns in random order, left-packed or with
+        # pads in between, cut into several blocks and node chunks.
+        monkeypatch.setattr(oracle, "_workers", lambda: workers)
+        rng = np.random.default_rng(17)
+        rows, n = 600, 12
+        means = rng.uniform(-1, 1, (rows, n))
+        sigs = rng.uniform(0, 1, (rows, n))
+        sigs[rng.random((rows, n)) < 0.2] = 0.0
+        real = rng.integers(1, n + 1, rows)
+        pad = np.arange(n) >= real[:, None]
+        pad[::5] = rng.permuted(pad[::5], axis=1)  # every fifth row has pads in between
+        means[pad], sigs[pad] = -np.inf, 0.0
+        for subdiv in (1, 4):
+            got = expected_max_batch(means, sigs, subdiv=subdiv)
+            one = [expected_max_batch(m[~p], s[~p], subdiv=subdiv)[0]
+                   for m, s, p in zip(means, sigs, pad)]
+            assert np.array_equal(got.view(np.int64), np.array(one).view(np.int64))
+
+    def test_blocks_are_no_wider_than_their_widest_row(self, monkeypatch):
+        # One 64-wide set and 2,000 sets of 3: a block holding only 3-wide
+        # rows is 3 wide, and only a block with the 64-wide row is 64 wide.
+        rng = np.random.default_rng(4)
+        n = 94
+        sets = [tuple(range(64))] + [tuple(rng.choice(n, 3, replace=False).tolist())
+                                     for _ in range(2000)]
+        inst = Instance(n, rng.uniform(0, 1, n).tolist(), sets)
+        real = oracle._expected_max_slab
+        blocks = []
+
+        def recording(means, stddevs, real_columns, subdiv, budget):
+            blocks.append((stddevs.shape, int(real_columns.max())))
+            return real(means, stddevs, real_columns, subdiv, budget)
+
+        monkeypatch.setattr(oracle, "_expected_max_slab", recording)
+        alloc = solvers.uniform_allocation(inst)
+        est = graph_objective(inst, alloc, EstimatorConfig())
+        assert all(width == widest for (_, width), widest in blocks)
+        assert {widest for _, widest in blocks} == {3, 64}
+        monkeypatch.setattr(oracle, "_expected_max_slab", real)
+        assert _bits(est) == _bits(_reference_graph_objective(inst, alloc, EstimatorConfig()))
 
     def test_slab_memory_bounded_with_two_workers(self, monkeypatch):
         # The two threads' slabs hold _SLAB_NODES // 2 nodes each, so the
@@ -1075,7 +1141,7 @@ def _bits(est):
 
 
 class TestGraphObjectiveBatched:
-    """Sets refined together by width keep the bits of one set at a time."""
+    """Sets refined together, in one batch of every width, keep the bits of one set at a time."""
 
     # Widths 1, 2, 3, 4 and 8, several of each; mean 6 dominates the sets
     # holding variable 0 under the uniform split, and variable 1 is -0.0.
@@ -1116,29 +1182,30 @@ class TestGraphObjectiveBatched:
         with pytest.raises(ValueError, match="closed form requires"):
             used("closed_form", "uniform")
 
-    def test_one_batch_call_per_width_and_level(self, monkeypatch):
+    def test_one_batch_call_per_level_over_all_open_sets(self, monkeypatch):
+        # Four sets of width 3, two of width 4 and two of width 8 take
+        # quadrature, as rows of one batch padded to width 8.  The two sets
+        # holding variable 0 (mean 6) drift until subdiv 4, so they close at
+        # subdiv 8 and the others at subdiv 2.
         calls = []
         real = oracle.expected_max_batch
 
-        def counting(means, stddevs, *, subdiv=1):
-            calls.append((np.shape(stddevs), subdiv))
-            return real(means, stddevs, subdiv=subdiv)
+        def drifting(means, stddevs, *, subdiv=1):
+            means = np.asarray(means)
+            calls.append((np.shape(stddevs), subdiv,
+                          sorted(np.count_nonzero(means > -np.inf, axis=1).tolist())))
+            out = real(means, stddevs, subdiv=subdiv)
+            return out + np.where(means[:, 0] == 6.0, 1e-6 * min(subdiv, 4), 0.0)
 
-        monkeypatch.setattr(oracle, "expected_max_batch", counting)
+        monkeypatch.setattr(oracle, "expected_max_batch", drifting)
         graph_objective(self.INST, self.ALLOCS["uniform"], EstimatorConfig())
-        # Four sets of width 3, two of width 4 and two of width 8 take
-        # quadrature: one call per width at each level, over the open sets.
-        levels = {}
-        for (rows, n), subdiv in calls:
-            levels.setdefault(n, []).append((subdiv, rows))
-        assert {n: lv[0] for n, lv in levels.items()} == {3: (1, 4), 4: (1, 2), 8: (1, 2)}
-        for lv in levels.values():
-            assert [s for s, _ in lv] == [1, 2, 4, 8, 16][:len(lv)]
-            assert [r for _, r in lv] == sorted((r for _, r in lv), reverse=True)
+        widths = [3, 3, 3, 3, 4, 4, 8, 8]
+        assert calls == [((8, 8), 1, widths), ((8, 8), 2, widths),
+                         ((2, 8), 4, [3, 8]), ((2, 8), 8, [3, 8])]
 
     def test_lowest_failing_set_is_named(self, monkeypatch):
-        # Variable 0 marks the sets that never converge: set 2 (width 4) is
-        # refined with the first width group, set 1 (width 3) with the second.
+        # Variable 0 marks the sets that never converge: set 2 (width 4) and
+        # set 1 (width 3), refined in the same batches.
         inst = Instance(6, [0.75, 0.0, 0.1, 0.2, 0.0, 0.3],
                         [(1, 2, 3, 4), (0, 1, 2), (0, 2, 3, 4), (2, 3, 5)])
         alloc = AllocationVector([0.4] * 6)
