@@ -22,6 +22,7 @@ from .oracle import (
     CovarianceSpec,
     EstimatorConfig,
     Z95,
+    _pad_rows,
     _pmap,
     derive_seed,
     expected_max_batch,
@@ -136,17 +137,6 @@ class SweepTable:
         return seen
 
 
-def _emax(means, stddevs) -> float:
-    """Deterministic expected maximum (quadrature grade, ~1e-12)."""
-    return float(expected_max_batch(np.asarray(means, float), np.asarray(stddevs, float)[None, :])[0])
-
-
-def _emax_floor0(stddevs) -> float:
-    """E max(0, X_1..X_n) for zero-mean coordinates: append a point mass at 0."""
-    s = np.concatenate([np.asarray(stddevs, float), [0.0]])
-    return _emax(np.zeros(s.shape[0]), s)
-
-
 def verify_eps_contribution(
     eps_grid,
     n_per_trial: int = 32,
@@ -167,27 +157,31 @@ def verify_eps_contribution(
         if not (0.0 < e <= 0.5):
             raise ValueError("eps values must lie in (0, 1/2]")
     rng = np.random.default_rng(seed)
-    details = []
-    fitted = []
-    for eps in eps_grid:
-        scale = eps * math.sqrt(math.log(1.0 / eps))
-        m_adv = int(1.0 / (eps * eps))
-        # Variance profiles, each followed by a zero column: the point mass
-        # at 0 that makes every row E max(0, Y_1..Y_n).
-        profiles = np.zeros((trials, n_per_trial + 1))
-        for t in range(trials):
+    # Per eps, the adversarial profile and then the random ones.  Each row's
+    # deviations are followed by a zero column, the point mass at 0 that makes
+    # it E max(0, Y_1..Y_n), and all rows are scored in one batch.
+    m_adv = [int(1.0 / (eps * eps)) for eps in eps_grid]
+    ns = np.full((len(eps_grid), trials + 1), n_per_trial)
+    ns[:, 0] = m_adv
+    sig = np.zeros((*ns.shape, ns.max(initial=0) + 1))
+    for e, eps in enumerate(eps_grid):
+        sig[e, 0, :m_adv[e]] = np.sqrt(np.full(m_adv[e], eps * eps))
+        for t in range(1, trials + 1):
             v = rng.uniform(0.0, eps * eps, n_per_trial)
             total = v.sum()
             if total > 1.0:
                 v *= 1.0 / total
-            profiles[t, :n_per_trial] = v
-        measured_all = [_emax_floor0(np.sqrt(np.full(m_adv, eps * eps)))]
-        measured_all += expected_max_batch(0.0, np.sqrt(profiles)).tolist()
+            sig[e, t, :n_per_trial] = np.sqrt(v)
+    measured = expected_max_batch(*_pad_rows(0.0, sig.reshape(ns.size, sig.shape[2]),
+                                             ns.ravel() + 1))
+    details = []
+    fitted = []
+    for eps, row_ns, values in zip(eps_grid, ns.tolist(), measured.reshape(ns.shape).tolist()):
+        scale = eps * math.sqrt(math.log(1.0 / eps))
         best = 0.0
-        for t, measured in enumerate(measured_all):
-            best = max(best, measured / scale)
-            details.append({"eps": eps, "n": m_adv if t == 0 else n_per_trial,
-                            "measured": measured, "fitted_constant": measured / scale})
+        for n, value in zip(row_ns, values):
+            best = max(best, value / scale)
+            details.append({"eps": eps, "n": n, "measured": value, "fitted_constant": value / scale})
         fitted.append(best)
     ratio = max(fitted) / min(fitted)
     return VerificationReport(
@@ -233,17 +227,18 @@ def verify_max_floor_bound(
     if lo < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
-    # Row t holds its n_t coordinates followed by pad columns (-inf, 0), which
-    # change no bit; on the floored side column n_t is the point mass at 0.
+    # Row t holds its n_t coordinates and then zeros; column n_t is the point
+    # mass at 0 of the floored side.  Both sides are scored in one batch: the
+    # rows cut to n_t columns, then to n_t + 1.
     ns = np.empty(trials, dtype=int)
-    means, sig = np.full((trials, hi + 1), -np.inf), np.zeros((trials, hi + 1))
+    means, sig = np.zeros((trials, hi + 1)), np.zeros((trials, hi + 1))
     for t in range(trials):
         n = ns[t] = int(rng.integers(lo, hi + 1))
         means[t, :n] = rng.uniform(0.0, 1.0, n)
         sig[t, :n] = rng.uniform(0.0, 1.0, n)
-    lhs_all = expected_max_batch(means[:, :hi], sig[:, :hi])
-    means[np.arange(trials), ns] = 0.0
-    floor_all = expected_max_batch(means, sig)
+    both = expected_max_batch(*_pad_rows(np.vstack([means, means]), np.vstack([sig, sig]),
+                                         np.concatenate([ns, ns + 1])))
+    lhs_all, floor_all = both[:trials], both[trials:]
     rhs = (1.0 - 2.0 ** (1 - ns)) * floor_all
     margin = lhs_all - rhs
     return _verdict("max_floor_bound", seed, margin < -_QUAD_SLACK, margin,
@@ -311,9 +306,9 @@ def verify_submodular_g(k_max: int = 12) -> VerificationReport:
     normals: the increments g(k+1) - g(k) are positive and decreasing."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    g = [0.0]
-    for k in range(1, k_max + 1):
-        g.append(_emax_floor0(np.ones(k)))
+    # Row k - 1 holds k unit deviations and the point mass at 0.
+    g = [0.0, *expected_max_batch(*_pad_rows(0.0, np.tri(k_max, k_max + 1),
+                                             np.arange(2, k_max + 2))).tolist()]
     diffs = [g[k] - g[k - 1] for k in range(1, k_max + 1)]
     violations = 0
     worst = -math.inf

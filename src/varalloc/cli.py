@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, default=None)
     gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--mu", type=float, default=0.0)
+    gen.add_argument("--mu", type=float, default=None)
     gen.add_argument("--k", type=int, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
@@ -86,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the empirical inequality checks")
     # The registry itself, so a check added to it later is still a valid choice.
-    ver.add_argument("--claim", choices=analysis.ALL_CHECKS, default=None)
-    ver.add_argument("--all", action="store_true")
+    which = ver.add_mutually_exclusive_group()
+    which.add_argument("--claim", choices=analysis.ALL_CHECKS, default=None)
+    which.add_argument("--all", action="store_true")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--mc-samples", type=int, default=50_000)
     ver.add_argument("--out", default=None)
@@ -185,13 +186,23 @@ def _report_doc(report: solvers.SolveReport, inst: Instance, cfg: EstimatorConfi
     }
 
 
+def _refuse_unread(args, choice: str, readers: dict) -> None:
+    """A ValueError for the first flag of ``readers`` (dest -> the choices that read it)
+    that was given although ``choice`` does not read it."""
+    for dest, choices in readers.items():
+        if getattr(args, dest) is not None and choice not in choices:
+            raise ValueError(f"--{dest.replace('_', '-')} is not used by {choice}")
+
+
 def _cmd_generate(args) -> int:
+    _refuse_unread(args, args.family, {"m": ["erdos-renyi"], "p": ["erdos-renyi"],
+                                       "mu": ["cycle"], "k": ["complete-k"]})
     if args.family == "erdos-renyi":
         if args.m is None or args.p is None:
             raise ValueError("erdos-renyi requires --m and --p")
         inst = erdos_renyi_instance(args.n, args.m, args.p, args.seed)
     elif args.family == "cycle":
-        inst = cycle_instance(args.n, args.mu)
+        inst = cycle_instance(args.n, 0.0 if args.mu is None else args.mu)
     else:
         if args.k is None:
             raise ValueError("complete-k requires --k")
@@ -201,6 +212,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _refuse_unread(args, args.algorithm, {"eps": ["ptas-ind", "ptas-corr"],
+                                          "grid_step": ["ptas-corr", "brute-force"]})
     with open(args.instance_path, "rb") as fh:
         inst = parse_instance(fh.read())
     cfg = EstimatorConfig(seed=args.seed, mc_samples=args.mc_samples)

@@ -29,7 +29,9 @@ One ladder, ``_refine``, splits panels into 1, 2, 4, 8, 16 parts until two
 levels agree within tol / 2; ``_check_converged`` reports rows that never do.
 Rows of different widths share one batch: a pad column (mean -inf,
 deviation 0) is never the maximum and changes no bit, so all quadrature
-sets of one objective are refined together, one batch per level.  A batch
+sets of one objective are refined together, one batch per level.
+``_pad_rows`` is the one writer of pad columns, for the sets here, the
+count tables of the greedy and the rows of each verifier claim.  A batch
 is cut into blocks of rows by the panels each row really has, and a block
 into node chunks by its positive-width panels, so memory stays bounded.
 
@@ -401,6 +403,16 @@ def _extent(pad: np.ndarray) -> np.ndarray:
     return pad.shape[1] - np.argmin(pad[:, ::-1], axis=1)
 
 
+def _pad_rows(means, stddevs, widths) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows as one ``expected_max_batch`` input: row r keeps its first
+    ``widths[r]`` columns of ``means`` (broadcast against ``stddevs``, so it may
+    be a scalar) and ``stddevs``, and every later column becomes a pad column
+    (-inf, 0), which changes no bit of its row."""
+    stddevs = np.asarray(stddevs, dtype=float)
+    real = np.arange(stddevs.shape[1]) < np.asarray(widths)[:, None]
+    return np.where(real, means, -np.inf), np.where(real, stddevs, 0.0)
+
+
 def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     """E[max_i X_i] for a batch of independent Gaussian vectors.
 
@@ -408,7 +420,11 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     (n,) or (C, n)).  Returns a length-C array.  Panels are rebuilt per row,
     so rows may mix degenerate and non-degenerate coordinates freely, and
     rows of different widths share one call: a pad column, mean -inf and
-    deviation 0, is never the maximum and changes no bit of its row.
+    deviation 0, is never the maximum and changes no bit of its row
+    (``_pad_rows`` writes them).  Every other column is real: a finite mean
+    and a finite deviation >= 0.  A ``ValueError`` names the first column
+    that is neither, or the first row with no real column; a batch with no
+    rows returns an empty array.
 
     Each panel takes a 10-point Gauss-Legendre rule, and ``subdiv`` splits
     every panel evenly; unsplit panels already resolve all CDF transitions
@@ -443,8 +459,19 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
+    if not ncand:
+        return np.empty(0)
     pad = means == -np.inf
+    ok = np.where(pad, stddevs == 0.0,
+                  np.isfinite(means) & np.isfinite(stddevs) & (stddevs >= 0.0))
+    if not ok.all():
+        r, c = np.argwhere(~ok)[0].tolist()
+        raise ValueError(f"row {r}, column {c}: mean {float(means[r, c])!r} and deviation "
+                         f"{float(stddevs[r, c])!r} make neither a real column (finite mean, "
+                         "finite deviation >= 0) nor a pad column (-inf, 0)")
     real = n - np.count_nonzero(pad, axis=1)
+    if not real.all():
+        raise ValueError(f"row {int(np.argmin(real))} has no real column")
     order = None
     if (real[1:] < real[:-1]).any():  # blocks and row sums take rows of one width together
         order = np.argsort(real, kind="stable")
@@ -467,7 +494,7 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
         return _expected_max_slab(means[r0:r1, :w], stddevs[r0:r1, :w], real[r0:r1], subdiv,
                                   budget)
 
-    values = np.concatenate(_pmap(block, blocks)) if blocks else np.empty(0)
+    values = np.concatenate(_pmap(block, blocks))
     if order is None:
         return values
     out = np.empty_like(values)
@@ -749,8 +776,8 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
     ``auto`` takes the closed forms (on Python floats, so -0.0 passes
     through) for at most two members or at most one nonzero deviation, and
     quadrature otherwise.  The quadrature sets are rows of one batch, each
-    left-packed and padded with (-inf, 0) to the widest, which changes no
-    bit, and one ``_quadrature_rows`` call refines them all together.  Monte
+    left-packed and padded by ``_pad_rows`` to the widest, and one
+    ``_quadrature_rows`` call refines them all together.  Monte
     Carlo set j draws from ``seed_of(j)``.  Returns the estimates in set
     order and ``failed`` as in ``_refine``, keyed by set.
     """
@@ -775,11 +802,10 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
         return estimates, {}
     quad.sort(key=lambda q: len(q[1]))  # rows of one width together, for keys and blocks
     widths = np.array([len(idx) for _, idx in quad])
-    real = np.arange(widths[-1]) < widths[:, None]
-    var = np.zeros(real.shape, dtype=int)  # the variable in each real column
-    var[real] = np.concatenate([idx for _, idx in quad])
-    values, failed = _quadrature_rows(np.where(real, means[var], -np.inf),
-                                      np.where(real, stddevs[var], 0.0), cfg.quadrature_tolerance)
+    var = np.zeros((len(quad), widths[-1]), dtype=int)  # the variable in each real column
+    var[np.arange(widths[-1]) < widths[:, None]] = np.concatenate([idx for _, idx in quad])
+    values, failed = _quadrature_rows(*_pad_rows(means[var], stddevs[var], widths),
+                                      cfg.quadrature_tolerance)
     for (j, _), value in zip(quad, values.tolist()):
         estimates[j] = Estimate(value, 0.0, "quadrature")
     return estimates, {quad[r][0]: value for r, value in failed.items()}

@@ -31,6 +31,7 @@ from .oracle import (
     Estimate,
     EstimatorConfig,
     _check_converged,
+    _pad_rows,
     _quadrature_rows,
     _sample_tiles,
     derive_seed,
@@ -309,18 +310,17 @@ def _count_tables(widths, tol: float) -> tuple[list[float], dict[int, float]]:
     set, and ``b`` with b[w] = E max(Z_1, ..., Z_w) per width, Z_i iid N(0, 1).
     Every row is as wide as the widest set and refined by
     ``_quadrature_rows``, as sets are: row h of ``a`` holds h unit deviations
-    and a zero, row w of ``b`` w unit deviations, and the other coordinates
-    are pad columns (-inf, 0), which change no bit, so each value has the
-    bits of its unpadded row.  ``_check_converged`` raises for the lowest
-    row that does not converge within ``tol``.
+    and a zero, row w of ``b`` w unit deviations, and ``_pad_rows`` pads the
+    rest, so each value has the bits of its unpadded row.
+    ``_check_converged`` raises for the lowest row that does not converge
+    within ``tol``.
     """
     wmax = max(widths)
     sizes = sorted(set(widths))
     units = np.array([*range(wmax), *sizes])  # unit deviations per row
     members = units + (np.arange(len(units)) < wmax)  # a's rows add the zero
-    col = np.arange(wmax)
-    values, failed = _quadrature_rows(np.where(col < members[:, None], 0.0, -np.inf),
-                                      (col < units[:, None]).astype(float), tol)
+    unit = (np.arange(wmax) < units[:, None]).astype(float)
+    values, failed = _quadrature_rows(*_pad_rows(0.0, unit, members), tol)
     _check_converged(failed, tol)
     values = values.tolist()
     return values[:wmax], dict(zip(sizes, values[wmax:]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from varalloc.analysis import (
+    ALL_CHECKS,
     CORRELATION_GAP_CONSTANT,
     LIPSCHITZ_CONSTANT,
     VerificationReport,
@@ -26,8 +27,6 @@ from varalloc.analysis import (
 )
 from varalloc.analysis import (
     _QUAD_SLACK,
-    _emax,
-    _emax_floor0,
     _max_inequality_pool,
     _per_set_values_independent,
 )
@@ -41,6 +40,17 @@ from varalloc.oracle import (
 
 PHI0 = 0.3989422804014327
 EMAX4 = 1.029375373003964  # E max of 4 iid standard normals
+
+
+def _emax(means, stddevs) -> float:
+    """One-row reference: E max of one independent vector by quadrature (~1e-12)."""
+    return float(expected_max_batch(np.asarray(means, float), np.asarray(stddevs, float)[None, :])[0])
+
+
+def _emax_floor0(stddevs) -> float:
+    """One-row reference: E max(0, X_1..X_n) for zero-mean coordinates, with a point mass at 0."""
+    s = np.concatenate([np.asarray(stddevs, float), [0.0]])
+    return _emax(np.zeros(s.shape[0]), s)
 
 
 class TestEpsContribution:
@@ -436,6 +446,24 @@ class TestBatchedMatchesEager:
         for trials in (3_000, 0):
             assert verify_max_inequalities(trials=trials, seed=seed) == \
                 _eager_max_inequalities(trials, seed)
+
+
+# Rows each claim scores with quadrature at its registry defaults, all in one call.
+CLAIM_ROWS = {"correlation_gap": 400, "eps_contribution": 84, "lipschitz": 4000,
+              "max_floor_bound": 3000, "submodular_g": 12, "var2approx": 3000}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIM_ROWS))
+def test_each_claim_scores_its_rows_in_one_batch(monkeypatch, claim):
+    calls = []
+
+    def counting(means, stddevs, **kwargs):
+        calls.append(np.shape(stddevs)[0])
+        return expected_max_batch(means, stddevs, **kwargs)
+
+    monkeypatch.setattr("varalloc.analysis.expected_max_batch", counting)
+    ALL_CHECKS[claim](1, 2_000)
+    assert calls == [CLAIM_ROWS[claim]]
 
 
 def test_lipschitz_memory_bounded():

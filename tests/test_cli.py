@@ -163,6 +163,43 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["verify"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "erdos-renyi", "--n", "4", "--m", "2", "--p", "0.5", "--mu", "0.7"], "--mu"),
+    (["generate", "erdos-renyi", "--n", "4", "--m", "2", "--p", "0.5", "--k", "2"], "--k"),
+    (["generate", "cycle", "--n", "4", "--k", "2"], "--k"),
+    (["generate", "cycle", "--n", "4", "--p", "0.3"], "--p"),
+    (["generate", "cycle", "--n", "4", "--m", "3"], "--m"),
+    (["generate", "complete-k", "--n", "4", "--k", "2", "--mu", "0.5"], "--mu"),
+    (["generate", "complete-k", "--n", "4", "--k", "2", "--m", "3"], "--m"),
+    (["solve", "ptas-ind", "--eps", "0.5", "--grid-step", "0.1"], "--grid-step"),
+    (["solve", "brute-force", "--grid-step", "0.25", "--eps", "0.5"], "--eps"),
+    (["solve", "log-approx", "--eps", "0.5"], "--eps"),
+    (["solve", "uniform", "--grid-step", "0.25"], "--grid-step"),
+])
+def test_flags_the_choice_does_not_read_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.json"
+    if argv[0] == "solve":
+        inst = tmp_path / "pair.json"
+        inst.write_text('{"n": 2, "means": [0.0, 0.0], "sets": [[0, 1]]}\n')
+        argv = argv + ["--in", str(inst)]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is not used by {argv[1]}\n"
+    assert not out.exists()
+
+
+def test_cycle_without_mu_has_zero_means(tmp_path):
+    out = tmp_path / "cycle.json"
+    assert run(["generate", "cycle", "--n", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["means"] == [0.0, 0.0, 0.0]
+
+
+def test_verify_claim_and_all_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--claim", "submodular_g", "--all"])
+    assert exc.value.code == 2
+    assert "argument --all: not allowed with argument --claim" in capsys.readouterr().err
+
+
 def test_verify_violation_exit_1(monkeypatch, capsys):
     import varalloc.analysis as analysis
     from varalloc.analysis import VerificationReport

@@ -289,8 +289,24 @@ class TestQuadrature:
                 one = expected_max_batch(means[r], sigs[r], subdiv=subdiv)
                 assert one.view(np.int64)[0] == want.view(np.int64)[r]
 
-    @pytest.mark.parametrize("kind", SLAB_KINDS)
+    @pytest.mark.parametrize("kind", [*SLAB_KINDS, "ragged"])
     def test_pad_columns_change_no_bit(self, kind):
+        if kind == "ragged":
+            # _pad_rows cuts rows of 33, 1, 257 and 5 real columns out of one
+            # array; each padded row has the bits of one call on its real columns.
+            widths = np.array([33, 1, 257, 5])
+            rng = np.random.default_rng(7)
+            means, sigs = rng.uniform(-1.0, 1.0, (4, 257)), rng.uniform(0.0, 0.5, (4, 257))
+            sigs[rng.random(sigs.shape) < 0.2] = 0.0
+            padded_m, padded_s = oracle._pad_rows(means, sigs, widths)
+            pads = np.arange(257) >= widths[:, None]
+            assert (padded_m[pads] == -np.inf).all() and (padded_s[pads] == 0.0).all()
+            for subdiv in (1, 2, 4):
+                want = np.array([expected_max_batch(m[:w], s[:w], subdiv=subdiv)[0]
+                                 for m, s, w in zip(means, sigs, widths)])
+                got = expected_max_batch(padded_m, padded_s, subdiv=subdiv)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            return
         # Pad columns (-inf, 0) inserted in front of, between and after the
         # real ones, the same in every row.
         means, sigs = _slab_case(kind)
@@ -404,6 +420,40 @@ class TestQuadrature:
         assert re.match(r"set \d+:", str(exc.value)) is None
         assert str(exc.value).startswith("quadrature did not reach tolerance 1e-09")
         assert exc.value.__cause__ is None
+
+
+class TestBatchColumns:
+    """``expected_max_batch`` reads real columns (finite mean, finite deviation >= 0)
+    and pad columns (-inf, 0), and refuses anything else before any work."""
+
+    @pytest.mark.parametrize("means, sigs, where", [
+        ([[0.0, 0.0]], [[-1.0, 1.0]], "row 0, column 0"),  # 10.0 if read as is; 0.564 with |s|
+        ([[0.0, 0.0], [0.0, np.nan]], [[1.0, 1.0], [1.0, 1.0]], "row 1, column 1"),
+        ([[0.0, np.inf]], [[1.0, 1.0]], "row 0, column 1"),
+        ([[0.0, 0.0]], [[1.0, np.inf]], "row 0, column 1"),
+        ([[0.0, 0.0]], [[np.nan, 1.0]], "row 0, column 0"),
+        ([[0.0, -np.inf]], [[1.0, 0.5]], "row 0, column 1"),  # -inf with a deviation is no pad
+    ])
+    def test_invalid_column_names_row_and_column(self, means, sigs, where):
+        with pytest.raises(ValueError, match=f"^{where}: "):
+            expected_max_batch(np.array(means), np.array(sigs))
+
+    @pytest.mark.parametrize("means, sigs, row", [
+        (np.zeros((1, 0)), np.zeros((1, 0)), 0),
+        ([[0.0, -np.inf], [-np.inf, -np.inf]], np.zeros((2, 2)), 1),
+    ])
+    def test_row_without_real_column(self, means, sigs, row):
+        with pytest.raises(ValueError, match=f"^row {row} has no real column$"):
+            expected_max_batch(np.array(means), sigs)
+
+    @pytest.mark.parametrize("width", [0, 1, 6])
+    def test_no_rows_give_an_empty_array(self, width):
+        out = expected_max_batch(np.zeros((0, width)), np.zeros((0, width)))
+        assert out.shape == (0,)
+
+    def test_signed_zero_deviation_and_pad_are_accepted(self):
+        got = expected_max_batch(np.array([[0.25, 1.0, -np.inf]]), np.array([[-0.0, 0.0, -0.0]]))
+        assert got.tolist() == [1.0]
 
 
 class TestParallelMap:
