@@ -25,8 +25,12 @@ mu_i and contributes the exact constant factor (never a perturbation),
 because solvers routinely set most deviations to exactly 0.  Truncating the
 upper limit at max_i(mu_i + 10 s_i) and choosing c = max_i(mu_i - 10 s_i)
 bounds the neglected tails by sum_i s_i * (phi(10) - 10 Phi(-10)) < 1e-22.
-One ladder, ``_refine``, splits panels into 1, 2, 4, 8, 16 parts until two
-levels agree within tol / 2; ``_check_converged`` reports rows that never do.
+One ladder, ``_refine``, splits panels into 1, 2, 4, 8, 16 parts.  Its first
+level on independent rows also takes an 8-point Gauss-Legendre companion on
+the same panels and ``ndtr`` products, as QUADPACK pairs rules (Piessens et
+al. 1983): a row closes there, with its 10-point value, when the two agree
+within tol / 2.  Any other row goes on until two levels agree within tol / 2;
+``_check_converged`` reports rows that never do.
 Rows of different widths share one batch: a pad column (mean -inf,
 deviation 0) is never the maximum and changes no bit, so all quadrature
 sets of one objective are refined together, one batch per level.
@@ -130,9 +134,15 @@ _SLAB_NODES = 1 << 15
 # node chunks; blocks of half that size were 5-15% slower.
 _BLOCK_SHARE = 4
 
-# Gauss-Legendre rule per quadrature panel: nodes on [-1, 1] and weights.
+# Points of the Gauss-Legendre rule on each quadrature panel, and of the
+# companion rule that confirms a row's first level on the same panels.  On
+# uniform rows of width 64, 128, 256 and 512 the 8-point rule lies 4.9e-13,
+# 9.1e-12, 7.0e-11 and 5.3e-10 from the 10-point one (the 6-point rule
+# 6.3e-10, 1.4e-9, 1.6e-8 and 4.4e-8).  At the default tolerance (tol / 2 =
+# 5e-10) the first level so closes such rows up to width 256, and the 512-wide
+# one goes on to subdiv 2.
 _GL_POINTS = 10
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_POINTS)
+_COMPANION_POINTS = 8
 
 
 class EstimationError(Exception):
@@ -426,10 +436,14 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     that is neither, or the first row with no real column; a batch with no
     rows returns an empty array.
 
-    Each panel takes a 10-point Gauss-Legendre rule, and ``subdiv`` splits
-    every panel evenly; unsplit panels already resolve all CDF transitions
-    to ~1e-12 since panel spacing follows each coordinate's standard
-    deviation.
+    Each panel takes a 10-point Gauss-Legendre rule, and ``subdiv``, a
+    positive int (anything else is a ``ValueError``), splits every panel
+    evenly.  Unsplit panels already resolve the CDF transitions, since panel
+    spacing follows each coordinate's standard deviation: against 30-digit
+    ``mpmath`` integrals, subdiv 1 is within 2.9e-16 relative on random rows
+    of width 3-8 and 3.0e-15 on 64 equal deviations.  Equal deviations share
+    their 15 panels, so the error grows with the width: 7.6e-13 at 256 and
+    1.9e-11 at 512 (``tests/test_reference.py``).
 
     Memory is bounded by ``_SLAB_NODES`` (2^15) floats per temporary across
     all threads: with W workers (``_pmap``) each works within
@@ -456,11 +470,21 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
     place and zeros elsewhere, whatever its padding: a pad column's knots
     clip to the lower limit, so it only adds 15 zero-width panels in front.
     """
+    if isinstance(subdiv, bool) or not isinstance(subdiv, (int, np.integer)) or subdiv < 1:
+        raise ValueError(f"subdiv must be a positive int, got {subdiv!r}")
+    return _expected_max_rules(means, stddevs, int(subdiv), (_GL_POINTS,))[0]
+
+
+def _expected_max_rules(means, stddevs, subdiv: int, rules: tuple) -> np.ndarray:
+    """``expected_max_batch`` under each Gauss-Legendre rule of ``rules`` (point counts)
+    on the same panels, as a (len(rules), C) array.  The rules share the panel
+    edges, the live columns and the ``ndtr`` products over all their nodes, and
+    each value has the bits that its rule alone gives."""
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
     if not ncand:
-        return np.empty(0)
+        return np.empty((len(rules), 0))
     pad = means == -np.inf
     ok = np.where(pad, stddevs == 0.0,
                   np.isfinite(means) & np.isfinite(stddevs) & (stddevs >= 0.0))
@@ -492,14 +516,20 @@ def expected_max_batch(means, stddevs, *, subdiv: int = 1) -> np.ndarray:
         r0, r1 = rows
         w = int(extent[r0:r1].max())
         return _expected_max_slab(means[r0:r1, :w], stddevs[r0:r1, :w], real[r0:r1], subdiv,
-                                  budget)
+                                  budget, rules)
 
-    values = np.concatenate(_pmap(block, blocks))
+    values = np.concatenate(_pmap(block, blocks), axis=1)
     if order is None:
         return values
     out = np.empty_like(values)
-    out[order] = values
+    out[:, order] = values
     return out
+
+
+@functools.cache
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] and weights of the ``points``-point Gauss-Legendre rule."""
+    return leggauss(points)
 
 
 @functools.cache
@@ -510,23 +540,25 @@ def _panel_parts(subdiv: int) -> tuple[np.ndarray, np.ndarray]:
     return frac[:-1], 1.0 - frac[1:]
 
 
-def _panel_nodes(a: np.ndarray, b: np.ndarray, subdiv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the 10-point rule on panels [a, b], each split into ``subdiv``
-    equal parts, as a node-major (subdiv * 10, panels) array: row k holds node
-    k of every panel, so elementwise work runs along the panels.  Also returns
-    the parts' half-widths, from which ``_node_weights`` makes the weights."""
+def _panel_nodes(a: np.ndarray, b: np.ndarray, subdiv: int,
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes`` (on [-1, 1]) on panels [a, b], each split into ``subdiv``
+    equal parts, as a node-major (subdiv * len(nodes), panels) array: row k
+    holds node k of every panel, so elementwise work runs along the panels.
+    Also returns the parts' half-widths, from which ``_node_weights`` makes the
+    weights.  A node's value depends on that node alone, not on the others."""
     start, end = _panel_parts(subdiv)
     width = b - a
     a, b = a + start[:, None] * width, b - end[:, None] * width
     half = 0.5 * (b - a)
-    t = a[:, None] + (_GL_NODES + 1.0)[:, None] * half[:, None]
-    return t.reshape(subdiv * _GL_POINTS, len(width)), half
+    t = a[:, None] + (nodes + 1.0)[:, None] * half[:, None]
+    return t.reshape(subdiv * len(nodes), len(width)), half
 
 
-def _node_weights(half: np.ndarray) -> np.ndarray:
-    """The weights of ``_panel_nodes``'s nodes, in the same layout."""
+def _node_weights(half: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The ``weights`` of ``_panel_nodes``'s nodes, in the same layout."""
     subdiv, panels = half.shape
-    return (_GL_WEIGHTS[:, None] * half[:, None]).reshape(subdiv * _GL_POINTS, panels)
+    return (weights[:, None] * half[:, None]).reshape(subdiv * len(weights), panels)
 
 
 def _row_ranges(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
@@ -542,12 +574,12 @@ def _row_ranges(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _survival_terms(a, b, owner, m_eff, s_eff, subdiv: int) -> np.ndarray:
+def _survival_terms(a, b, owner, m_eff, s_eff, subdiv: int, nodes, weights) -> np.ndarray:
     """(1 - prod_i F_i(t)) w on the nodes t, weights w of panels [a, b], node-major
     as ``_panel_nodes``; panel p takes the columns of row ``owner[p]`` of ``m_eff``
     and ``s_eff``.  A column equal, byte for byte, to the previous one reuses its
     factor.  At most four node-sized arrays are live at once."""
-    t, half = _panel_nodes(a, b, subdiv)
+    t, half = _panel_nodes(a, b, subdiv, nodes)
     prod = np.ones_like(t)
     key = factor = None
     for i in range(m_eff.shape[1]):
@@ -561,14 +593,22 @@ def _survival_terms(a, b, owner, m_eff, s_eff, subdiv: int) -> np.ndarray:
         prod *= factor
     del t, factor
     np.subtract(1.0, prod, out=prod)
-    prod *= _node_weights(half)
+    prod *= _node_weights(half, weights)
     return prod
 
 
-def _expected_max_slab(means, stddevs, real, subdiv: int, budget: int) -> np.ndarray:
-    """``expected_max_batch`` on one block; ``real`` counts each row's non-pad columns."""
+def _expected_max_slab(means, stddevs, real, subdiv: int, budget: int,
+                       rules: tuple) -> np.ndarray:
+    """``_expected_max_rules`` on one block; ``real`` counts each row's non-pad columns.
+
+    The nodes of all ``rules`` go through one ``_survival_terms`` per node chunk,
+    whose chunks count every node of every rule.  Each rule's terms then fill a
+    sum buffer laid out as that rule alone lays it out, so a rule's values do not
+    depend on the other rules."""
     rows, width = stddevs.shape
-    span = _GL_POINTS * subdiv
+    nodes, weights = (np.concatenate(x) for x in zip(*map(_gauss_legendre, rules)))
+    span = len(nodes) * subdiv
+    offsets = np.cumsum((0, *rules))
     knots = len(_KNOTS) * width
     lo = (means - _TAIL_SIGMAS * stddevs).max(axis=1)
     hi = (means + _TAIL_SIGMAS * stddevs).max(axis=1)
@@ -612,44 +652,53 @@ def _expected_max_slab(means, stddevs, real, subdiv: int, budget: int) -> np.nda
     slot = col + (first - len(_KNOTS) * (width - real))[owner]
     start = np.concatenate([[0], np.cumsum(np.count_nonzero(wide, axis=1))])
 
-    total = np.empty(rows)
+    total = np.empty((len(rules), rows))
     for r0, r1 in _row_ranges(np.diff(start) * span, budget):
         p0, p1, most = start[r0], start[r1], nlive[r0:r1].max()
         terms = _survival_terms(a[p0:p1], b[p0:p1], owner[p0:p1] - r0,
-                                m_eff[r0:r1, :most], s_eff[r0:r1, :most], subdiv)
+                                m_eff[r0:r1, :most], s_eff[r0:r1, :most], subdiv,
+                                nodes, weights)
+        terms = terms.reshape(subdiv, len(nodes), -1)
         # Each row sums its own layout with the terms in place, rows of one
         # width together, at most ``budget`` floats at a time.
         cuts = [r0, *(r0 + 1 + np.flatnonzero(np.diff(real[r0:r1]))).tolist(), r1]
-        for g0, g1 in zip(cuts[:-1], cuts[1:]):
-            size = int(layout[g0])  # panels per row
-            step = max(1, budget // (size * span))
-            for q0 in range(g0, g1, step):
-                q1 = min(q0 + step, g1)
-                buf = np.zeros(((q1 - q0) * size, span))
-                panels = slice(start[q0], start[q1])
-                buf[slot[panels] - first[q0]] = terms[:, panels.start - p0:panels.stop - p0].T
-                total[q0:q1] = buf.reshape(q1 - q0, -1).sum(axis=1)
+        for k, points in enumerate(rules):
+            part = subdiv * points  # nodes per panel under this rule
+            mine = terms[:, offsets[k]:offsets[k + 1]].reshape(part, -1)
+            for g0, g1 in zip(cuts[:-1], cuts[1:]):
+                size = int(layout[g0])  # panels per row
+                step = max(1, budget // (size * part))
+                for q0 in range(g0, g1, step):
+                    q1 = min(q0 + step, g1)
+                    buf = np.zeros(((q1 - q0) * size, part))
+                    panels = slice(start[q0], start[q1])
+                    buf[slot[panels] - first[q0]] = mine[:, panels.start - p0:panels.stop - p0].T
+                    total[k, q0:q1] = buf.reshape(q1 - q0, -1).sum(axis=1)
     return lo + total
 
 
 def _refine(level, count: int, tol: float) -> tuple[np.ndarray, dict]:
-    """Refine ``count`` rows until two successive levels agree within tol / 2.
+    """Refine ``count`` rows until each value is confirmed within tol / 2.
 
     ``level(rows, subdiv)`` returns the values of the index array ``rows``, once per
-    level (subdiv 1, 2, 4, 8, 16) on the rows still open.  A row keeps the value of
-    the level that agreed; ``failed`` maps the others to their subdiv-16 values.
+    level (subdiv 1, 2, 4, 8, 16) on the rows still open.  A level may instead
+    return two rows, the values and a companion rule's on the same panels; a row
+    whose two agree within tol / 2 closes there with its value.  A level without a
+    companion closes the rows that agree with the level before.  A row keeps the
+    value of the level that closed it; ``failed`` maps the others to their
+    subdiv-16 values.
     """
-    values, open_rows = np.empty(count), np.arange(count)
-    if not count:
-        return values, {}
-    prev = level(open_rows, 1)
-    for subdiv in (2, 4, 8, 16):
-        val = level(open_rows, subdiv)
-        values[open_rows] = val
-        still = ~(np.abs(val - prev) <= 0.5 * tol)
-        open_rows, prev = open_rows[still], val[still]
+    values, open_rows, prev = np.empty(count), np.arange(count), None
+    for subdiv in (1, 2, 4, 8, 16):
         if not len(open_rows):
             break
+        val, *companion = np.atleast_2d(level(open_rows, subdiv))
+        values[open_rows] = val
+        ref = companion[0] if companion else prev
+        if ref is not None:
+            still = ~(np.abs(val - ref) <= 0.5 * tol)
+            open_rows, val = open_rows[still], val[still]
+        prev = val
     return values, dict(zip(open_rows.tolist(), values[open_rows].tolist()))
 
 
@@ -678,12 +727,19 @@ def _first_of_key(means: np.ndarray, stddevs: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_rows(means, stddevs, tol: float) -> tuple[np.ndarray, dict]:
-    """``_refine`` on quadrature rows of shape (R, n), one ``expected_max_batch`` per level,
-    for the first row of each key of ``_first_of_key``: the other rows of a key
-    get its values, which are the bits of refining them alone."""
+    """``_refine`` on quadrature rows of shape (R, n), one ``_expected_max_rules`` call
+    per level, for the first row of each key of ``_first_of_key``: the other rows
+    of a key get its values, which are the bits of refining them alone.
+
+    The first level gives each row the bits of ``expected_max_batch`` at subdiv 1
+    and, on the same panels and ``ndtr`` products, the 8-point companion
+    (``_COMPANION_POINTS``).  A row whose two agree within tol / 2 closes there;
+    any other goes on to subdiv 2, 4, 8 and 16, each with the bits of
+    ``expected_max_batch`` at that subdiv, compared with the level before."""
     todo, key = np.unique(_first_of_key(means, stddevs), return_inverse=True)
-    values, failed = _refine(lambda rows, subdiv: expected_max_batch(
-        means[todo[rows]], stddevs[todo[rows]], subdiv=subdiv), len(todo), tol)
+    values, failed = _refine(lambda rows, subdiv: _expected_max_rules(
+        means[todo[rows]], stddevs[todo[rows]], subdiv,
+        (_GL_POINTS, _COMPANION_POINTS) if subdiv == 1 else (_GL_POINTS,)), len(todo), tol)
     return values[key], {r: failed[k] for r, k in enumerate(key.tolist()) if k in failed}
 
 
@@ -947,8 +1003,9 @@ def _rank2_level(mu, a, b, edges: np.ndarray, subdiv: int) -> float:
     the inner expectation over Z is ``_envelope_mean`` on chunks of nodes of
     at most ``_SLAB_NODES`` line pairs.
     """
-    t, half = _panel_nodes(edges[:-1], edges[1:], subdiv)
-    t, wt = t.T.reshape(-1), _node_weights(half).T.reshape(-1)
+    nodes, weights = _gauss_legendre(_GL_POINTS)
+    t, half = _panel_nodes(edges[:-1], edges[1:], subdiv, nodes)
+    t, wt = t.T.reshape(-1), _node_weights(half, weights).T.reshape(-1)
     wt *= _norm_pdf(t)
     step = max(1, _SLAB_NODES // (len(mu) * len(mu)))
     inner = np.concatenate([_envelope_mean(mu + np.multiply.outer(t[s:s + step], a), b)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -67,11 +68,11 @@ def scipy_expected_max(means, stddevs):
     return upper - lower
 
 
-def _full_product_expected_max(means, stddevs, subdiv):
+def _full_product_expected_max(means, stddevs, subdiv, points=10):
     """Reference for ``expected_max_batch``: the same panels as one slab, and
     the survival product taken over every coordinate, in the order of the
     bytes of (deviation, mean), with ``ndtr`` on every node (a degenerate
-    coordinate contributes 1.0)."""
+    coordinate contributes 1.0), under the ``points``-point Gauss-Legendre rule."""
     stddevs = np.atleast_2d(np.asarray(stddevs, dtype=float))
     means = np.broadcast_to(np.asarray(means, dtype=float), stddevs.shape)
     ncand, n = stddevs.shape
@@ -93,8 +94,9 @@ def _full_product_expected_max(means, stddevs, subdiv):
         a = (a[:, :, None] + width[:, :, None] * frac[:-1]).reshape(ncand, -1)
         b = (b[:, :, None] - width[:, :, None] * (1.0 - frac[1:])).reshape(ncand, -1)
     half = 0.5 * (b - a)
-    t = (a[:, :, None] + half[:, :, None] * (oracle._GL_NODES + 1.0)).reshape(ncand, -1)
-    wt = (half[:, :, None] * oracle._GL_WEIGHTS).reshape(ncand, -1)
+    nodes, weights = leggauss(points)
+    t = (a[:, :, None] + half[:, :, None] * (nodes + 1.0)).reshape(ncand, -1)
+    wt = (half[:, :, None] * weights).reshape(ncand, -1)
     prod = np.ones_like(t)
     for i in range(n):
         s = stddevs[:, i, None]
@@ -351,8 +353,10 @@ class TestQuadrature:
         calls.clear()
         est = expected_max_independent(GaussianVector([0.0] * 256, wide[0]),
                                        EstimatorConfig(method="quadrature"))
-        assert len(calls) == 2  # subdiv 1 and 2, one call per refinement level
-        assert est.value == expected_max_batch(0.0, wide, subdiv=2)[0]
+        # One call on the first level's 10 + 8 nodes per panel; the companion
+        # agrees, so the row closes with the bits of subdiv 1.
+        assert len(calls) == 1 and calls[0] <= 15 * 18
+        assert est.value == expected_max_batch(0.0, wide, subdiv=1)[0]
 
         # A point mass sets the lower limit above many knots of the other
         # columns: 66 of the 3 x 62 panels have positive width, and only
@@ -406,12 +410,14 @@ class TestQuadrature:
     def test_nonconvergence_raises_with_best_estimate(self, monkeypatch):
         import varalloc.oracle as oracle
 
-        calls = iter([1.0, 1.5, 1.25, 1.375, 1.3125])
+        # The first level's companion (2.0) misses its value (1.0), and no
+        # later level agrees with the one before.
+        calls = iter([[[1.0], [2.0]], [[1.5]], [[1.25]], [[1.375]], [[1.3125]]])
 
-        def fake_batch(means, stddevs, *, points=10, subdiv=1):
-            return np.array([next(calls)])
+        def fake_rules(means, stddevs, subdiv, rules):
+            return np.array(next(calls))
 
-        monkeypatch.setattr(oracle, "expected_max_batch", fake_batch)
+        monkeypatch.setattr(oracle, "_expected_max_rules", fake_rules)
         with pytest.raises(QuadratureError) as exc:
             expected_max_independent(GaussianVector([0.0], [1.0]),
                                      EstimatorConfig(method="quadrature"))
@@ -450,6 +456,19 @@ class TestBatchColumns:
     def test_no_rows_give_an_empty_array(self, width):
         out = expected_max_batch(np.zeros((0, width)), np.zeros((0, width)))
         assert out.shape == (0,)
+
+    @pytest.mark.parametrize("subdiv", [0, -1, 2.5, 2.0, np.float64(2.0), True, "2", None])
+    def test_subdiv_must_be_a_positive_int(self, subdiv):
+        # Unchecked, 0 would divide by zero, -1 make a negative dimension and
+        # 2.5 raise a TypeError; an empty batch is refused as well.
+        for shape in ((1, 3), (0, 3)):
+            with pytest.raises(ValueError, match=r"^subdiv must be a positive int, got "):
+                expected_max_batch(np.zeros(shape), np.ones(shape), subdiv=subdiv)
+
+    def test_numpy_int_subdiv_is_an_int(self):
+        means, sigs = np.zeros((2, 3)), np.array([[0.5, 0.25, 1.0], [0.1, 0.2, 0.3]])
+        want = expected_max_batch(means, sigs, subdiv=2)
+        assert np.array_equal(expected_max_batch(means, sigs, subdiv=np.int64(2)), want)
 
     def test_signed_zero_deviation_and_pad_are_accepted(self):
         got = expected_max_batch(np.array([[0.25, 1.0, -np.inf]]), np.array([[-0.0, 0.0, -0.0]]))
@@ -572,9 +591,9 @@ class TestBitsIndependentOfWorkers:
         real = oracle._expected_max_slab
         blocks = []
 
-        def recording(means, stddevs, real_columns, subdiv, budget):
+        def recording(means, stddevs, real_columns, subdiv, budget, rules):
             blocks.append((stddevs.shape, int(real_columns.max())))
-            return real(means, stddevs, real_columns, subdiv, budget)
+            return real(means, stddevs, real_columns, subdiv, budget, rules)
 
         monkeypatch.setattr(oracle, "_expected_max_slab", recording)
         alloc = solvers.uniform_allocation(inst)
@@ -1119,11 +1138,15 @@ class TestGraphObjective:
 
 
 def _reference_quadrature(means, stddevs, tol):
-    """One set's refinement as it stood before sets were batched: one
-    ``expected_max_batch`` row per level until two levels agree."""
+    """One set's refinement on its own: the row at subdiv 1 closes when the
+    8-point rule on the same panels (``_full_product_expected_max``) agrees
+    with it; otherwise one ``expected_max_batch`` row per level until two
+    levels agree."""
     m = np.asarray(means, dtype=float)[None, :]
     s = np.asarray(stddevs, dtype=float)[None, :]
     prev = float(oracle.expected_max_batch(m, s)[0])
+    if abs(float(_full_product_expected_max(m, s, 1, points=8)[0]) - prev) <= 0.5 * tol:
+        return prev
     for subdiv in (2, 4, 8, 16):
         val = float(oracle.expected_max_batch(m, s, subdiv=subdiv)[0])
         if abs(val - prev) <= 0.5 * tol:
@@ -1234,24 +1257,25 @@ class TestGraphObjectiveBatched:
 
     def test_one_batch_call_per_level_over_all_open_sets(self, monkeypatch):
         # Four sets of width 3, two of width 4 and two of width 8 take
-        # quadrature, as rows of one batch padded to width 8.  The two sets
-        # holding variable 0 (mean 6) drift until subdiv 4, so they close at
-        # subdiv 8 and the others at subdiv 2.
+        # quadrature, as rows of one batch padded to width 8.  For the two
+        # sets holding variable 0 (mean 6) the first level's companion misses
+        # and later levels drift until subdiv 4, so they close at subdiv 8 and
+        # the others on the first level.
         calls = []
-        real = oracle.expected_max_batch
+        real = oracle._expected_max_rules
 
-        def drifting(means, stddevs, *, subdiv=1):
-            means = np.asarray(means)
-            calls.append((np.shape(stddevs), subdiv,
+        def drifting(means, stddevs, subdiv, rules):
+            calls.append((np.shape(stddevs), subdiv, rules,
                           sorted(np.count_nonzero(means > -np.inf, axis=1).tolist())))
-            out = real(means, stddevs, subdiv=subdiv)
-            return out + np.where(means[:, 0] == 6.0, 1e-6 * min(subdiv, 4), 0.0)
+            out = real(means, stddevs, subdiv, rules)
+            out[-1] += np.where(means[:, 0] == 6.0, 1e-6 * min(subdiv, 4), 0.0)
+            return out
 
-        monkeypatch.setattr(oracle, "expected_max_batch", drifting)
+        monkeypatch.setattr(oracle, "_expected_max_rules", drifting)
         graph_objective(self.INST, self.ALLOCS["uniform"], EstimatorConfig())
         widths = [3, 3, 3, 3, 4, 4, 8, 8]
-        assert calls == [((8, 8), 1, widths), ((8, 8), 2, widths),
-                         ((2, 8), 4, [3, 8]), ((2, 8), 8, [3, 8])]
+        assert calls == [((8, 8), 1, (10, 8), widths), ((2, 8), 2, (10,), [3, 8]),
+                         ((2, 8), 4, (10,), [3, 8]), ((2, 8), 8, (10,), [3, 8])]
 
     def test_lowest_failing_set_is_named(self, monkeypatch):
         # Variable 0 marks the sets that never converge: set 2 (width 4) and
@@ -1259,13 +1283,15 @@ class TestGraphObjectiveBatched:
         inst = Instance(6, [0.75, 0.0, 0.1, 0.2, 0.0, 0.3],
                         [(1, 2, 3, 4), (0, 1, 2), (0, 2, 3, 4), (2, 3, 5)])
         alloc = AllocationVector([0.4] * 6)
-        real = oracle.expected_max_batch
+        real = oracle._expected_max_rules
 
-        def drifting(means, stddevs, *, subdiv=1):
-            out = real(means, stddevs, subdiv=subdiv)
-            return out + np.where(np.asarray(means)[:, 0] == 0.75, 1e-6 * subdiv, 0.0)
+        # The values drift and the first level's companion does not.
+        def drifting(means, stddevs, subdiv, rules):
+            out = real(means, stddevs, subdiv, rules)
+            out[0] += np.where(means[:, 0] == 0.75, 1e-6 * subdiv, 0.0)
+            return out
 
-        monkeypatch.setattr(oracle, "expected_max_batch", drifting)
+        monkeypatch.setattr(oracle, "_expected_max_rules", drifting)
         cfg = EstimatorConfig()
         with pytest.raises(QuadratureError) as want:
             _reference_graph_objective(inst, alloc, cfg)
@@ -1306,17 +1332,161 @@ class TestRefine:
         values, failed = oracle._refine(lambda rows, subdiv: calls.append(subdiv), 0, 1e-9)
         assert len(values) == 0 and failed == {} and calls == []
 
+    def test_companion_closes_rows_on_the_first_level(self):
+        # The first level returns each row's value and a companion.  Rows 0
+        # and 1 agree with theirs and close there.  Row 2's companion misses,
+        # and subdiv 2 agrees with subdiv 1; row 3 drifts by 1e-6 * subdiv
+        # and row 4 is NaN, so both follow 2, 4, 8, 16 and fail.
+        calls = []
+        value = {0: lambda k: 1.0, 1: lambda k: 2.0 + 1e-12 * k, 2: lambda k: 3.0 + 1e-12 * k,
+                 3: lambda k: 4.0 + 1e-6 * k, 4: lambda k: math.nan}
+        companion = {0: 1.0, 1: 2.0 + 3e-10, 2: 3.0 + 1e-3, 3: 4.0, 4: 5.0}
+
+        def level(rows, subdiv):
+            calls.append((subdiv, rows.tolist()))
+            got = [value[r](subdiv) for r in rows.tolist()]
+            return np.array([got, [companion[r] for r in rows.tolist()]] if subdiv == 1 else got)
+
+        values, failed = oracle._refine(level, 5, 1e-9)
+        assert calls == [(1, [0, 1, 2, 3, 4]), (2, [2, 3, 4]), (4, [3, 4]), (8, [3, 4]),
+                         (16, [3, 4])]
+        # A closed row keeps its first-level value; row 2 keeps subdiv 2's.
+        assert values[:4].tolist() == [1.0, 2.0 + 1e-12, 3.0 + 2e-12, 4.0 + 16e-6]
+        assert sorted(failed) == [3, 4] and failed[3] == 4.0 + 16e-6 and math.isnan(failed[4])
+
+    def test_all_rows_closed_by_the_companion_make_one_call(self):
+        calls = []
+
+        def level(rows, subdiv):
+            calls.append(subdiv)
+            return np.array([np.ones(len(rows)), np.ones(len(rows)) + 4e-10])
+
+        values, failed = oracle._refine(level, 3, 1e-9)
+        assert calls == [1] and values.tolist() == [1.0] * 3 and failed == {}
+
+
+class TestCompanionRule:
+    """The first quadrature level: the 10-point value and the 8-point companion
+    on the same panels, in one ``_expected_max_rules`` call."""
+
+    @pytest.mark.parametrize("kind", [*SLAB_KINDS, "ragged"])
+    def test_each_rule_keeps_the_bits_it_has_alone(self, kind):
+        if kind == "ragged":
+            rng = np.random.default_rng(23)
+            widths = rng.integers(1, 40, 60)
+            sigs = rng.uniform(0.0, 1.0, (60, 40)) * 10.0 ** rng.uniform(-8, 0, (60, 1))
+            sigs[rng.random(sigs.shape) < 0.2] = 0.0
+            means, sigs = oracle._pad_rows(rng.normal(0.0, 0.5, (60, 40)), sigs, widths)
+        else:
+            means, sigs = _slab_case(kind)
+        pair = oracle._expected_max_rules(means, sigs, 1, (10, 8))
+        assert pair.shape == (2, len(sigs))
+        one = expected_max_batch(means, sigs, subdiv=1)
+        assert np.array_equal(pair[0].view(np.int64), one.view(np.int64))
+        eight = oracle._expected_max_rules(means, sigs, 1, (8,))[0]
+        assert np.array_equal(pair[1].view(np.int64), eight.view(np.int64))
+        if kind != "ragged":  # the reference takes no pad columns
+            want = _full_product_expected_max(means, sigs, 1, points=8)
+            assert np.array_equal(pair[1].view(np.int64), want.view(np.int64))
+
+    def test_closed_rows_have_the_bits_of_subdiv_1(self, monkeypatch):
+        # Random rows of width 3-40, deviations spread over 1e-8..1, and
+        # exact ties: every one closes on the first level.
+        rng = np.random.default_rng(29)
+        vectors = []
+        for width in rng.integers(3, 41, 20).tolist():
+            sigs = rng.uniform(0.0, 1.0, width) * 10.0 ** rng.uniform(-8, 0, width)
+            sigs[: width // 3] = sigs[0]  # ties
+            vectors.append(GaussianVector(rng.normal(0.0, 0.3, width), sigs))
+        calls = _spy_batch_calls(monkeypatch)
+        cfg = EstimatorConfig(method="quadrature")
+        for v in vectors:
+            calls.clear()
+            got = expected_max_independent(v, cfg).value
+            assert calls == [(1, 1)]
+            want = float(expected_max_batch(np.array(v.means), np.array(v.stddevs))[0])
+            assert got.hex() == want.hex()
+
+    def test_wide_uniform_row_falls_through_to_subdiv_2(self, monkeypatch):
+        # On 512 equal deviations the companion lies 5.3e-10 from the value,
+        # more than tol / 2; the row goes on to subdiv 2, which agrees with
+        # subdiv 1, and keeps subdiv 2's bits.  At width 256 (7.0e-11) the
+        # first level closes the row.
+        tol = EstimatorConfig().quadrature_tolerance
+        calls = _spy_batch_calls(monkeypatch)
+        for n, gap, levels in ((512, 5.3e-10, [(1, 1), (1, 2)]), (256, 7.0e-11, [(1, 1)])):
+            wide = np.full((1, n), n**-0.5)
+            value, companion = oracle._expected_max_rules(0.0, wide, 1, (10, 8))[:, 0]
+            assert abs(value - companion) == pytest.approx(gap, rel=0.01)
+            calls.clear()
+            got = expected_max_independent(GaussianVector([0.0] * n, wide[0]),
+                                           EstimatorConfig()).value
+            assert calls == levels
+            want = expected_max_batch(0.0, wide, subdiv=len(levels))[0]
+            assert got.hex() == want.hex() and abs(got - value) <= 0.5 * tol
+
+    def test_paired_level_memory_bounded_with_two_workers(self, monkeypatch):
+        # Node chunks count the 18 nodes of both rules per panel, so every
+        # survival-term array stays within _SLAB_NODES // 2 floats and the
+        # peak within the bound of expected_max_batch.
+        import tracemalloc
+
+        from varalloc.oracle import _SLAB_NODES
+
+        monkeypatch.setattr(oracle, "_workers", lambda: 2)
+        sizes = []
+        real = oracle._survival_terms
+
+        def recording(*args):
+            out = real(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(oracle, "_survival_terms", recording)
+        rng = np.random.default_rng(11)
+        means = rng.uniform(0, 1, (2048, 8))
+        sigs = rng.uniform(0, 0.5, (2048, 8))
+        sigs[rng.random((2048, 8)) < 0.25] = 0.0
+        tracemalloc.start()
+        try:
+            pair = oracle._expected_max_rules(means, sigs, 1, (10, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _SLAB_NODES * 8
+        assert len(sizes) > 1 and max(sizes) <= _SLAB_NODES // 2
+        assert np.array_equal(pair[0], expected_max_batch(means, sigs))
+
+    def test_graph_round_makes_no_subdiv_2_call(self, tmp_path, monkeypatch):
+        # The perfbench graph round at seed 1: generate, log-approx, evaluate
+        # and uniform on an Erdos-Renyi instance, and uniform on one set of
+        # 256 zero means.  Every quadrature row closes on the first level.
+        er, wide = tmp_path / "er.json", tmp_path / "wide.json"
+        wide.write_text(json.dumps({"n": 256, "means": [0.0] * 256, "sets": [list(range(256))]}))
+        calls = _spy_batch_calls(monkeypatch)
+        out = str(tmp_path / "out.json")
+        for argv in (["generate", "erdos-renyi", "--n", "24", "--m", "72", "--p", "0.5",
+                      "--seed", "1", "--out", str(er)],
+                     ["solve", "log-approx", "--in", str(er), "--seed", "1", "--out",
+                      str(tmp_path / "la.json")],
+                     ["evaluate", "--in", str(tmp_path / "la.json"), "--out", out],
+                     ["solve", "uniform", "--in", str(er), "--out", out],
+                     ["solve", "uniform", "--in", str(wide), "--out", out]):
+            assert cli.run(argv) == 0
+        assert len(calls) == 5 and {subdiv for _, subdiv in calls} == {1}
+
 
 def _spy_batch_calls(monkeypatch) -> list:
-    """(rows, subdiv) of every later ``oracle.expected_max_batch`` call."""
+    """(rows, subdiv) of every later ``oracle._expected_max_rules`` call, the
+    quadrature levels of ``_quadrature_rows`` and ``expected_max_batch``."""
     calls = []
-    real = oracle.expected_max_batch
+    real = oracle._expected_max_rules
 
-    def counting(means, stddevs, *, subdiv=1):
+    def counting(means, stddevs, subdiv, rules):
         calls.append((np.shape(stddevs)[0], subdiv))
-        return real(means, stddevs, subdiv=subdiv)
+        return real(means, stddevs, subdiv, rules)
 
-    monkeypatch.setattr(oracle, "expected_max_batch", counting)
+    monkeypatch.setattr(oracle, "_expected_max_rules", counting)
     return calls
 
 
@@ -1370,7 +1540,7 @@ class TestQuadratureKey:
         calls = _spy_batch_calls(monkeypatch)
         cfg = EstimatorConfig()
         got = graph_objective(inst, alloc, cfg)
-        assert calls[0] == (1, 1)
+        assert calls == [(1, 1)]
         # Each set as its own one-row refinement.
         want = sum(_reference_quadrature([inst.means[i] for i in members],
                                          [alloc.stddevs[i] for i in members],
@@ -1410,7 +1580,7 @@ class TestSharedKeysInGraphObjective:
         assert graph_objective(inst, alloc, cfg).value.hex() == value.hex()
         # Uniform: all 70 sets share one row.  Log-approx puts 0.5 on four
         # variables: sets with 2, 3 or 4 of them take quadrature, one row each.
-        assert calls[0] == ({"uniform": 1, "log_approx_graph": 3}[solver], 1)
+        assert calls == [({"uniform": 1, "log_approx_graph": 3}[solver], 1)]
 
     def test_lowest_failing_set_is_named_when_its_key_is_shared(self):
         # At a tolerance of 1e-300 two refinement levels must agree bit for

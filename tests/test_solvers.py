@@ -941,12 +941,15 @@ class TestCountTables:
         assert np.all(np.diff([b[w] for w in range(2, 41)]) > 0)
 
     def test_unconverged_row_raises(self, monkeypatch):
-        real = oracle.expected_max_batch
+        real = oracle._expected_max_rules
 
-        def drifting(means, stddevs, *, subdiv=1):
-            return real(means, stddevs, subdiv=subdiv) + 1e-6 * subdiv
+        # The values drift and the first level's companion does not.
+        def drifting(means, stddevs, subdiv, rules):
+            out = real(means, stddevs, subdiv, rules)
+            out[0] += 1e-6 * subdiv
+            return out
 
-        monkeypatch.setattr(oracle, "expected_max_batch", drifting)
+        monkeypatch.setattr(oracle, "_expected_max_rules", drifting)
         with pytest.raises(QuadratureError) as exc:
             _count_tables([3], CFG.quadrature_tolerance)
         assert str(exc.value).startswith("quadrature did not reach tolerance 1e-09")
