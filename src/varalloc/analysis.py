@@ -253,10 +253,10 @@ def verify_var2approx(trials: int = 1500, n: int = 4, seed: int = 0) -> Verifica
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
-    sig, mult = np.empty((trials, n)), np.empty((trials, n))
-    for t in range(trials):
-        sig[t] = rng.uniform(0.0, 1.0, n)
-        mult[t] = rng.uniform(1.0, 2.0, n)
+    # Row t draws its n deviations from U(0, 1), then its n multipliers from
+    # U(1, 2): the stream order of one uniform(0, 1, n), uniform(1, 2, n) pair per trial.
+    sig, mult = np.hsplit(rng.uniform(np.repeat([0.0, 1.0], n), np.repeat([1.0, 2.0], n),
+                                      (trials, 2 * n)), 2)
     both = expected_max_batch(0.0, np.vstack([sig, sig * mult]))
     base, scaled = both[:trials], both[trials:]
     slack = np.minimum(scaled - base, 2.0 * base - scaled)
@@ -323,17 +323,44 @@ def verify_submodular_g(k_max: int = 12) -> VerificationReport:
                               tuple(details), seed=0)
 
 
-def _max_inequality_pool(rng: np.random.Generator) -> float:
-    kind = rng.integers(0, 5)
-    if kind == 0:
-        return float(rng.normal())
-    if kind == 1:
-        return float(rng.uniform(-5.0, 5.0))
-    if kind == 2:
-        return float(rng.integers(-3, 4))  # frequent exact ties
-    if kind == 3:
-        return float(rng.normal() * 1e6)
-    return float(rng.normal() * 1e-6)
+# The laws of the max_inequalities pool, by kind: each draws a given number of values.
+_MAX_INEQUALITY_LAWS = (
+    lambda rng, k: rng.normal(size=k),
+    lambda rng, k: rng.uniform(-5.0, 5.0, k),
+    lambda rng, k: rng.integers(-3, 4, k).astype(float),  # frequent exact ties
+    lambda rng, k: rng.normal(size=k) * 1e6,
+    lambda rng, k: rng.normal(size=k) * 1e-6,
+)
+_SLACK_CHUNK = 1024  # trials scored at once, their maxima as Python floats
+
+
+def _max_inequality_draws(rng: np.random.Generator, trials: int) -> np.ndarray:
+    """(trials, 4) tuples from the pool: one kind per cell, then each kind's
+    cells filled in row-major order by one draw of its law, in kind order."""
+    kinds = rng.integers(0, len(_MAX_INEQUALITY_LAWS), (trials, 4))
+    draws = np.empty((trials, 4))
+    for kind, law in enumerate(_MAX_INEQUALITY_LAWS):
+        cells = kinds == kind
+        draws[cells] = law(rng, np.count_nonzero(cells))
+    return draws
+
+
+def _max_inequality_slacks(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (a, b, c, d) row of ``draws``, the slacks (slack3, slack4) of the two
+    orderings that ``verify_max_inequalities`` checks, summed as it states."""
+    slack3, slack4 = np.empty(len(draws)), np.empty(len(draws))
+    for lo in range(0, len(draws), _SLACK_CHUNK):
+        a, b, c, d = draws[lo:lo + _SLACK_CHUNK].T
+        ab, ad = np.maximum(a, b), np.maximum(a, d)
+        abc = np.maximum(ab, c)
+        slack3[lo:lo + _SLACK_CHUNK] = (ab + np.maximum(a, c)) - (abc + a)
+        # The maxima of slack4: the right side's three, then the left side's four.
+        maxima = (np.maximum(ad, b), np.maximum(ad, c), np.maximum(np.maximum(b, c), d),
+                  np.maximum(abc, d), ad, np.maximum(b, d), np.maximum(c, d))
+        slack4[lo:lo + _SLACK_CHUNK] = [
+            math.fsum((abd, abd, acd, acd, bcd, bcd)) - math.fsum((abcd, abcd, abcd, a_d, b_d, c_d))
+            for abd, acd, bcd, abcd, a_d, b_d, c_d in zip(*(m.tolist() for m in maxima))]
+    return slack3, slack4
 
 
 def verify_max_inequalities(trials: int = 10_000, seed: int = 0) -> VerificationReport:
@@ -342,19 +369,13 @@ def verify_max_inequalities(trials: int = 10_000, seed: int = 0) -> Verification
     For all reals: max(a,b) + max(a,c) >= max(a,b,c) + a, and
     3 max(a,b,c,d) + max(a,d) + max(b,d) + max(c,d)
       <= 2 max(a,b,d) + 2 max(a,c,d) + 2 max(b,c,d).
-    Both sides are combined with exact summation so ties cannot produce
-    spurious rounding violations.
+    Every maximum is exact.  Each side of the first ordering (slack3) is one
+    IEEE addition, which rounds a two-term sum correctly (no draw can
+    overflow); each side of the second (slack4) is summed exactly with
+    ``math.fsum``.  So ties cannot produce spurious rounding violations.
     """
-    rng = np.random.default_rng(seed)
-    draws, slack3, slack4 = np.empty((trials, 4)), np.empty(trials), np.empty(trials)
-    for t in range(trials):
-        a, b, c, d = draws[t] = [_max_inequality_pool(rng) for _ in range(4)]
-        lhs3 = math.fsum([max(a, b), max(a, c)])
-        rhs3 = math.fsum([max(a, b, c), a])
-        slack3[t] = lhs3 - rhs3
-        lhs4 = math.fsum([max(a, b, c, d)] * 3 + [max(a, d), max(b, d), max(c, d)])
-        rhs4 = math.fsum([max(a, b, d)] * 2 + [max(a, c, d)] * 2 + [max(b, c, d)] * 2)
-        slack4[t] = rhs4 - lhs4
+    draws = _max_inequality_draws(np.random.default_rng(seed), trials)
+    slack3, slack4 = _max_inequality_slacks(draws)
     slack = np.minimum(slack3, slack4)
     return _verdict("max_inequalities", seed, slack < 0.0, slack,
                     lambda t: {"trial": t, "tuple": tuple(draws[t].tolist()),

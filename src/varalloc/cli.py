@@ -47,6 +47,17 @@ _SWEEP_P_GRID = tuple(i / 8 for i in range(1, 9))
 _SWEEP_SEED_COUNT = 5
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2^64), refused by the parser otherwise."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
+    return seed
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by every ``run``."""
@@ -63,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=None)
     gen.add_argument("--mu", type=float, default=None)
     gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", default=None)
 
     sol = sub.add_parser("solve", help="solve an instance and write a report")
@@ -74,13 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--in", dest="instance_path", required=True)
     sol.add_argument("--eps", type=float, default=None)
     sol.add_argument("--grid-step", type=float, default=None)
-    sol.add_argument("--seed", type=int, default=0)
+    sol.add_argument("--seed", type=_seed, default=0)
     sol.add_argument("--mc-samples", type=int, default=2_000_000)
     sol.add_argument("--out", default=None)
 
     ev = sub.add_parser("evaluate", help="re-evaluate the allocation in a solve report")
     ev.add_argument("--in", dest="report_path", required=True)
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=_seed, default=None)
     ev.add_argument("--mc-samples", type=int, default=None)
     ev.add_argument("--out", default=None)
 
@@ -89,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which = ver.add_mutually_exclusive_group()
     which.add_argument("--claim", choices=analysis.ALL_CHECKS, default=None)
     which.add_argument("--all", action="store_true")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--mc-samples", type=int, default=50_000)
     ver.add_argument("--out", default=None)
 
@@ -97,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("kind", choices=["concavity", "concentration"])
     sw.add_argument("--n", type=int, default=8)
     sw.add_argument("--m", type=int, default=24)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--seed", type=_seed, default=0)
     sw.add_argument("--mc-samples", type=int, default=100_000)
     sw.add_argument("--out", default=None)
     return parser

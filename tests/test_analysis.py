@@ -27,7 +27,8 @@ from varalloc.analysis import (
 )
 from varalloc.analysis import (
     _QUAD_SLACK,
-    _max_inequality_pool,
+    _max_inequality_draws,
+    _max_inequality_slacks,
     _per_set_values_independent,
 )
 from varalloc.oracle import (
@@ -170,6 +171,42 @@ class TestMaxInequalities:
         rep = verify_max_inequalities(trials=10_000, seed=0)
         assert rep.violations == 0
         assert rep.worst_margin >= 0.0
+
+    def test_draw_pool_laws(self):
+        trials, seed = 20_000, 4
+        draws = _max_inequality_draws(np.random.default_rng(seed), trials)
+        kinds = np.random.default_rng(seed).integers(0, 5, (trials, 4))  # the pool's first draw
+        cells = kinds.size
+        by_kind = [draws[kinds == kind] for kind in range(5)]
+        for values in by_kind:  # each kind's share is 1/5, within 5 binomial sds
+            assert abs(values.size - cells / 5) <= 5 * math.sqrt(cells * 0.2 * 0.8)
+        normal, uniform, integer, large, small = by_kind
+        assert set(integer.tolist()) == {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
+        assert uniform.min() >= -5.0 and uniform.max() < 5.0
+        assert uniform.min() < -4.99 and uniform.max() > 4.99
+        assert abs(uniform.mean()) < 5 * 10 / math.sqrt(12 * uniform.size)
+        # Sample deviations of the three normal laws: relative error about 1/sqrt(2k).
+        for values, scale in ((normal, 1.0), (large, 1e6), (small, 1e-6)):
+            assert values.std() / scale == pytest.approx(1.0, abs=5 / math.sqrt(2 * values.size))
+            assert abs(values.mean() / scale) < 5 / math.sqrt(values.size)
+
+    def test_slack3_is_the_two_term_fsum(self):
+        # Ties, 1e6 against 1e-6 scales, and zeros: the array form rounds each
+        # side once, as a two-term fsum does.  The pool draws no negative zero.
+        tuples = [(1.0, 1.0, 1.0, 1.0), (2.0, 2.0, -3.0, 2.0), (0.0, 0.0, 0.0, 0.0),
+                  (0.0, -3.0, 0.0, 3.0), (-1.0, 0.0, 0.0, -1.0),
+                  (1.3e-6, 2.7e6, -1.9e6, 4.1e-6), (-1.3e-6, -2.7e6, 1.9e6, -4.1e-6),
+                  (-2.2e6, 7.7e-7, 3.1e6, 0.0), (3.3e6, 3.3e6, 9.1e-7, -9.1e-7),
+                  (0.1, 0.2, 0.30000000000000004, 1e-6), (-4.99, 1e6 / 3, 1e-6 / 3, 2.0)]
+        slack3, slack4 = _max_inequality_slacks(np.array(tuples))
+        for (a, b, c, d), got3, got4 in zip(tuples, slack3.tolist(), slack4.tolist()):
+            want3 = math.fsum([max(a, b), max(a, c)]) - math.fsum([max(a, b, c), a])
+            want4 = (math.fsum([max(a, b, d)] * 2 + [max(a, c, d)] * 2 + [max(b, c, d)] * 2)
+                     - math.fsum([max(a, b, c, d)] * 3 + [max(a, d), max(b, d), max(c, d)]))
+            assert got3.hex() == want3.hex()
+            assert got4.hex() == want4.hex()
+        # Ties give an exact zero slack, so the fuzzer's worst margin reads 0.0.
+        assert slack3[:4].tolist() == [0.0] * 4
 
 
 @pytest.fixture(scope="module")
@@ -398,10 +435,10 @@ def _eager_correlation_gap(trials, n, mc_samples, seed):
 
 
 def _eager_max_inequalities(trials, seed):
-    rng = np.random.default_rng(seed)
+    draws = _max_inequality_draws(np.random.default_rng(seed), trials)
     violations, worst, details = 0, math.inf, []
     for t in range(trials):
-        a, b, c, d = (_max_inequality_pool(rng) for _ in range(4))
+        a, b, c, d = draws[t].tolist()
         slack3 = math.fsum([max(a, b), max(a, c)]) - math.fsum([max(a, b, c), a])
         slack4 = (math.fsum([max(a, b, d)] * 2 + [max(a, c, d)] * 2 + [max(b, c, d)] * 2)
                   - math.fsum([max(a, b, c, d)] * 3 + [max(a, d), max(b, d), max(c, d)]))

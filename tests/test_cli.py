@@ -200,6 +200,26 @@ def test_verify_claim_and_all_are_exclusive(capsys):
     assert "argument --all: not allowed with argument --claim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+@pytest.mark.parametrize("argv", [
+    ["generate", "cycle", "--n", "3"],
+    ["solve", "uniform", "--in", "missing.json"],
+    ["evaluate", "--in", "missing.json"],
+    ["verify", "--all"],
+    ["sweep", "concavity", "--n", "4"],
+])
+def test_seed_outside_64_bits_exits_2_before_reading_input(tmp_path, capsys, argv, seed):
+    # The parser refuses the seed, so the missing input file is never opened.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"varalloc {argv[0]}: error: argument --seed: "
+                        "seed must be a 64-bit unsigned integer\n")
+    assert not out.exists()
+
+
 def test_verify_violation_exit_1(monkeypatch, capsys):
     import varalloc.analysis as analysis
     from varalloc.analysis import VerificationReport
