@@ -3,9 +3,10 @@
 This module is the objective function used by every solver and verifier: it
 evaluates E[max_i X_i] for independent and jointly Gaussian vectors to
 controlled accuracy.  Three routes are provided: closed forms, quadrature
-and Monte Carlo.  Independent vectors take the first two under ``auto``.  A
-covariance matrix Sigma = L L^T takes them when its factor has rank r <= 2,
-and Monte Carlo otherwise.
+and Monte Carlo.  Independent vectors take the first two under ``auto``.
+Under a covariance matrix Sigma = L L^T a set of at most three members takes
+them at any rank, a larger set when the factor has rank r <= 2, and any
+other set Monte Carlo.
 
 Closed forms (exact):
 
@@ -49,6 +50,14 @@ composite Gauss-Legendre panels on [-10, 10], with edges where the inner
 value has a kink or a jump in its second derivative, refined by the same
 ladder, all rank-2 sets of a matrix together.  Both have half-width 0.
 
+Three lines (exact, any rank): E max depends only on the means and the
+differences X_i - X_0, so a set of at most three members needs the 2 x 2
+Gram matrix G of those differences and no factor of Sigma.  Collinear
+differences are the envelope above; otherwise Stein's identity gives
+E max = sum_i mu_i P_i + sum_{pairs il} theta_il phi(alpha_il) Phi(gamma_k|il),
+Clark's (1961) pair terms and bivariate normal orthants P_i through Owen's
+(1956) T function, and sets near concurrency take the rank-2 quadrature.
+
 Monte Carlo: chunked sampling with per-chunk generators derived from
 (seed, chunk_index), so estimates are bit-reproducible and independent of
 any internal parallelism; confidence intervals are normal-approximation
@@ -79,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .instances import AllocationVector, Instance
 
@@ -123,6 +132,15 @@ _MC_CHUNK = 1 << 18
 # 5-10% faster than at 2^13 or 2^15.
 _SAMPLE_TILE = 1 << 14
 _RANK_TOL = 1e-10  # psd_factor's zero-eigenvalue cut, times max(largest eigenvalue, 1)
+_SLOPE_TOL = 1e-9  # rank-2 slopes this close, relative to the largest, are parallel
+# Three-line sets with det G < _GRAM_TOL G_11 G_22, G the Gram matrix of the
+# differences X_i - X_0, are integrated rather than taken in closed form.  As
+# the lines near concurrency the closed form loses accuracy like eps / sqrt of
+# that ratio: against 30-digit references it lay up to 2.2e-14 away at 1e-4,
+# 2.9e-13 at 1e-6 and 3.6e-12 at 1e-9, while the quadrature stayed within
+# 1e-15.  On a 0.2 grid the ratio is at most 5.2e-16 (collinear, d <= 1) or
+# at least 0.074.
+_GRAM_TOL = 1e-6
 
 # Quadrature nodes in flight inside expected_max_batch, across all threads:
 # each node-sized float64 temporary, summed over the blocks evaluated at once,
@@ -921,28 +939,29 @@ def _mc_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets, L: np.ndarray)
 
 
 def _segments(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each line ``c[..., i] + b[i] z`` is the maximum over the lines, as (lo, hi).
+    """Where each line ``c[..., i] + b[..., i] z`` is the maximum over the lines, as (lo, hi).
 
+    The slopes ``b`` are one row for all rows of ``c``, or one row each.
     Line i is the maximum exactly on [lo, hi]: lo is its largest crossing
     with a line of smaller slope, hi its smallest crossing with a line of
     larger slope, and it never is when a line of equal slope lies higher, or
     as high with a lower index.  Lines that never are, or only at one point,
     get lo = hi = 0.0, where every term below is an exact zero.
     """
-    db = b[:, None] - b[None, :]  # [i, k] = b_i - b_k
+    db = b[..., :, None] - b[..., None, :]  # [..., i, k] = b_i - b_k
     dc = c[..., None, :] - c[..., :, None]  # [..., i, k] = c_k - c_i
     with np.errstate(divide="ignore", invalid="ignore"):
         x = dc / db  # where lines i and k cross; masked below where db == 0
     lo = np.where(db > 0, x, -np.inf).max(axis=-1)
     hi = np.where(db < 0, x, np.inf).min(axis=-1)
-    earlier = np.tri(len(b), k=-1, dtype=bool)  # [i, k]: k < i
+    earlier = np.tri(b.shape[-1], k=-1, dtype=bool)  # [i, k]: k < i
     beaten = ((db == 0) & ((dc > 0) | ((dc == 0) & earlier))).any(axis=-1)
     live = (lo < hi) & ~beaten
     return np.where(live, lo, 0.0), np.where(live, hi, 0.0)
 
 
 def _envelope_mean(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """E max_i (c[..., i] + b[i] Z), Z ~ N(0, 1), for each row of intercepts ``c``.
+    """E max_i (c[..., i] + b[..., i] Z), Z ~ N(0, 1), for each row of intercepts ``c``.
 
     The maximum is the upper envelope of the lines, so with line i on top
     over [lo_i, hi_i] (``_segments``) the value is
@@ -958,16 +977,20 @@ def _rank2_kinks(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Given the first factor coordinate t, the members are the lines with
     intercepts mu_i + a_i t and slopes b_i in the second, Z.  Two lines of
     equal slope cross at one t, and where they lie on the envelope there the
-    value has a kink.  Three lines meet in one point at the t where the
-    determinant of their rows (1, b_i, mu_i + a_i t), linear in t, vanishes;
-    where that point is on the envelope, a segment appears or vanishes and
-    the second derivative jumps.  Candidates are checked in chunks of at most
-    ``_SLAB_NODES`` line values, so memory stays bounded for any width.
+    value has a kink.  Slopes within ``_SLOPE_TOL`` times the largest |b_i|
+    count as equal: an eigen-factor gives equal slopes only up to rounding,
+    and a crossing of slopes that close is a kink at any panel width.  Three
+    lines meet in one point at the t where the determinant of their rows
+    (1, b_i, mu_i + a_i t), linear in t, vanishes; where that point is on the
+    envelope, a segment appears or vanishes and the second derivative jumps.
+    Candidates are checked in chunks of at most ``_SLAB_NODES`` line values,
+    so memory stays bounded for any width.
     """
     w = len(mu)
     found = [np.empty(0)]
+    tie = _SLOPE_TOL * float(np.abs(b).max())
     i, j = np.triu_indices(w, 1)
-    par = (b[i] == b[j]) & (a[i] != a[j])
+    par = (np.abs(b[i] - b[j]) <= tie) & (a[i] != a[j])
     i, j = i[par], j[par]
     t = (mu[j] - mu[i]) / (a[i] - a[j])
     step = max(1, _SLAB_NODES // (w * w))
@@ -983,8 +1006,9 @@ def _rank2_kinks(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return (b[q] - b[p]) * (c[r] - c[p]) - (b[r] - b[p]) * (c[q] - c[p])
 
         d0, d1 = det(mu), det(a)
-        ok = d1 != 0  # so the slopes are not all equal, and p has a partner of another
-        p, q = p[ok], np.where(b[p] != b[r], r, q)[ok]
+        with_q, with_r = np.abs(b[q] - b[p]) > tie, np.abs(b[r] - b[p]) > tie
+        ok = (d1 != 0) & (with_q | with_r)  # p has a partner of another slope
+        p, q = p[ok], np.where(with_r, r, q)[ok]
         t = -d0[ok] / d1[ok]
         c = mu + np.multiply.outer(t, a)
         rows = np.arange(len(t))
@@ -1013,24 +1037,36 @@ def _rank2_level(mu, a, b, edges: np.ndarray, subdiv: int) -> float:
     return float((wt * inner).sum())
 
 
+def _rank2_values(lines, tol: float) -> tuple[np.ndarray, dict]:
+    """E max_i (mu_i + a_i T + b_i Z), T and Z independent N(0, 1), per (mu, a, b) of ``lines``.
+
+    The rank-1 value along Z is integrated over T on the panel knots of
+    quadrature in [-10, 10] plus the kinks of ``_rank2_kinks``, and all
+    lines are refined together by ``_refine``, whose ``(values, failed)``
+    this returns.
+    """
+    args = [(mu, a, b, np.unique(np.concatenate([_KNOTS, _rank2_kinks(mu, a, b)])))
+            for mu, a, b in lines]
+    return _refine(lambda rows, subdiv: np.array(
+        [_rank2_level(*args[k], subdiv) for k in rows]), len(args), tol)
+
+
 def _exact_set_maxima(c: CovarianceSpec, L: np.ndarray, sets,
-                      tol: float) -> tuple[Estimate, dict]:
-    """sum_j E max_{i in S_j} X_i for X = mu + L z with a factor of rank r <= 2.
+                      tol: float) -> tuple[np.ndarray, dict]:
+    """E max_{i in S_j} X_i per set j for X = mu + L z with a factor of rank r <= 2.
 
     Rank 0 and 1 are closed forms: the envelope value of ``_envelope_mean``
     with z scalar (at rank 0 one constant line, the largest mean), as is a
     set with at most one member of nonzero variance at rank 2.  Rank 2
-    integrates the rank-1 value over the first coordinate of z, on the
-    panel knots of quadrature in [-10, 10] plus the kinks of
-    ``_rank2_kinks``; all rank-2 sets are refined together by ``_refine``.
-    Set values add up in set order.  Returns ``(estimate, failed)``, with
-    ``failed`` as in ``_refine`` but keyed by set.
+    integrates the rank-1 value over the first coordinate of z
+    (``_rank2_values``, all rank-2 sets together).  Returns the values in set
+    order and ``failed`` as in ``_refine``, keyed by set.
     """
     rank = L.shape[1]
     # A zero variance is a constant; its factor row may hold rounding residue.
     L = np.where(np.diag(c.matrix)[:, None] > 0, L, 0.0) if rank else np.zeros((c.n, 1))
     per_set = np.zeros(len(sets))
-    rank2, args = [], []  # the rank-2 sets j and their (mu, a, b, edges)
+    rank2, lines = [], []  # the rank-2 sets j and their (mu, a, b)
     for j, members in enumerate(sets):
         idx = list(members)
         mu, f = c.means[idx], L[idx]
@@ -1039,42 +1075,165 @@ def _exact_set_maxima(c: CovarianceSpec, L: np.ndarray, sets,
             per_set[j] = _envelope_mean(mu, f[:, 0] if rank < 2 else np.hypot(*f.T))
             continue
         rank2.append(j)
-        args.append((mu, *f.T, np.unique(np.concatenate([_KNOTS, _rank2_kinks(mu, *f.T)]))))
-    values, failed = _refine(lambda rows, subdiv: np.array(
-        [_rank2_level(*args[k], subdiv) for k in rows]), len(args), tol)
+        lines.append((mu, *f.T))
+    values, failed = _rank2_values(lines, tol)
     per_set[rank2] = values
-    value = 0.0
-    for v in per_set.tolist():
-        value += v
-    return (Estimate(value, 0.0, "quadrature" if rank == 2 else "closed_form"),
-            {rank2[k]: v for k, v in failed.items()})
+    return per_set, {rank2[k]: v for k, v in failed.items()}
+
+
+def _bivariate_cdf(h, k, rho, s):
+    """P(U <= h, V <= k) for standard normals U, V of correlation rho, given
+    s = sqrt(1 - rho^2) > 0, by Owen's (1956) T function:
+
+        1/2 Phi(h) + 1/2 Phi(k) - T(h, (k - rho h) / (h s)) - T(k, (h - rho k) / (k s)) - beta,
+
+    beta = 1/2 when h and k have opposite signs and 0 otherwise.  Where one
+    limit is 0 this is 1/2 Phi(x) - T(x, -rho / s) in the other limit x, and
+    at h = k = 0 it is 1/4 + arcsin(rho) / (2 pi).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        general = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * s))
+                   - owens_t(k, (h - rho * k) / (k * s)) - np.where((h < 0) != (k < 0), 0.5, 0.0))
+    axis = 0.5 * ndtr(h + k) - owens_t(h + k, -rho / s)
+    origin = 0.25 + np.arctan2(rho, s) / (2.0 * math.pi)
+    return np.where((h == 0) & (k == 0), origin, np.where((h == 0) | (k == 0), axis, general))
+
+
+# Lines (i, l, k) cycled: pair (i, l) with the third line k, and line i with its rivals l and k.
+_CYCLE = (np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([2, 0, 1]))
+
+
+def _three_line_closed_form(mu: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """E max of three lines whose differences span two dimensions, per row.
+
+    ``H[r, a, b]`` is Cov(X_a - X_0, X_b - X_0) of row r.  Stein's identity
+    gives E max = sum_i mu_i P_i + sum_{pairs il} theta_il phi(alpha_il)
+    Phi(gamma_k|il), with theta_il the deviation of X_i - X_l, alpha_il =
+    (mu_i - mu_l) / theta_il, Phi(gamma_k|il) = P(X_k <= X_i | X_i = X_l) and
+    P_i = P(X_i >= X_l, X_i >= X_k), a bivariate normal orthant
+    (``_bivariate_cdf``).  The pair term is Clark's (1961) for X_i and X_l,
+    weighted by the chance that the third line is below both.  Every
+    conditional variance and orthant correlation is taken from the Gram
+    determinant of the differences, which is the same for any base line.
+    """
+    i, l, k = _CYCLE
+    diag = np.diagonal(H, axis1=1, axis2=2)
+    theta2 = diag[:, i] + diag[:, l] - 2.0 * H[:, i, l]
+    theta = np.sqrt(theta2)
+    root = np.sqrt(H[:, 1, 1] * H[:, 2, 2] - H[:, 1, 2] * H[:, 1, 2])[:, None]
+    alpha = (mu[:, i] - mu[:, l]) / theta
+    lift = H[:, k, i] - H[:, k, l] - diag[:, i] + H[:, i, l]  # Cov(X_k - X_i, X_i - X_l)
+    gamma = ((mu[:, i] - mu[:, k]) * theta2 + lift * (mu[:, i] - mu[:, l])) / (theta * root)
+    pair = theta * _norm_pdf(alpha) * ndtr(gamma)
+    # Line i above l and k: alpha_ik = -alpha of pair (k, i).
+    spread = theta * theta[:, k]
+    rho = (diag[:, i] - H[:, i, k] - H[:, l, i] + H[:, l, k]) / spread
+    top = mu * _bivariate_cdf(alpha, -alpha[:, k], rho, root / spread)
+    return top[:, 0] + top[:, 1] + top[:, 2] + (pair[:, 0] + pair[:, 1] + pair[:, 2])
+
+
+def _three_line_maxima(means, covs, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """E max_i X_i for K jointly Gaussian sets of at most three lines each.
+
+    ``means`` is (K, w) and ``covs`` (K, w, w), w <= 3; no factor is needed.
+    A constant, such as a floor, is a line of zero variance, and a narrower
+    set is padded with copies of line 0, which change no value.  E max
+    depends only on the means and the differences X_i - X_0, so each set is
+    routed by d, the number of eigenvalues of the Gram matrix G of those
+    differences above ``psd_factor``'s cut:
+
+    - d <= 1: X_i - X_0 = beta_i Z for one standard normal Z, so the value is
+      ``_envelope_mean`` with slopes beta_i (all 0 at d = 0: the largest mean);
+    - d = 2: ``_three_line_closed_form``, where det G >= ``_GRAM_TOL`` G_11
+      G_22, and below that the rank-2 quadrature (``_rank2_values``) on the
+      factor rows (0, 0) and the eigen-factor of G, its smaller direction
+      outer.
+
+    Row r's value does not depend on the other rows.  Returns the values, a
+    mask of the sets that took quadrature, and ``failed`` as in ``_refine``.
+    """
+    means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
+    cols = np.where(np.arange(3) < means.shape[1], np.arange(3), 0)
+    mu, cov = means[:, cols], covs[:, cols[:, None], cols]
+    # Cov(X_a - X_0, X_b - X_0), added so that it is symmetric bit for bit.
+    H = (cov + cov[:, :1, :1]) - (cov[:, :, :1] + cov[:, :1, :])
+    G = H[:, 1:, 1:]
+    lam, vec = np.linalg.eigh(G)
+    lam = np.where(lam > _RANK_TOL * np.maximum(lam[:, 1:], 1.0), lam, 0.0)
+    factor = np.zeros((len(mu), 3, 2))
+    factor[:, 1:] = vec * np.sqrt(lam)[:, None, :]
+    plane = lam[:, 0] > 0.0
+    closed = plane & (G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 0, 1]
+                      >= _GRAM_TOL * G[:, 0, 0] * G[:, 1, 1])
+    integrated = plane & ~closed
+    values = np.empty(len(mu))
+    values[~plane] = _envelope_mean(mu[~plane], factor[~plane, :, 1])
+    values[closed] = _three_line_closed_form(mu[closed], H[closed])
+    rows = np.flatnonzero(integrated)
+    values[rows], failed = _rank2_values([(mu[r], *factor[r].T) for r in rows], tol)
+    return values, integrated, {int(rows[k]): v for k, v in failed.items()}
 
 
 def _correlated_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets) -> tuple[Estimate, dict]:
-    """sum_j E max_{i in S_j} X_i for X ~ N(mu, Sigma), routed by the rank of Sigma.
+    """sum_j E max_{i in S_j} X_i for X ~ N(mu, Sigma), routed set by set.
 
-    ``psd_factor``'s cut decides the rank r.  ``auto`` and ``quadrature``
-    take ``_exact_set_maxima`` at r <= 2; ``auto`` and ``monte_carlo`` take
-    ``_mc_set_maxima`` otherwise.  ``quadrature`` at r >= 3 and
-    ``closed_form`` raise ``ValueError``.  Returns ``(estimate, failed)``.
+    Under ``auto`` and ``quadrature`` every set of at most three members
+    takes ``_three_line_maxima``, exact at any rank.  The other sets are
+    routed by the rank r of ``psd_factor(Sigma)``: ``_exact_set_maxima`` at
+    r <= 2, and under ``auto`` ``_mc_set_maxima`` otherwise, where
+    ``quadrature`` raises ``ValueError``.  ``monte_carlo`` samples every set
+    and ``closed_form`` raises.  Exact set values add up in set order and a
+    sampled total comes last.  The label is ``monte_carlo`` when every set
+    samples, ``mixed`` when some do, ``quadrature`` when a value was
+    integrated (every rank-2 set of four or more members counts) and
+    ``closed_form`` otherwise.  Returns ``(estimate, failed)``, ``failed``
+    keyed by set.
     """
     if cfg.method == "closed_form":
         raise ValueError("correlated estimation has no closed form for a whole matrix; "
-                         "use auto, quadrature (rank <= 2) or monte_carlo")
-    L = psd_factor(c.matrix)
-    if cfg.method == "monte_carlo" or (cfg.method == "auto" and L.shape[1] > 2):
-        return _mc_set_maxima(c, cfg, sets, L), {}
-    if L.shape[1] > 2:
-        raise ValueError(f"correlated quadrature needs a factor of rank <= 2, got {L.shape[1]}")
-    return _exact_set_maxima(c, L, sets, cfg.quadrature_tolerance)
+                         "use auto, quadrature or monte_carlo")
+    small = [] if cfg.method == "monte_carlo" else [j for j, s in enumerate(sets) if len(s) <= 3]
+    wide = sorted(set(range(len(sets))) - set(small))
+    per_set, failed, methods, sampled = np.zeros(len(sets)), {}, set(), None
+    if small:
+        var = np.array([[*s, *[s[0]] * (3 - len(s))] for s in (list(sets[j]) for j in small)])
+        values, integrated, fail = _three_line_maxima(
+            c.means[var], c.matrix[var[:, :, None], var[:, None, :]], cfg.quadrature_tolerance)
+        per_set[small] = values
+        failed.update((small[r], v) for r, v in fail.items())
+        methods.add("quadrature" if integrated.any() else "closed_form")
+    if wide:
+        L = psd_factor(c.matrix)
+        if cfg.method == "monte_carlo" or (cfg.method == "auto" and L.shape[1] > 2):
+            sampled = _mc_set_maxima(c, cfg, [sets[j] for j in wide], L)
+            if not small:
+                return sampled, {}
+        elif L.shape[1] > 2:
+            raise ValueError("correlated quadrature needs a factor of rank <= 2 for a set of "
+                             f"more than three members, got rank {L.shape[1]}")
+        else:
+            values, fail = _exact_set_maxima(c, L, [sets[j] for j in wide],
+                                             cfg.quadrature_tolerance)
+            per_set[wide] = values
+            failed.update((wide[r], v) for r, v in fail.items())
+            methods.add("quadrature" if L.shape[1] == 2 else "closed_form")
+    value = 0.0
+    for j in (range(len(sets)) if sampled is None else small):
+        value += float(per_set[j])
+    if sampled is not None:
+        return Estimate(value + sampled.value, sampled.half_width, "mixed"), failed
+    return Estimate(value, 0.0, "quadrature" if "quadrature" in methods else "closed_form"), failed
 
 
 def expected_max_correlated(c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
-    """E[max_i X_i] for X ~ N(mu, Sigma): exact at rank <= 2, else seeded Monte Carlo.
+    """E[max_i X_i] for X ~ N(mu, Sigma): exact for n <= 3 or rank <= 2, else seeded Monte Carlo.
 
-    Under ``auto`` a matrix of rank 0 or 1 gets a closed form and one of
-    rank 2 quadrature, with half-width 0; a higher rank, or ``monte_carlo``,
-    gets a Monte Carlo estimate, deterministic given the seed.
+    Under ``auto`` at most three variables get ``_three_line_maxima``, a
+    closed form at any rank (quadrature near concurrency); more variables
+    get a closed form at rank 0 or 1 and quadrature at rank 2, all with
+    half-width 0.  Four or more variables of a higher rank, or
+    ``monte_carlo``, get a Monte Carlo estimate, deterministic given the
+    seed.
     """
     est, failed = _correlated_set_maxima(c, cfg, [range(c.n)])
     _check_converged(failed, cfg.quadrature_tolerance)
@@ -1110,9 +1269,11 @@ def graph_objective(inst: Instance, alloc: AllocationVector, cfg: EstimatorConfi
 def graph_objective_correlated(inst: Instance, c: CovarianceSpec, cfg: EstimatorConfig) -> Estimate:
     """Sum over sets of E[max over the member variables] for X ~ N(mu, Sigma).
 
-    Routed as ``expected_max_correlated``: exact per set at rank <= 2, where
-    a set that does not converge raises ``QuadratureError("set j: ...")``;
-    otherwise per-set maxima of shared joint draws.
+    Routed set by set as ``expected_max_correlated`` (``_correlated_set_maxima``):
+    exact for a set of at most three members and, at rank <= 2, for every
+    set, where a set that does not converge raises
+    ``QuadratureError("set j: ...")``; the other sets take per-set maxima of
+    shared joint draws.
     """
     if c.n != inst.n:
         raise ValueError(f"covariance dimension {c.n} does not match instance n={inst.n}")

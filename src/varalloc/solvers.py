@@ -14,6 +14,10 @@ greedy solvers run one such engine when a mean is nonzero, which after
 each pick re-scores only the sets that contain the picked variable.  With
 every mean zero they run an exact greedy instead, on quadrature tables of
 a set's value by how many of its members are picked, and draw no samples.
+The correlated grid search scores its candidates exactly whenever a
+support and its floor make at most three lines, and under common random
+numbers only on supports of three variables with a floor; an exact
+winner does not depend on the seed.
 """
 
 from __future__ import annotations
@@ -29,11 +33,13 @@ from .instances import BUDGET_TOL, AllocationVector, Instance
 from .oracle import (
     CovarianceSpec,
     Estimate,
+    EstimationError,
     EstimatorConfig,
     _check_converged,
     _pad_rows,
     _quadrature_rows,
     _sample_tiles,
+    _three_line_maxima,
     derive_seed,
     expected_max_batch,
     graph_objective,
@@ -519,14 +525,21 @@ def ptas_correlated(
     off-diagonals within the Cauchy-Schwarz bound.  Per support, one
     ``_psd_candidates`` stream covers every diagonal in fixed-size chunks,
     each filtered for PSD by one stacked ``eigh`` call, so memory stays
-    bounded; the survivors' eigen-factors are compared under common random
-    numbers, in enumeration order with ties to the first.  ``_crn_mean``
-    scores a candidate in cache-sized tiles of the shared sample matrix, with
-    the bits of the whole-block score.  The report re-estimates the winner apart from
-    the search, through ``graph_objective_correlated``: exactly (half-width
-    0) when the winner has rank <= 2, as on any support of at most 2, and by
-    a fresh Monte Carlo estimate from the solve's seed at rank 3 or under
-    ``method="monte_carlo"``.
+    bounded.  A candidate's value is E max over the support's variables and
+    the floor, the largest mean off the support, a line of zero variance.
+    When those lines number at most three (s = n <= 3, or s <= 2), the
+    survivors of each chunk are scored exactly by one ``_three_line_maxima``
+    call; a score that is not finite raises ``EstimationError`` and a set
+    that does not converge ``QuadratureError``.  Such a winner does not
+    depend on ``cfg.seed``.  At s = 3 < n (four lines) the survivors'
+    eigen-factors are compared under common random numbers, drawn for the
+    first such support: ``_crn_mean`` scores a candidate in cache-sized
+    tiles of the shared sample matrix, with the bits of the whole-block
+    score.  Either way candidates run in enumeration order and the first
+    maximum wins.  The report re-estimates the winner apart from the search,
+    through ``graph_objective_correlated``: exactly (half-width 0) when n <=
+    3 or the winner has rank <= 2, and by a fresh Monte Carlo estimate from
+    the solve's seed otherwise or under ``method="monte_carlo"``.
 
     ``grid_step`` defaults to eps^3.  The smoothness argument behind the
     approximation guarantee asks for the much finer eps^8.5; that value is
@@ -556,8 +569,8 @@ def ptas_correlated(
         raise BudgetError(required, node_budget, "ptas_correlated grid")
 
     means = inst.means_array()
-    z = _crn_matrix(derive_seed(cfg.seed, "crn"), _CRN_SAMPLES_GRID, inst.n)
-    top = np.empty(_CRN_SAMPLES_GRID)
+    tol = cfg.quadrature_tolerance
+    z = top = None  # the CRN samples, drawn for the first support of four lines
     best_val = -math.inf
     best_matrix = np.zeros((inst.n, inst.n))
     for support in itertools.combinations(range(inst.n), s):
@@ -565,11 +578,32 @@ def ptas_correlated(
         # The largest mean off the support; none on a full support (where a
         # floor of -inf would be an exact no-op pass).
         floor = max((inst.means[i] for i in range(inst.n) if i not in support), default=None)
-        z_sup = z[:, sup].T  # a view of the gathered copy: short-first gemm below
         mu_sup = means[sup]
+        lines = np.append(mu_sup, [] if floor is None else [floor])
+        if len(lines) > 3:
+            if z is None:
+                z = _crn_matrix(derive_seed(cfg.seed, "crn"), _CRN_SAMPLES_GRID, inst.n)
+                top = np.empty(_CRN_SAMPLES_GRID)
+            z_sup = z[:, sup].T  # a view of the gathered copy: short-first gemm below
         for subs, factors in _psd_candidates(diags, caps, grid_step):
-            for sub, factor in zip(subs, factors):
-                val = _crn_mean(factor, z_sup, mu_sup, floor, top)
+            if not len(subs):
+                continue
+            if len(lines) <= 3:
+                covs = np.zeros((len(subs), len(lines), len(lines)))
+                covs[:, :s, :s] = subs
+                vals, _, failed = _three_line_maxima(
+                    np.broadcast_to(lines, (len(subs), len(lines))), covs, tol)
+                _check_converged(failed, tol)
+                if not np.isfinite(vals).all():
+                    k = int(np.argmin(np.isfinite(vals)))
+                    raise EstimationError(f"candidate score {vals[k]!r} is not finite "
+                                          f"for the matrix {subs[k].tolist()}")
+                k = int(np.argmax(vals))  # the first of equal maxima
+                scored = [(vals[k], subs[k])]
+            else:
+                scored = ((_crn_mean(factor, z_sup, mu_sup, floor, top), sub)
+                          for sub, factor in zip(subs, factors))
+            for val, sub in scored:
                 if val > best_val:
                     best_val = val
                     best_matrix = np.zeros((inst.n, inst.n))

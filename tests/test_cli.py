@@ -302,6 +302,44 @@ def test_evaluate_refuses_matrix_over_budget(tmp_path, capsys):
     assert "'allocation.matrix' has trace 4.0 > 1" in err
 
 
+def _matrix_report(path, means, matrix):
+    """A hand-written correlated report on one set of every variable, under auto."""
+    path.write_text(json.dumps({
+        "instance": {"n": len(means), "means": means, "sets": [list(range(len(means)))]},
+        "allocation": {"matrix": matrix},
+        "config": {"method": "auto", "quadrature_tolerance": 1e-9, "mc_samples": 2_000_000,
+                   "seed": 0}}))
+    return str(path)
+
+
+def test_evaluate_rank_two_set_with_near_parallel_slopes(tmp_path):
+    # The eigen-factor slopes of members 0, 2 and 3 differ only in their last
+    # bits; their crossings are kinks, and the quadrature converges.
+    rep = _matrix_report(tmp_path / "rep.json",
+                         [0.8040317224555162, 0.01886389299064406, 0.07670282893403546, 0.0],
+                         [[0.2, 0.2, 0, 0.1], [0.2, 0.4, 0.2, 0.2], [0, 0.2, 0.2, 0.1],
+                          [0.1, 0.2, 0.1, 0.1]])
+    out = tmp_path / "eval.json"
+    assert run(["evaluate", "--in", rep, "--out", str(out)]) == 0
+    objective = json.loads(out.read_text())["objective"]
+    assert objective["method"] == "quadrature" and objective["half_width"] == 0.0
+
+
+def test_evaluate_rank_three_set_of_three_is_exact(tmp_path):
+    rep = _matrix_report(tmp_path / "rep.json", [0.54, 0.52, 0.21],
+                         [[0.4, 0.1, 0.0], [0.1, 0.3, -0.1], [0.0, -0.1, 0.3]])
+    out, mc = tmp_path / "eval.json", tmp_path / "mc.json"
+    assert run(["evaluate", "--in", rep, "--out", str(out)]) == 0
+    exact = json.loads(out.read_text())["objective"]
+    assert exact["method"] == "closed_form" and exact["half_width"] == 0.0
+    doc = json.loads((tmp_path / "rep.json").read_text())
+    doc["config"]["method"] = "monte_carlo"
+    (tmp_path / "rep.json").write_text(json.dumps(doc))
+    assert run(["evaluate", "--in", rep, "--out", str(mc)]) == 0
+    sampled = json.loads(mc.read_text())["objective"]
+    assert abs(exact["value"] - sampled["value"]) <= 3 * sampled["half_width"]
+
+
 MISSING = object()  # the field is deleted from the report
 
 

@@ -137,6 +137,30 @@ def _correlated_exact_sets(work: Path) -> list[str]:
     return outputs
 
 
+def _correlated_three_lines(work: Path) -> list[str]:
+    # Hand-written correlated reports at rank 3 under auto, where a set of at
+    # most three members is exact: one set of three members, and sets of
+    # three, four and two members on three loaded variables and a constant,
+    # where the set of four (affine dimension 3) samples.
+    loaded = [[0.4, 0.1, 0.0], [0.1, 0.3, -0.1], [0.0, -0.1, 0.3]]
+    cases = {
+        "three": ([0.54, 0.52, 0.21], [[0, 1, 2]], loaded),
+        "mixed": ([0.54, 0.52, 0.21, 0.4], [[0, 1, 2], [0, 1, 2, 3], [1, 3]],
+                  [[*row, 0.0] for row in loaded] + [[0.0] * 4]),
+    }
+    outputs = []
+    for name, (means, sets, matrix) in cases.items():
+        doc = {"instance": {"n": len(means), "means": means, "sets": sets},
+               "allocation": {"matrix": matrix},
+               "config": {"method": "auto", "quadrature_tolerance": 1e-9,
+                          "mc_samples": 2_000_000, "seed": 3}}
+        rep = work / f"{name}-report.json"
+        rep.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        assert run(["evaluate", "--in", str(rep), "--out", str(work / f"{name}-eval.json")]) == 0
+        outputs.append(f"{name}-eval.json")
+    return outputs
+
+
 def _log_approx(work: Path) -> list[str]:
     inst = str(work / "er.json")
     assert run(["generate", "erdos-renyi", "--n", "6", "--m", "10", "--p", "0.4",
@@ -295,6 +319,7 @@ CASES = {
     "ptas_corr_multichunk": _ptas_corr_multichunk,
     "correlated_mc": _correlated_mc,
     "correlated_exact_sets": _correlated_exact_sets,
+    "correlated_three_lines": _correlated_three_lines,
     "log_approx": _log_approx,
     "log_approx_rounds": _log_approx_rounds,
     "uniform": _uniform,

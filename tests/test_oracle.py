@@ -811,6 +811,12 @@ class TestMonteCarloAccumulator:
         assert [bits(f()) for f in calls] == want
 
 
+# Three loaded variables of rank 3 and a constant: a set of all four has
+# affine dimension 3, which only the sampler covers.
+RANK3_WITH_CONSTANT = [[0.4, 0.1, 0.0, 0.0], [0.1, 0.3, -0.1, 0.0], [0.0, -0.1, 0.3, 0.0],
+                       [0.0, 0.0, 0.0, 0.0]]
+
+
 class TestCorrelated:
     # These test the sampler, so they ask for it: under auto a matrix of
     # rank <= 2 takes the exact route (TestExactCorrelated).
@@ -833,10 +839,11 @@ class TestCorrelated:
         assert est.value == pytest.approx(PHI0, abs=3 * est.half_width)
 
     def test_method_restriction(self):
-        # Quadrature covers ranks 0-2 only, and no method named closed_form
-        # covers a whole matrix.
-        spec = CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]])
-        assert psd_factor(spec.matrix).shape == (3, 3)
+        # Quadrature covers a set of four or more members at ranks 0-2 only
+        # (three loaded members and a constant here), and no method named
+        # closed_form covers a whole matrix.
+        spec = CovarianceSpec([0, 1, 0.5, 0.2], RANK3_WITH_CONSTANT)
+        assert psd_factor(spec.matrix).shape == (4, 3)
         with pytest.raises(ValueError):
             expected_max_correlated(spec, EstimatorConfig(method="quadrature"))
         with pytest.raises(ValueError):
@@ -927,8 +934,9 @@ class TestExactCorrelated:
     def test_diagonal_pair_matches_clark(self, m1, s1, m2, s2):
         est = expected_max_correlated(CovarianceSpec([m1, m2], np.diag([s1 * s1, s2 * s2])),
                                       self.AUTO)
+        # A pair is two lines, exact at any rank.
         assert est.half_width == 0.0
-        assert est.method_used == ("quadrature" if s1 and s2 else "closed_form")
+        assert est.method_used == "closed_form"
         assert est.value == pytest.approx(expected_max_pair(m1, s1, m2, s2), abs=1e-13)
 
     @pytest.mark.parametrize("rho", [-1.0, -0.6, 0.3, 1.0])
@@ -996,8 +1004,8 @@ class TestExactCorrelated:
         # Two lines of one slope: the inner value is max(c_1(t), c_2(t)), with
         # a kink where they cross, and X_1 - X_2 = -0.1 + 0.9 T (Clark, theta 0.9).
         two = _spec(means[:2], factor[:2])
-        got = oracle._exact_set_maxima(two, np.array(factor[:2]), [range(2)], 1e-9)[0]
-        assert got.value == pytest.approx(expected_max_pair(0.1, 0.9, 0.2, 0.0), abs=1e-13)
+        (got,), _ = oracle._exact_set_maxima(two, np.array(factor[:2]), [range(2)], 1e-9)
+        assert got == pytest.approx(expected_max_pair(0.1, 0.9, 0.2, 0.0), abs=1e-13)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_invariant_to_flipped_or_rotated_factor_columns(self, rank):
@@ -1012,13 +1020,13 @@ class TestExactCorrelated:
                     c, s = math.cos(angle), math.sin(angle)
                     turns.append(np.array([[c, -s], [s, c]]))
             for q in turns:
-                got = oracle._exact_set_maxima(spec, L @ q, [range(4)], 1e-9)[0]
-                assert got.value == pytest.approx(want, abs=1e-13)
+                (got,), _ = oracle._exact_set_maxima(spec, L @ q, [range(4)], 1e-9)
+                assert got == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_overlapping_sets_sum_their_values(self, rank):
         rng = np.random.default_rng(40 + rank)
-        sets = [(0, 1), (1, 2, 3), (3,), (0, 2, 4), (4, 1)]
+        sets = [(0, 1), (1, 2, 3), (3,), (0, 2, 4), (0, 1, 2, 4), (4, 1)]
         inst = Instance(5, rng.uniform(0.0, 1.0, 5), sets)
         spec = _spec(inst.means, _random_factor(rng, 5, rank))
         est = graph_objective_correlated(inst, spec, self.AUTO)
@@ -1030,11 +1038,14 @@ class TestExactCorrelated:
         for e in per_set:
             total += e.value
         assert est.value == total
+        # Only the set of four members integrates at rank 2.
         assert est.method_used == ("quadrature" if rank == 2 else "closed_form")
         assert est.half_width == 0.0
 
     def test_rank_three_stays_on_the_sampler(self):
-        spec = CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]])
+        # Three loaded members of rank 3 plus a constant: four lines whose
+        # differences span three dimensions.
+        spec = CovarianceSpec([0, 1, 0.5, 0.2], RANK3_WITH_CONSTANT)
         cfg = EstimatorConfig(mc_samples=50_000, seed=3)
         auto = expected_max_correlated(spec, cfg)
         assert auto.method_used == "monte_carlo"
@@ -1044,9 +1055,10 @@ class TestExactCorrelated:
             expected_max_correlated(spec, EstimatorConfig(method="quadrature"))
 
     def test_nonconvergence_raises_with_best_estimate(self, monkeypatch):
-        # Levels made to move by 1e-6 * subdiv never agree within 1e-9.
-        inst = Instance(3, [0.1, 0.3, 0.0], [(2,), (0, 1, 2)])
-        spec = _spec(inst.means, [[0.5, 0.2], [-0.3, 0.4], [0.0, 0.0]])
+        # Levels made to move by 1e-6 * subdiv never agree within 1e-9.  Sets
+        # of at most three members take a closed form, so these have four.
+        inst = Instance(4, [0.1, 0.3, 0.0, 0.2], [(2,), (0, 1, 2, 3)])
+        spec = _spec(inst.means, [[0.5, 0.2], [-0.3, 0.4], [0.0, 0.0], [0.2, -0.3]])
         want = expected_max_correlated(spec, self.AUTO).value
         level = oracle._rank2_level
         monkeypatch.setattr(oracle, "_rank2_level",
@@ -1059,11 +1071,12 @@ class TestExactCorrelated:
         # A closed-form set, then two rank-2 sets: both are refined, and the
         # graph names the lower with its subdiv-16 estimate.
         monkeypatch.setattr(oracle, "_rank2_level", level)
-        means = [0.1, 0.3, 0.0, 0.2]
-        inst = Instance(4, means, [(2,), (0, 1, 2), (1, 3)])
-        spec = _spec(means, [[0.5, 0.2], [-0.3, 0.4], [0.0, 0.0], [0.2, -0.3]])
+        means = [0.1, 0.3, 0.0, 0.2, 0.15]
+        inst = Instance(5, means, [(2,), (0, 1, 2, 3), (1, 3, 4, 0, 2)])
+        spec = _spec(means, [[0.5, 0.2], [-0.3, 0.4], [0.0, 0.0], [0.2, -0.3], [0.1, 0.1]])
         whole = expected_max_correlated(spec, self.AUTO).value
-        set1 = graph_objective_correlated(Instance(4, means, [(0, 1, 2)]), spec, self.AUTO).value
+        set1 = graph_objective_correlated(Instance(5, means, [(0, 1, 2, 3)]), spec,
+                                          self.AUTO).value
         seen = []
 
         def drifting(*args):
@@ -1073,7 +1086,7 @@ class TestExactCorrelated:
         monkeypatch.setattr(oracle, "_rank2_level", drifting)
         with pytest.raises(QuadratureError) as err:
             graph_objective_correlated(inst, spec, self.AUTO)
-        assert {(3, 16), (2, 16)} <= set(seen)
+        assert {(4, 16), (5, 16)} <= set(seen)
         assert str(err.value).startswith("set 1: quadrature did not reach tolerance 1e-09")
         assert err.value.estimate == pytest.approx(set1 + 16e-6, abs=1e-12)
         assert isinstance(err.value.__cause__, QuadratureError)
@@ -1082,6 +1095,145 @@ class TestExactCorrelated:
         assert str(err.value).startswith("quadrature did not reach tolerance 1e-09")
         assert err.value.estimate == pytest.approx(whole + 16e-6, abs=1e-12)
         assert err.value.__cause__ is None
+
+
+# A rank-2 matrix whose eigen-factor gives members 0, 2 and 3 second-coordinate
+# slopes that are equal but for their last bits.
+KINK_MATRIX = [[0.2, 0.2, 0.0, 0.1], [0.2, 0.4, 0.2, 0.2], [0.0, 0.2, 0.2, 0.1],
+               [0.1, 0.2, 0.1, 0.1]]
+KINK_MEANS = [0.8040317224555162, 0.01886389299064406, 0.07670282893403546, 0.0]
+
+
+class TestThreeLineRoute:
+    """Sets of at most three lines: ``_three_line_maxima`` at any rank."""
+
+    AUTO = EstimatorConfig()
+
+    @staticmethod
+    def _batch(rng, count):
+        means = rng.uniform(-0.5, 1.0, (count, 3))
+        factors = rng.normal(size=(count, 3, 3)) * 0.4
+        factors[::3, :, 2] = 0.0  # rank 2
+        factors[1::3, 2] = factors[1::3, 0]  # a repeated line
+        covs = factors @ factors.transpose(0, 2, 1)
+        return means, 0.5 * (covs + covs.transpose(0, 2, 1))
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        means, covs = self._batch(np.random.default_rng(3), 30)
+        values, took, failed = oracle._three_line_maxima(means, covs, 1e-9)
+        assert failed == {} and not took.any()
+        one = [oracle._three_line_maxima(means[r:r + 1], covs[r:r + 1], 1e-9)[0][0]
+               for r in range(len(means))]
+        assert values.tolist() == one
+
+    def test_matches_the_rank_two_route(self):
+        # At rank <= 2 the route sets of four or more take, with a factor.
+        rng = np.random.default_rng(8)
+        for w in (1, 2, 3):
+            for rank in (1, 2):
+                for _ in range(4):
+                    means = rng.uniform(-0.5, 1.0, w)
+                    spec = _spec(means, _random_factor(rng, w, rank))
+                    (want,), _ = oracle._exact_set_maxima(spec, psd_factor(spec.matrix),
+                                                          [range(w)], 1e-12)
+                    got = oracle._three_line_maxima(means[None], spec.matrix[None], 1e-9)[0]
+                    assert got[0] == pytest.approx(want, abs=1e-13)
+
+    def test_rank_three_within_three_half_widths_of_monte_carlo(self):
+        rng = np.random.default_rng(9)
+        for seed in range(3):
+            spec = _spec(rng.uniform(0.0, 1.0, 3), rng.normal(size=(3, 3)) * 0.4)
+            assert psd_factor(spec.matrix).shape[1] == 3
+            exact = expected_max_correlated(spec, self.AUTO)
+            assert exact.half_width == 0.0 and exact.method_used == "closed_form"
+            mc = expected_max_correlated(spec, EstimatorConfig(method="monte_carlo", seed=seed))
+            assert exact.value == pytest.approx(mc.value, abs=3 * mc.half_width)
+
+    def test_envelope_takes_one_slope_row_per_row(self):
+        rng = np.random.default_rng(4)
+        c, b = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        b[2, 1] = b[2, 0]  # parallel lines
+        want = [oracle._envelope_mean(c[r], b[r]) for r in range(6)]
+        assert oracle._envelope_mean(c, b).tolist() == want
+
+    def test_narrow_sets_are_the_pair_and_floor_closed_forms(self):
+        # Two lines: Clark's pair on the deviation of their difference.
+        cov = np.array([[[0.3, -0.1], [-0.1, 0.2]]])
+        got = oracle._three_line_maxima(np.array([[0.2, 0.1]]), cov, 1e-9)[0][0]
+        assert got == pytest.approx(expected_max_pair(0.2, math.sqrt(0.7), 0.1, 0.0), abs=1e-15)
+        # A loaded line over a floor, and one line alone.
+        cov = np.array([[[0.36, 0.0], [0.0, 0.0]]])
+        got = oracle._three_line_maxima(np.array([[0.2, 0.5]]), cov, 1e-9)[0][0]
+        assert got == pytest.approx(expected_max_with_floor(0.2, 0.6, 0.5), abs=1e-15)
+        assert oracle._three_line_maxima(np.array([[0.7]]), np.zeros((1, 1, 1)), 1e-9)[0][0] == 0.7
+
+    def test_routes_by_the_gram_ratio(self, monkeypatch):
+        # Line 2 = line 0 + 2 (line 1 - line 0) + an orthogonal part, so that
+        # det G / (G_11 G_22) = q: closed above _GRAM_TOL, integrated below
+        # it, and the envelope at rounding level.
+        L0, L1, u = np.array([0.3, 0.1, 0.0]), np.array([0.1, 0.3, 0.0]), np.array([0, 0, 1.0])
+        means = np.array([[0.4, 0.1, 0.3]])
+
+        def route(q):
+            F = np.array([L0, L1, 2 * L1 - L0 + math.sqrt(0.32 * q / (1 - q)) * u])
+            values, took, failed = oracle._three_line_maxima(means, (F @ F.T)[None], 1e-9)
+            assert failed == {}
+            return values[0], bool(took[0])
+
+        got = [route(q) for q in (4e-6, 1e-6 * (1 + 1e-5), 1e-6 * (1 - 1e-5), 2.5e-7, 0.0)]
+        assert [took for _, took in got] == [False, False, True, True, False]
+        # Just above the threshold both routes give the same value.
+        monkeypatch.setattr(oracle, "_GRAM_TOL", 1e-5)
+        integrated, took = route(1e-6 * (1 + 1e-5))
+        assert took and integrated == pytest.approx(got[1][0], abs=1e-13)
+
+    def test_router_mixes_exact_and_sampled_sets(self):
+        # Sets of at most three members are exact at rank 3; the set of four
+        # (affine dimension 3) samples, and its total comes after theirs.
+        means = [0.0, 1.0, 0.5, 0.2]
+        spec = CovarianceSpec(means, RANK3_WITH_CONSTANT)
+        cfg = EstimatorConfig(mc_samples=50_000, seed=3)
+        sets = [(0, 1, 2), (0, 1, 2, 3), (1, 3)]
+        est = graph_objective_correlated(Instance(4, means, sets), spec, cfg)
+        small = [graph_objective_correlated(Instance(4, means, [s]), spec, cfg) for s in sets[::2]]
+        wide = graph_objective_correlated(Instance(4, means, [sets[1]]), spec, cfg)
+        assert [e.method_used for e in small] == ["closed_form"] * 2
+        assert wide.method_used == "monte_carlo"
+        total = small[0].value + small[1].value + wide.value
+        assert est == Estimate(total, wide.half_width, "mixed")
+        # Under monte_carlo every set samples, as before.
+        mc = EstimatorConfig(method="monte_carlo", mc_samples=50_000, seed=3)
+        est = graph_objective_correlated(Instance(4, means, sets), spec, mc)
+        assert est.method_used == "monte_carlo"
+
+    def test_integrated_set_that_does_not_converge_is_named(self, monkeypatch):
+        # Below _GRAM_TOL a set of three takes the rank-2 quadrature, and a
+        # set that never converges raises for its index.
+        L0, L1, u = np.array([0.3, 0.1, 0.0]), np.array([0.1, 0.3, 0.0]), np.array([0, 0, 1.0])
+        F = np.array([L0, L1, 2 * L1 - L0 + 3e-4 * u, [0.0, 0.0, 0.0]])
+        inst = Instance(4, [0.4, 0.1, 0.3, 0.2], [(3,), (0, 1, 2)])
+        spec = CovarianceSpec(inst.means, F @ F.T)
+        want = graph_objective_correlated(inst, spec, self.AUTO)
+        assert want.method_used == "quadrature"
+        level = oracle._rank2_level
+        monkeypatch.setattr(oracle, "_rank2_level", lambda *args: level(*args) + 1e-6 * args[-1])
+        with pytest.raises(QuadratureError, match="^set 1: ") as err:
+            graph_objective_correlated(inst, spec, self.AUTO)
+        assert err.value.estimate == pytest.approx(want.value - 0.2 + 16e-6, abs=1e-12)
+
+    def test_near_parallel_slopes_are_kinks(self):
+        # The eigen-factor's slopes for members 0, 2 and 3 differ in their
+        # last bits; the kink where lines 0 and 2 cross must be a panel edge,
+        # or the levels never agree.
+        spec = CovarianceSpec(KINK_MEANS, KINK_MATRIX)
+        L = psd_factor(spec.matrix)
+        assert L.shape[1] == 2 and len(set(L[[0, 2, 3], 1].tolist())) > 1
+        est = expected_max_correlated(spec, self.AUTO)
+        assert est.method_used == "quadrature"
+        assert est.value == pytest.approx(scipy_expected_max_correlated(
+            KINK_MEANS, np.round(L, 15)), abs=1e-10)
+        kinks = oracle._rank2_kinks(np.asarray(KINK_MEANS), *L.T)
+        assert np.isclose(kinks, (KINK_MEANS[0] - KINK_MEANS[2]) / (L[2, 0] - L[0, 0])).any()
 
 
 class TestGraphObjective:
@@ -1119,8 +1271,13 @@ class TestGraphObjective:
     def test_correlated_diagonal_matches_independent(self):
         inst = cycle_instance(4, 0.0)
         spec = CovarianceSpec(inst.means, np.diag([0.25] * 4))
-        est = graph_objective_correlated(inst, spec, EstimatorConfig(mc_samples=400_000, seed=5))
+        cfg = EstimatorConfig(method="monte_carlo", mc_samples=400_000, seed=5)
+        est = graph_objective_correlated(inst, spec, cfg)
         assert est.value == pytest.approx(math.sqrt(4 / math.pi), abs=3.5 * est.half_width)
+        # Under auto every pair is exact, at rank 4.
+        est = graph_objective_correlated(inst, spec, EstimatorConfig())
+        assert est.half_width == 0.0 and est.method_used == "closed_form"
+        assert est.value == pytest.approx(math.sqrt(4 / math.pi), abs=1e-15)
 
     def test_correlated_single_set_reduction(self):
         inst = Instance(3, (0.0,) * 3, [(0, 1, 2)])

@@ -1,4 +1,4 @@
-"""Quadrature against 30-digit ``mpmath`` integrals.
+"""Quadrature and closed forms against 30-digit ``mpmath`` integrals.
 
 The other quadrature tests compare with scipy's double-precision ``quad``,
 which cannot tell an error of 1e-15 from one of 1e-12.  Here each reference
@@ -10,6 +10,7 @@ of about two.
 
 import functools
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -171,7 +172,7 @@ def _mp_rank2(mu, a, b):
     changes fastest where that Z passes 0, so the integral is also broken at
     that T and at 2, 4 and 8 times the T-scale of the passage on either side.
     """
-    mu, a, b = ([mp.mpf(float(x)) for x in v] for v in (mu, a, b))
+    mu, a, b = ([mp.mpf(x) for x in v] for v in (mu, a, b))  # floats exactly, or mpf
     points = {mp.mpf(-12), mp.mpf(0), mp.mpf(12)}
     for i, k in itertools.combinations(range(len(mu)), 2):
         if a[i] == a[k]:
@@ -203,11 +204,151 @@ class TestRank2:
         [(0, 1, 2, 3), (2, 4, 5), (0, 5)],
     ])
     def test_exact_set_maxima(self, sets):
-        # Measured: at most 1e-16 relative per total.
+        # Measured: at most 1e-16 relative per set.
         c = CovarianceSpec(self.MEANS, self.L @ self.L.T)
         factor = psd_factor(c.matrix)
         assert factor.shape[1] == 2
-        est, failed = oracle._exact_set_maxima(c, factor, sets, EstimatorConfig().quadrature_tolerance)
-        assert failed == {} and est.half_width == 0.0
-        ref = mp.fsum(_mp_rank2(self.MEANS[list(s)], *self.L[list(s)].T) for s in sets)
-        assert _rel_error(est.value, ref) <= 1e-15
+        values, failed = oracle._exact_set_maxima(c, factor, sets,
+                                                  EstimatorConfig().quadrature_tolerance)
+        assert failed == {}
+        for value, s in zip(values, sets):
+            assert _rel_error(value, _mp_rank2(self.MEANS[list(s)], *self.L[list(s)].T)) <= 1e-15
+
+
+def _mp_three_lines(means, cov):
+    """E max_i X_i over at most three jointly Gaussian lines, as an mpf.
+
+    The affine reduction: E max_i X_i = E max_i (mu_i + D_i z), where D_0 = 0
+    and D_1, D_2 are the rows of the Cholesky factor of the Gram matrix G of
+    X_i - X_0, taken at 30 digits from the float inputs.  Its second column,
+    the smaller, is the outer coordinate of ``_mp_rank2``; two lines are
+    ``_mp_envelope``'s.  Line order does not change the value.
+    """
+    mu = [mp.mpf(float(x)) for x in means]
+    S = [[mp.mpf(float(x)) for x in row] for row in cov]
+    G = [[S[i][k] - S[i][0] - S[0][k] + S[0][0] for k in range(1, len(mu))]
+         for i in range(1, len(mu))]
+    if len(mu) == 1 or not any(G[i][i] for i in range(len(G))):
+        return max(mu)
+    if G[0][0] == 0:  # line 1 is line 0 moved: factor the other first
+        mu, G = [mu[0], mu[2], mu[1]], [row[::-1] for row in G[::-1]]
+    root = mp.sqrt(G[0][0])
+    if len(mu) == 2:
+        return _mp_envelope(mu, [mp.mpf(0), root])
+    det = G[0][0] * G[1][1] - G[0][1] ** 2
+    inner = [mp.mpf(0), root, G[0][1] / root]
+    return _mp_rank2(mu, [mp.mpf(0), mp.mpf(0), mp.sqrt(max(det, 0) / G[0][0])], inner)
+
+
+def _near_plane(seed, ratio, concurrent=False):
+    """Three lines whose differences X_i - X_0 have det G / (G_11 G_22) = ratio:
+    line 2 is line 0 plus a multiple of line 1 - line 0 plus an orthogonal
+    part.  ``concurrent`` puts its mean on the same line, the hardest case
+    for the closed form, whose gamma_k|il is then a ratio of small numbers."""
+    rng = np.random.default_rng(seed)
+    L0, L1, u = rng.normal(size=(3, 3)) * 0.4
+    d1 = L1 - L0
+    u -= u @ d1 / (d1 @ d1) * d1
+    lam = rng.uniform(-1.5, 1.5)
+    u *= math.sqrt(ratio / (1 - ratio)) * np.linalg.norm(lam * d1) / np.linalg.norm(u)
+    F = np.array([L0, L1, L0 + lam * d1 + u])
+    mu = rng.uniform(0.0, 1.0, 3)
+    if concurrent:
+        mu[2] = mu[0] + lam * (mu[1] - mu[0])
+    cov = F @ F.T
+    return mu, 0.5 * (cov + cov.T)
+
+
+def _gram_ratio(cov):
+    H = (cov + cov[:1, :1]) - (cov[:, :1] + cov[:1, :])
+    return (H[1, 1] * H[2, 2] - H[1, 2] ** 2) / (H[1, 1] * H[2, 2])
+
+
+class TestThreeLines:
+    """``_three_line_maxima`` against 30-digit references after the affine reduction."""
+
+    @staticmethod
+    def _random(seed, rank, w=3):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(w, rank)) * 0.45
+        cov = f @ f.T
+        return rng.uniform(0.0, 1.0, w), 0.5 * (cov + cov.T)
+
+    def _check(self, mu, cov, bound, integrated=False):
+        values, took, failed = oracle._three_line_maxima(mu[None], cov[None], 1e-9)
+        assert failed == {} and took.tolist() == [integrated]
+        error = float(abs(mp.mpf(float(values[0])) - _mp_three_lines(mu, cov)))
+        assert error <= bound, error
+        return error
+
+    # Measured: at most 3.8e-16 on every set of the next four tests.
+    BOUND = 8e-16
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_rank(self, seed):
+        mu, cov = self._random(seed, 3)
+        assert np.linalg.matrix_rank(cov) == 3
+        self._check(mu, cov, self.BOUND)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_rank_two(self, seed):
+        mu, cov = self._random(seed, 2)
+        self._check(mu, cov, self.BOUND)
+
+    def test_floor_line(self):
+        # Two loaded lines of rank 2 and a constant above both means.
+        mu, cov = self._random(6, 2, w=2)
+        lines = np.append(mu, 0.9)
+        full = np.zeros((3, 3))
+        full[:2, :2] = cov
+        self._check(lines, full, self.BOUND)
+
+    def test_equal_means(self):
+        mu, cov = self._random(7, 3)
+        self._check(np.full(3, 0.4), cov, self.BOUND)
+        # Two equal lines: d = 1, the envelope with a duplicate.
+        self._check(np.array([0.3, 0.3, 0.5]), np.array(
+            [[0.2, 0.2, 0.05], [0.2, 0.2, 0.05], [0.05, 0.05, 0.3]]), self.BOUND)
+
+    def test_collinear_and_narrow_sets(self):
+        # d = 1: line 2 - line 0 = 2 (line 1 - line 0), at rank 2; d = 0: three
+        # copies of one line with different means; then one and two lines.
+        F = np.array([[0.3, 0.1], [0.1, 0.3], [-0.1, 0.5]])
+        cov = F @ F.T
+        assert abs(_gram_ratio(cov)) <= 1e-15
+        mu = np.array([0.8040317224555162, 0.01886389299064406, 0.07670282893403546])
+        self._check(mu, cov, self.BOUND)
+        same = np.full((3, 3), 0.3)
+        values, _, _ = oracle._three_line_maxima(mu[None], same[None], 1e-9)
+        assert values[0] == mu.max()
+        self._check(mu[:2], cov[:2, :2], self.BOUND)
+        self._check(mu[:1], cov[:1, :1], 0.0)
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    @pytest.mark.parametrize("ratio,closed", [(3e-6, True), (3e-7, False), (1e-9, False)])
+    def test_near_the_threshold(self, ratio, closed, concurrent):
+        # Measured: the closed form just above _GRAM_TOL (1e-6) within 2.3e-14
+        # on concurrent lines and 9.3e-17 otherwise; the quadrature below it
+        # within 2.1e-16.
+        mu, cov = _near_plane(11, ratio, concurrent)
+        assert _gram_ratio(cov) == pytest.approx(ratio, rel=1e-3)
+        self._check(mu, cov, 5e-14 if closed and concurrent else self.BOUND,
+                    integrated=not closed)
+
+
+def _mp_bivariate_cdf(h, k, rho):
+    """P(U <= h, V <= k) for standard normals of correlation rho, as an mpf."""
+    h, k, rho = (mp.mpf(float(x)) for x in (h, k, rho))
+    s = mp.sqrt(1 - rho * rho)
+    return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((k - rho * x) / s), [-mp.inf, min(h, 0), h])
+
+
+@pytest.mark.parametrize("h,k,rho", [
+    (0.7, -1.3, 0.4), (-0.2, -2.5, -0.8), (1.1, 0.9, 0.999), (-1.5, 0.6, -0.9999),
+    (0.0, 0.8, 0.3), (0.0, -0.8, -0.6), (1.2, 0.0, 0.5), (-0.4, 0.0, 0.95), (0.0, 0.0, 0.3),
+    (0.0, 0.0, -0.97), (1e-300, -0.5, 0.2)])
+def test_bivariate_cdf_branches(h, k, rho):
+    # Owen's formula, its one-zero and two-zero branches; measured within 7.5e-17.
+    got = oracle._bivariate_cdf(np.array([h]), np.array([k]), np.array([rho]),
+                                np.array([math.sqrt(1 - rho * rho)]))[0]
+    assert float(abs(mp.mpf(float(got)) - _mp_bivariate_cdf(h, k, rho))) <= 2e-16

@@ -401,7 +401,8 @@ class TestPtasCorrelated:
 
     def test_one_eigh_call_per_chunk_across_diagonals(self, monkeypatch):
         # At n = 3 and step 0.2 the 56 diagonals' candidates fit in one chunk:
-        # one stacked eigh call for the search and one for the report's factor.
+        # one stacked eigh call filters them, one on the survivors' 2 x 2 Gram
+        # matrices scores them, and one more on the winner's scores the report.
         shapes, eigh = [], np.linalg.eigh
 
         def spy(a, *args, **kwargs):
@@ -410,7 +411,9 @@ class TestPtasCorrelated:
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
         ptas_correlated(single_set_instance([0.3, 0.1, 0.5]), 0.6, 0.2, CFG)
-        assert len(shapes) == 2 and shapes[0][0] > len(_enumerate_grid(3, 5, np.arange(6)))
+        assert [shape[1:] for shape in shapes] == [(3, 3), (2, 2), (2, 2)]
+        assert shapes[0][0] >= shapes[1][0] > len(_enumerate_grid(3, 5, np.arange(6)))
+        assert shapes[2][0] == 1
 
     @pytest.mark.parametrize("tile", [1_000, 2**14])
     def test_crn_mean_takes_the_floor_after_the_chain(self, monkeypatch, tile):
@@ -437,11 +440,10 @@ class TestPtasCorrelated:
             np.maximum(top, x[:, col], out=top)
         assert np.array_equal(top, x.max(axis=1))
 
-    @pytest.mark.parametrize("means,eps,step", [
-        ([0.0, 0.0], 0.7, 0.25),       # s = n: no floor
-        ([0.3, 0.1, 0.5], 0.8, 0.5),   # s = 2 < n: the finite floor
-    ])
-    def test_matches_sample_major_reference(self, monkeypatch, means, eps, step):
+    @pytest.mark.parametrize("means", [[0.3, 0.1, 0.5, 0.2], [0.0, 0.0, 0.0, 0.1]])
+    def test_matches_sample_major_reference(self, monkeypatch, means):
+        # s = 3 < n: three lines and the floor, the one case scored under CRN.
+        eps, step = 0.6, 0.5
         inst = single_set_instance(means)
         values = record_crn_means(monkeypatch)
         rep = ptas_correlated(inst, eps, step, CFG)
@@ -476,16 +478,17 @@ class TestPtasCorrelated:
     @pytest.mark.parametrize("tile", [1_000, 4_096, 2**18])
     def test_does_not_depend_on_the_tile(self, monkeypatch, tile):
         # Candidates score 65,536 CRN samples, the winner 300,000 Monte Carlo
-        # samples (chunks of 262,144 and 37,856); s = 2 < n takes the floor.
-        inst = single_set_instance([0.3, 0.1, 0.5])
+        # samples (chunks of 262,144 and 37,856); s = 3 < n takes the floor.
+        inst = single_set_instance([0.3, 0.1, 0.5, 0.2])
         cfg = EstimatorConfig(method="monte_carlo", seed=4, mc_samples=300_000)
 
         def solve():
             with monkeypatch.context() as patch:
                 values = record_crn_means(patch)
-                return report_fields(ptas_correlated(inst, 0.8, 0.25, cfg)), values
+                return report_fields(ptas_correlated(inst, 0.6, 0.5, cfg)), values
 
         want = solve()
+        assert len(want[1]) > 10
         monkeypatch.setattr(oracle, "_SAMPLE_TILE", tile)
         assert solve() == want
 
@@ -493,6 +496,81 @@ class TestPtasCorrelated:
         a = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
         b = ptas_correlated(single_set_instance([0.0, 0.0]), 0.7, 0.25, CFG)
         assert report_fields(a) == report_fields(b)
+
+    @pytest.mark.parametrize("means,eps,step", [
+        ([0.3, 0.1, 0.5], 0.6, 0.2),    # s = n = 3: three lines
+        ([0.3, 0.1, 0.5], 0.8, 0.25),   # s = 2 < n: two lines and the floor
+        ([0.0, 0.0], 0.7, 0.25),        # s = n = 2
+        ([0.4], 0.7, 0.25),             # s = n = 1: one line
+    ])
+    def test_exact_scores_match_one_candidate_reference(self, monkeypatch, means, eps, step):
+        # Each chunk's survivors are scored by one call; every score has the
+        # bits of the candidate's call alone, and the first maximum wins.
+        scores = []
+        three_lines = solvers._three_line_maxima
+
+        def spy(*args):
+            out = three_lines(*args)
+            scores.append(out[0])
+            return out
+
+        monkeypatch.setattr(solvers, "_three_line_maxima", spy)
+        crn = record_crn_means(monkeypatch)
+        rep = ptas_correlated(single_set_instance(means), eps, step, CFG)
+
+        n, s = len(means), min(math.ceil(1.0 / eps**2), len(means))
+        cap = int(1.0 / step + 1e-9)
+        pairs = list(itertools.combinations(range(s), 2))
+        want, best_val, best = [], -math.inf, None
+        for support in itertools.combinations(range(n), s):
+            sup = list(support)
+            rest = [means[i] for i in range(n) if i not in support]
+            lines = [means[i] for i in sup] + ([max(rest)] if rest else [])
+            diags = (d for d in itertools.product(range(cap + 1), repeat=s) if sum(d) <= cap)
+            for diag in diags:
+                caps = [math.isqrt(diag[i] * diag[j]) for i, j in pairs]
+                for subs, _ in _psd_candidates(np.array([diag]), np.array([caps]), step):
+                    for sub in subs:
+                        cov = np.zeros((len(lines), len(lines)))
+                        cov[:s, :s] = sub
+                        (value,), _, _ = oracle._three_line_maxima(
+                            np.array([lines]), cov[None], CFG.quadrature_tolerance)
+                        want.append(value)
+                        if value > best_val:
+                            best_val, best = value, np.zeros((n, n))
+                            best[np.ix_(sup, sup)] = sub
+        assert crn == [] and len(want) > 4
+        assert np.concatenate(scores).tolist() == want
+        assert np.array_equal(rep.allocation.matrix, best)
+
+    @pytest.mark.parametrize("means,eps", [([0.62, 0.19, 0.45], 0.6), ([0.62, 0.19, 0.45], 0.8)])
+    def test_winner_does_not_depend_on_the_seed(self, monkeypatch, means, eps):
+        # Floor-free and floored supports of at most three lines draw no samples.
+        drawn = []
+        monkeypatch.setattr(solvers, "_crn_matrix", lambda *args: drawn.append(args))
+        a, b = (ptas_correlated(single_set_instance(means), eps, 0.2, EstimatorConfig(seed=seed))
+                for seed in (1, 101))
+        assert report_fields(a) == report_fields(b) and drawn == []
+        assert a.objective.half_width == 0.0
+
+    def test_four_lines_keep_the_crn_scorer(self, monkeypatch):
+        # s = 3 < n: every support has three lines and the floor.
+        crn = record_crn_means(monkeypatch)
+        monkeypatch.setattr(solvers, "_three_line_maxima", None)  # never called
+        ptas_correlated(single_set_instance([0.3, 0.1, 0.5, 0.2]), 0.6, 0.5, CFG)
+        assert len(crn) > 10
+
+    def test_non_finite_score_raises(self, monkeypatch):
+        three_lines = solvers._three_line_maxima
+
+        def poisoned(*args):
+            values, took, failed = three_lines(*args)
+            values[3] = math.nan
+            return values, took, failed
+
+        monkeypatch.setattr(solvers, "_three_line_maxima", poisoned)
+        with pytest.raises(oracle.EstimationError, match="not finite"):
+            ptas_correlated(single_set_instance([0.3, 0.1, 0.5]), 0.6, 0.2, CFG)
 
 
 class TestLogApprox:
