@@ -295,6 +295,8 @@ def _cmd_verify(args) -> int:
     if args.claim is None and not args.all:
         raise ValueError("choose --claim NAME or --all")
     names = sorted(analysis.ALL_CHECKS) if args.all else [args.claim]
+    # Refuse a bad --mc-samples whether or not the chosen claims sample.
+    EstimatorConfig(seed=args.seed, mc_samples=args.mc_samples)
     docs = []
     failed = 0
     for name in names:

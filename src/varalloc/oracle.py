@@ -66,7 +66,10 @@ reduced in tiles of at most ``_SAMPLE_TILE`` samples, so the rows a tile
 touches stay in cache.  The bits do not move: the tiles read the chunk's one
 normal stream in order, each sample's entries are the same dot products, a
 maximum is exact, and the sums run over the whole chunk's statistics at
-once, in the same order.
+once, in the same order.  The chunk's statistics, the tile's normals and
+its work rows are ``_TileBuffers`` that a thread reuses across tiles,
+chunks and estimates, which moves no bit either: each is overwritten before
+it is read.
 
 Parallelism: ``_pmap`` runs independent quadrature blocks and verifier
 trials on the calling thread plus one pool thread per further CPU of the
@@ -77,6 +80,7 @@ bits for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -226,11 +230,14 @@ def _pmap(fn, items) -> list:
     exception of the lowest index is raised, which is the one the list
     comprehension would raise.  Cancelling before waiting also lets an item
     call ``_pmap`` itself: queued helpers never block the caller.
+    Each thread holds one ``_TileBuffers`` over its share of the items, so
+    Monte Carlo items reuse their tiles and the memory goes with the map.
     """
     items = list(items)
     workers = _workers()
     if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+        with _holding_tile_buffers():
+            return [fn(x) for x in items]
     out = [None] * len(items)
     errors = {}
     lock = threading.Lock()
@@ -238,18 +245,19 @@ def _pmap(fn, items) -> list:
 
     def drain():
         nonlocal next_index
-        while True:
-            with lock:
-                if errors or next_index == len(items):
-                    return
-                i = next_index
-                next_index += 1
-            try:
-                out[i] = fn(items[i])
-            except Exception as exc:  # re-raised by the caller below
+        with _holding_tile_buffers():
+            while True:
                 with lock:
-                    errors[i] = exc
-                return
+                    if errors or next_index == len(items):
+                        return
+                    i = next_index
+                    next_index += 1
+                try:
+                    out[i] = fn(items[i])
+                except Exception as exc:  # re-raised by the caller below
+                    with lock:
+                        errors[i] = exc
+                    return
 
     pool = _helper_pool(workers - 1)
     helpers = [pool.submit(drain) for _ in range(min(workers, len(items)) - 1)]
@@ -793,38 +801,108 @@ def _sample_tiles(count: int) -> list[slice]:
     return [slice(a, min(a + _SAMPLE_TILE, count)) for a in range(0, count, _SAMPLE_TILE)]
 
 
+class _TileBuffers:
+    """Named float64 work arrays of one thread's Monte Carlo tiles, reused by
+    every estimate that holds them.
+
+    ``take(name, shape)`` returns a C-contiguous view of the first
+    prod(shape) floats of buffer ``name``, which is replaced by a larger one
+    only when a request does not fit.  The contents are whatever the last
+    user left: every user overwrites all of its view before reading it.
+    ``_mc_estimate`` takes ``chunk`` (up to ``_MC_CHUNK`` floats) and
+    ``normals`` (a tile of r columns), its statistics ``block`` (n rows of a
+    tile), ``row`` and ``shifted`` (a tile each).  So the buffers hold at
+    most ``_MC_CHUNK + _SAMPLE_TILE * (r + n) + 2 * _SAMPLE_TILE`` floats,
+    with r the widest draw and n the most rows of a sampled block seen: the
+    covariance's dimension for a correlated estimate, the set's width for an
+    independent one.  That is 3.25 MiB at r = n = 4.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(flat.nbytes for flat in self._flat.values())
+
+
+_held = threading.local()  # .buffers: the _TileBuffers this thread holds, if any
+
+
+@contextlib.contextmanager
+def _holding_tile_buffers():
+    """Hold one ``_TileBuffers`` on this thread for the body, and yield it.
+
+    Every Monte Carlo estimate on this thread inside the body reuses it, so
+    many short estimates fault their tiles in once instead of once each; it
+    is dropped on exit, so its memory lives no longer than the work that
+    uses it.  An inner scope on the same thread keeps the outer one's.
+    """
+    outer = getattr(_held, "buffers", None)
+    if outer is not None:
+        yield outer
+        return
+    _held.buffers = _TileBuffers()
+    try:
+        yield _held.buffers
+    finally:
+        _held.buffers = None
+
+
 def _mc_estimate(seed: int, total: int, width: int, stat_of) -> Estimate:
     """Chunked Monte Carlo mean of a per-sample statistic.
 
     Chunk ``k`` draws a (count, width) block of standard normals from
-    ``_chunk_rng(seed, k)``; ``stat_of`` maps a block to one statistic per
-    sample.  The chunk is drawn from its generator in tiles of at most
-    ``_SAMPLE_TILE`` samples, which continues the one stream exactly as a
-    single (count, width) draw would, and each tile's statistics fill their
-    slice of one chunk-long buffer.  Sums and sums of squares run over the
-    whole chunk and accumulate in chunk order, so the tile size does not
-    change a bit.
+    ``_chunk_rng(seed, k)``; ``stat_of(z, out, buffers)`` writes one
+    statistic per sample of ``z`` into ``out`` and may take work arrays
+    from ``buffers`` under names of its own.  The chunk is drawn from its
+    generator in tiles of at most ``_SAMPLE_TILE`` samples, which continues
+    the one stream exactly as a single (count, width) draw would, and each
+    tile's statistics fill their slice of one chunk-long buffer.  Sums and
+    sums of squares run over the whole chunk and accumulate in chunk order,
+    so the tile size does not change a bit.
+
+    The chunk buffer, the tile of normals and ``stat_of``'s work arrays are
+    the ``_TileBuffers`` this thread holds (see ``_holding_tile_buffers``),
+    or else ones that live for this call.  They are checked out for the
+    call, so an estimate nested in ``stat_of`` would take fresh ones: no
+    buffer is handed out twice at once.  Every one is overwritten before it
+    is read, so reuse does not change a bit either.
     """
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    chunk = 0
-    while done < total:
-        count = min(_MC_CHUNK, total - done)
-        rng = _chunk_rng(seed, chunk)
-        stat = np.empty(count)
-        for t in _sample_tiles(count):
-            stat[t] = stat_of(rng.standard_normal((t.stop - t.start, width)))
-        s1 += float(stat.sum())
-        s2 += float(np.square(stat).sum())
-        done += count
-        chunk += 1
+    held = getattr(_held, "buffers", None)
+    buffers = held if held is not None else _TileBuffers()
+    _held.buffers = None
+    try:
+        s1 = 0.0
+        s2 = 0.0
+        done = 0
+        chunk = 0
+        while done < total:
+            count = min(_MC_CHUNK, total - done)
+            rng = _chunk_rng(seed, chunk)
+            stat = buffers.take("chunk", (count,))
+            for t in _sample_tiles(count):
+                z = rng.standard_normal(out=buffers.take("normals", (t.stop - t.start, width)))
+                stat_of(z, stat[t], buffers)
+            s1 += float(stat.sum())
+            s2 += float(np.square(stat, out=stat).sum())
+            done += count
+            chunk += 1
+    finally:
+        _held.buffers = held
     mean = s1 / total
     var = max((s2 - total * mean * mean) / (total - 1), 0.0)
     return Estimate(mean, Z95 * math.sqrt(var / total), "monte_carlo")
 
 
-def row_max(y: np.ndarray, cols, shift=None) -> np.ndarray:
+def row_max(y: np.ndarray, cols, shift=None, out=None, tmp=None) -> np.ndarray:
     """Per-sample maximum of ``y[c] + shift[c]`` over the rows ``c`` in ``cols``.
 
     ``y`` is a coordinate-major sample block: row ``c`` holds every sample of
@@ -833,14 +911,32 @@ def row_max(y: np.ndarray, cols, shift=None) -> np.ndarray:
     same elementwise additions and a maximum is exact.  Every operand is a
     contiguous row, so this is many times faster than ``max(axis=0)`` over a
     short axis and than broadcasting ``shift`` over the whole block.
+
+    With ``shift``, the maximum goes into ``out`` when given, and each
+    further shifted row into ``tmp`` when given; both are one row long and
+    distinct from ``y``'s rows and each other.  Otherwise they are new
+    arrays.  Either way the bits are the same.
     """
     first, *rest = cols
-    stat = y[first].copy() if shift is None else y[first] + shift[first]
-    tmp = None if shift is None else np.empty_like(stat)
+    stat = y[first].copy() if shift is None else np.add(y[first], shift[first], out=out)
+    if shift is not None and tmp is None:
+        tmp = np.empty_like(stat)
     for c in rest:
         row = y[c] if shift is None else np.add(y[c], shift[c], out=tmp)
         np.maximum(stat, row, out=stat)
     return stat
+
+
+def _scaled_max(means: np.ndarray, stddevs: np.ndarray):
+    """``_mc_estimate``'s ``stat_of`` for independent coordinates: the maximum
+    of ``means + stddevs * z`` per sample, from the coordinate-major block
+    ``stddevs[:, None] * z.T``."""
+
+    def stat_of(z, out, buffers):
+        y = np.multiply(z.T, stddevs[:, None], out=buffers.take("block", (len(means), len(out))))
+        row_max(y, range(len(means)), means, out=out, tmp=buffers.take("shifted", out.shape))
+
+    return stat_of
 
 
 def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorConfig,
@@ -869,9 +965,7 @@ def _set_estimates(means: np.ndarray, stddevs: np.ndarray, sets, cfg: EstimatorC
         elif method == "quadrature":
             quad.append((j, idx))
         else:
-            estimates[j] = _mc_estimate(
-                seed_of(j), cfg.mc_samples, len(idx),
-                lambda z: row_max(np.multiply(z.T, s[:, None], order="C"), range(len(m)), m))
+            estimates[j] = _mc_estimate(seed_of(j), cfg.mc_samples, len(idx), _scaled_max(m, s))
     if not quad:
         return estimates, {}
     quad.sort(key=lambda q: len(q[1]))  # rows of one width together, for keys and blocks
@@ -923,17 +1017,22 @@ def _mc_set_maxima(c: CovarianceSpec, cfg: EstimatorConfig, sets, L: np.ndarray)
     ``L`` is ``psd_factor(c.matrix)``.  Each tile's centred samples are the
     coordinate-major block ``L @ z.T`` (n, count); each entry is the same
     length-r dot product as in ``z @ L.T`` and as in the product over the
-    whole chunk, and the short-first product packs far better in BLAS.  Set
-    maxima add up in set order, starting from the first set's.
+    whole chunk, and the short-first product packs far better in BLAS.  It
+    is formed by ``np.matmul(L, z.T, out=...)`` in the thread's reused
+    ``block``, with the bits of ``L @ z.T`` (a test pins the two).  Set
+    maxima add up in set order, starting from the first set's, each into the
+    reused ``row``.
     """
 
-    def total(z):
-        y = L @ z.T
+    def total(z, out, buffers):
+        y = np.matmul(L, z.T, out=buffers.take("block", (L.shape[0], len(out))))
+        shifted = buffers.take("shifted", out.shape)
         first, *rest = sets
-        stat = row_max(y, first, c.means)
-        for members in rest:
-            stat += row_max(y, members, c.means)
-        return stat
+        row_max(y, first, c.means, out=out, tmp=shifted)
+        if rest:
+            row = buffers.take("row", out.shape)
+            for members in rest:
+                out += row_max(y, members, c.means, out=row, tmp=shifted)
 
     return _mc_estimate(cfg.seed, cfg.mc_samples, L.shape[1], total)
 

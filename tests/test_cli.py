@@ -187,6 +187,18 @@ def test_flags_the_choice_does_not_read_exit_2(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", [["--all"], ["--claim", "correlation_gap"],
+                                   ["--claim", "lipschitz"], ["--claim", "submodular_g"]])
+def test_verify_refuses_few_mc_samples_before_any_claim(tmp_path, capsys, which):
+    # Claims that draw no samples refuse the value too, and no claim runs.
+    out = tmp_path / "verify.json"
+    assert run(["verify", *which, "--mc-samples", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: mc_samples must be at least 1000\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cycle_without_mu_has_zero_means(tmp_path):
     out = tmp_path / "cycle.json"
     assert run(["generate", "cycle", "--n", "3", "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -764,6 +765,14 @@ class TestMonteCarloAccumulator:
                 assert L.shape == (n, r)
                 z = rng.standard_normal((count, r))
                 assert (L @ z.T).tobytes() == (z @ L.T).T.tobytes()
+                # The form the sampler uses: both operands are prefixes of
+                # larger reused buffers, and the product goes into one.
+                zbuf = np.full(count * r + 5, np.nan)
+                zv = zbuf[:count * r].reshape(count, r)
+                zv[:] = z
+                block = np.full(n * count + 7, np.nan)[:n * count].reshape(n, count)
+                np.matmul(L, zv.T, out=block)
+                assert block.tobytes() == (z @ L.T).T.tobytes()
 
     def test_independent_matches_reference(self):
         for v in (GaussianVector((0, 0.5, -1), (1, 0.0, 2)), GaussianVector((0.3,), (0.7,))):
@@ -809,6 +818,79 @@ class TestMonteCarloAccumulator:
         want = [bits(f()) for f in calls]
         monkeypatch.setattr(oracle, "_SAMPLE_TILE", tile)
         assert [bits(f()) for f in calls] == want
+
+
+class TestTileBuffers:
+    # Four loaded members of rank 4: under auto the set only samples.
+    SPEC = CovarianceSpec([0.1, 0.3, 0.0, 0.2], [[0.4, 0.1, 0.0, 0.05], [0.1, 0.3, -0.1, 0.0],
+                                                [0.0, -0.1, 0.3, 0.0], [0.05, 0.0, 0.0, 0.2]])
+
+    @pytest.mark.parametrize("samples", [20_000, 300_000])
+    def test_a_second_estimate_reuses_the_buffers(self, samples):
+        # At r = 4 a fresh tile of normals alone is 512 KiB, and so is its
+        # product; the second estimate on the thread allocates neither.
+        cfg = EstimatorConfig(mc_samples=samples, seed=3)
+        with oracle._holding_tile_buffers() as buffers:
+            first = expected_max_correlated(self.SPEC, cfg)
+            tracemalloc.start()
+            try:
+                second = expected_max_correlated(self.SPEC, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert first.method_used == "monte_carlo"
+        assert second == first
+        assert peak < 64 * 1024
+        r = n = 4
+        bound = 8 * (oracle._MC_CHUNK + oracle._SAMPLE_TILE * (r + n) + 2 * oracle._SAMPLE_TILE)
+        assert 0 < buffers.nbytes <= bound
+
+    def test_buffers_are_dropped_with_the_scope(self):
+        with oracle._holding_tile_buffers() as outer:
+            with oracle._holding_tile_buffers() as inner:
+                assert inner is outer
+        assert getattr(oracle._held, "buffers", None) is None
+
+    def test_a_nested_estimate_takes_fresh_buffers(self):
+        # An estimate inside another's statistic must not be handed the
+        # buffers the outer one is using.
+        cfg = EstimatorConfig(method="monte_carlo", mc_samples=20_000, seed=2)
+        narrow = CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]])
+        inner = []
+        stat_of = oracle._scaled_max(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
+
+        def nesting(z, out, buffers):
+            if not inner:
+                inner.append(expected_max_correlated(narrow, cfg))
+            stat_of(z, out, buffers)
+
+        with oracle._holding_tile_buffers():
+            got = oracle._mc_estimate(7, 20_000, 2, nesting)
+            assert got == oracle._mc_estimate(7, 20_000, 2, stat_of)
+        assert inner == [_reference_mc_joint(narrow, cfg)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tile", [1_000, 4_096, 2**18])
+    def test_stale_contents_never_leak(self, monkeypatch, tile, workers):
+        # A wider (n = 8) and longer estimate fills every buffer first; the
+        # narrow, short ones after it on the same thread must keep the bits
+        # of the reference loops, which draw each chunk whole into fresh
+        # arrays.  Each item runs on one thread, two items at a time.
+        monkeypatch.setattr(oracle, "_SAMPLE_TILE", tile)
+        monkeypatch.setattr(oracle, "_workers", lambda: workers)
+        a = np.random.default_rng(8).normal(size=(8, 8))
+        wide = CovarianceSpec(np.linspace(0.0, 0.7, 8), a @ a.T / np.trace(a @ a.T))
+        wide_cfg = EstimatorConfig(method="monte_carlo", mc_samples=300_000, seed=11)
+        narrow = CovarianceSpec([0, 1, 0.5], [[0.4, 0.1, 0], [0.1, 0.3, -0.1], [0, -0.1, 0.3]])
+        independent = GaussianVector((0, 0.5, -1), (1, 0.0, 2))
+        cfg = EstimatorConfig(method="monte_carlo", mc_samples=20_000, seed=5)
+        want = (_reference_mc_joint(narrow, cfg), _reference_mc_independent(independent, cfg))
+
+        def wide_then_narrow(_):
+            expected_max_correlated(wide, wide_cfg)
+            return expected_max_correlated(narrow, cfg), expected_max_independent(independent, cfg)
+
+        assert oracle._pmap(wide_then_narrow, range(2)) == [want, want]
 
 
 # Three loaded variables of rank 3 and a constant: a set of all four has
@@ -1342,9 +1424,11 @@ def _reference_set_estimate(v, cfg, seed):
         val = _reference_quadrature(v.means, v.stddevs, cfg.quadrature_tolerance)
         return Estimate(val, 0.0, "quadrature")
     means, stddevs = np.asarray(v.means), np.asarray(v.stddevs)
-    return oracle._mc_estimate(
-        seed, cfg.mc_samples, v.n,
-        lambda z: row_max(np.multiply(z.T, stddevs[:, None], order="C"), range(v.n), means))
+
+    def stat_of(z, out, buffers):
+        out[:] = row_max(np.multiply(z.T, stddevs[:, None], order="C"), range(v.n), means)
+
+    return oracle._mc_estimate(seed, cfg.mc_samples, v.n, stat_of)
 
 
 def _reference_graph_objective(inst, alloc, cfg):
