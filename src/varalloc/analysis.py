@@ -30,7 +30,7 @@ from .oracle import (
     psd_factor,
     row_max,
 )
-from .solvers import log_approx_graph
+from .solvers import LIPSCHITZ_CONSTANT, log_approx_graph
 
 __all__ = [
     "VerificationReport",
@@ -52,10 +52,6 @@ __all__ = [
 # Correlated expected max is at most this multiple of the independent one
 # with the same marginals: 2e/(e-1).
 CORRELATION_GAP_CONSTANT = 2.0 * math.e / (math.e - 1.0)
-
-# Adopted from the explicit per-coordinate bounds in the smoothness proof
-# (each term is below 1.1, two terms per coordinate).
-LIPSCHITZ_CONSTANT = 2.0
 
 _QUAD_SLACK = 1e-7  # tolerance granted to quadrature when asserting inequalities
 _CONCAVITY_MAX_N = 10  # correlated curves: 2n candidates x (2^n - 1) subsets
@@ -195,10 +191,11 @@ def verify_eps_contribution(
 
 
 def verify_lipschitz(trials: int = 2000, n: int = 4, seed: int = 0) -> VerificationReport:
-    """|E max X - E max Y| <= 2 * sum_i |sigma_i - sigma'_i| for equal means.
+    """|E max X - E max Y| <= phi(0) * sum_i |sigma_i - sigma'_i| for equal means.
 
-    The constant comes from the explicit per-coordinate bounds in the
-    smoothness proof; if a fuzzed pair exceeds it, the report carries the
+    The constant is ``solvers.LIPSCHITZ_CONSTANT``, phi(0) = 1/sqrt(2 pi),
+    the bound ``ptas_independent`` prunes its grid with (its proof is in the
+    constant's comment).  If a fuzzed pair exceeds it, the report carries the
     empirical ratio instead of hiding it.
     """
     rng = np.random.default_rng(seed)

@@ -57,6 +57,14 @@ def _ptas_ind_n3(work: Path) -> list[str]:
     return ["report.json"]
 
 
+def _ptas_ind_supports(work: Path) -> list[str]:
+    # Equal means and n > s: 15 supports of four, where permuted supports tie exactly.
+    inst = _write_instance(work / "in.json", [0.3, 0.3, 0.3, 0.7, 0.7, 0.0])
+    assert run(["solve", "ptas-ind", "--in", inst, "--eps", "0.5",
+                "--out", str(work / "report.json")]) == 0
+    return ["report.json"]
+
+
 def _ptas_corr_n3(work: Path) -> list[str]:
     rng = np.random.default_rng([1, 1])
     rng.uniform(0, 1, 4)  # the n=4 means above come first from this stream
@@ -314,6 +322,7 @@ def _verify_all(work: Path) -> list[str]:
 CASES = {
     "ptas_ind_n4": _ptas_ind_n4,
     "ptas_ind_n3": _ptas_ind_n3,
+    "ptas_ind_supports": _ptas_ind_supports,
     "ptas_corr_n3": _ptas_corr_n3,
     "ptas_corr_pair": _ptas_corr_pair,
     "ptas_corr_multichunk": _ptas_corr_multichunk,

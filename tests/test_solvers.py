@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varalloc import oracle, solvers
 from varalloc.instances import (
@@ -26,6 +28,7 @@ from varalloc.oracle import (
     graph_objective,
 )
 from varalloc.solvers import (
+    LIPSCHITZ_CONSTANT,
     BudgetError,
     _count_grid,
     _count_tables,
@@ -35,7 +38,9 @@ from varalloc.solvers import (
     _enumerate_maximal,
     _greedy_runs,
     _grid_limit,
+    _lipschitz_bounds,
     _psd_candidates,
+    _search_support,
     _table_greedy,
     brute_force_grid,
     greedy_fixed_variance,
@@ -191,6 +196,128 @@ class TestMaximalGrid:
         assert brute.allocation.stddevs == (0.0, 0.0)
         assert rep.objective.value == pytest.approx(10.0, abs=1e-15)
         assert brute.objective.value == pytest.approx(10.0, abs=1e-15)
+
+
+def full_scoring(inst, eps):
+    """Every maximal row of every support scored: the first argmax in (support, row) order."""
+    s = min(math.ceil(1 / eps**2), inst.n)
+    step = eps**3
+    rows = _enumerate_maximal(s, _grid_limit(step * step, 1, "grid")) * step
+    means = inst.means_array()
+    best, best_sigma = -math.inf, None
+    for support in itertools.combinations(range(inst.n), s):
+        sig = np.zeros((len(rows), inst.n))
+        sig[:, support] = rows
+        vals = expected_max_batch(means, sig)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_sigma = vals[i], sig[i]
+    return AllocationVector(best_sigma)
+
+
+# Small enough that the grids below take up to 17 batches.
+TINY_PRUNING = {"_PRUNE_BLOCK": 16, "_PRUNE_SAMPLE": 16, "_PRUNE_PROBE": 16, "_PRUNE_REFS": 8,
+                "_PRUNE_MIN_BATCH": 4}
+
+PRUNED_CASES = [
+    *[(np.random.default_rng([7, n]).uniform(0, 1, n), eps)
+      for n in (2, 3, 4, 5) for eps in (0.35, 0.4, 0.5)],
+    *[([0.0] * n, eps) for n in (2, 3, 4) for eps in (0.4, 0.5)],
+    ([0.0] * 5, 0.5),  # five supports of four, every row tied with its permutations
+    ([0.3, 0.3, 0.3, 0.7, 0.7, 0.0], 0.5),  # 15 supports; permuted supports tie exactly
+    ([0.3, 0.3, 0.3, 0.7, 0.7, 0.0], 0.45),  # six supports of 1,800 rows
+    ([0.0, 10.0], 0.5),  # test_tie_goes_to_first_maximal_point's instance
+]
+
+
+@st.composite
+def lipschitz_cases(draw):
+    """(means, s, s') of one width up to 8; a few shared values make ties and zeros common."""
+    n = draw(st.integers(1, 8))
+    mean = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-3.0, 3.0))
+    sdev = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(1e-9, 2.0))
+    means, s1, s2 = (draw(st.lists(x, min_size=n, max_size=n)) for x in (mean, sdev, sdev))
+    return np.array(means), np.array(s1), np.array(s2)
+
+
+class TestPrunedSearch:
+    @given(lipschitz_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bound_the_search_relies_on(self, case):
+        # q(s') <= q(s) + phi(0) sum (s' - s)^+, and q(s v s') >= max(q(s), q(s')).
+        means, s1, s2 = case
+        q1, q2, q_join = expected_max_batch(means, np.array([s1, s2, np.maximum(s1, s2)]))
+        rise = LIPSCHITZ_CONSTANT * np.maximum(s2 - s1, 0.0).sum()
+        assert q2 <= q1 + rise + 1e-12 * max(1.0, abs(q1), abs(q2))
+        assert q_join >= max(q1, q2) - 1e-12
+
+    def test_constant_is_phi_at_zero(self):
+        assert LIPSCHITZ_CONSTANT == pytest.approx(PHI0, rel=1e-15)
+
+    def test_bounds_match_the_broadcast_formula_in_bounded_memory(self):
+        rng = np.random.default_rng(5)
+        points, refs = rng.uniform(0, 1, (3000, 4)), rng.uniform(0, 1, (200, 4))
+        values = rng.uniform(0, 1, 200)
+        want = (values + LIPSCHITZ_CONSTANT * np.maximum(points[:, None] - refs, 0).sum(-1)).min(1)
+        tracemalloc.start()
+        try:
+            got = _lipschitz_bounds(points, refs, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+        # Two buffers of 2^15 floats, numpy's 8,192-element ufunc buffers for two
+        # operands and the output; not the 3000 x 200 x 4 floats of the formula.
+        assert peak < 2 * 8 * oracle._SLAB_NODES + 16 * 8192 + 8 * len(points) + 8192
+
+    @pytest.mark.parametrize("means,eps", PRUNED_CASES)
+    def test_same_winner_as_full_scoring(self, means, eps):
+        inst = single_set_instance(list(means))
+        rep = ptas_independent(inst, eps, CFG)
+        want = full_scoring(inst, eps)
+        assert rep.allocation == want
+        assert rep.objective.value.hex() == graph_objective(inst, want, CFG).value.hex()
+
+    # The 30,480 rows of n = 5 at eps = 0.35 take too many small batches.
+    @pytest.mark.parametrize("means,eps", [(m, e) for m, e in PRUNED_CASES
+                                           if (len(m), e) != (5, 0.35)])
+    def test_same_winner_over_many_passes(self, monkeypatch, means, eps):
+        for name, value in TINY_PRUNING.items():
+            monkeypatch.setattr(solvers, name, value)
+        inst = single_set_instance(list(means))
+        assert ptas_independent(inst, eps, CFG).allocation == full_scoring(inst, eps)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_whose_bound_meets_the_best_are_scored(self, monkeypatch, n):
+        # f = phi(0) min(sigma_0, c) obeys the bound, and ties on every row with
+        # sigma_0 >= c.  The first of them has sigma_0 = c, so a scored row with
+        # a smaller sigma_0 and larger other entries bounds it by exactly the best.
+        for name, value in TINY_PRUNING.items():
+            monkeypatch.setattr(solvers, name, value)
+        step = 0.4**3
+        sigmas = _enumerate_maximal(n, _grid_limit(step * step, 1, "grid")) * step
+        for k in range(1, 16):
+            def flat_top(means, stddevs, c=k * step):
+                return LIPSCHITZ_CONSTANT * np.minimum(stddevs[:, 0], c)
+
+            monkeypatch.setattr(solvers, "expected_max_batch", flat_top)
+            full = flat_top(None, sigmas)
+            values = _search_support(np.zeros(n), tuple(range(n)), sigmas, -math.inf)
+            assert (values[full == full.max()] == full.max()).all()
+            assert np.argmax(values) == np.argmax(full)
+
+    def test_scores_under_half_the_benchmark_grid(self, monkeypatch):
+        # The ptas_ind_n4 golden instance: 784 maximal rows on one support.
+        rows = []
+
+        def spy(means, stddevs, **kw):
+            rows.append(len(stddevs))
+            return expected_max_batch(means, stddevs, **kw)
+
+        monkeypatch.setattr(solvers, "expected_max_batch", spy)
+        means = np.random.default_rng([1, 1]).uniform(0, 1, 4)
+        ptas_independent(single_set_instance(list(means)), 0.4, CFG)
+        assert sum(rows) < 784 // 2
 
 
 class TestBruteForce:
